@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__, gridio, tolerances, verify
 from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
-from .lll_basis import (BoundaryPhases, boundary_factors, eval_fourier,
-                        eval_gaussian, normalize, theta_basis)
+from .lll_basis import (BoundaryPhases, boundary_factors, boundary_residual,
+                        eval_fourier, eval_gaussian, normalize, theta_basis)
 from .levels import GridField, density_map, periodic_grid
 from .cocycle import cocycle_constant, total_flux, triangle_identity, uniform_mesh
 from .translations import translation_report
@@ -129,11 +129,9 @@ def cmd_basis(args) -> int:
     duality = float(np.max(np.abs(f - g)) /
                     max(np.max(np.abs(f)), np.max(np.abs(g))))
     f1, f2 = boundary_factors(geo, z)
-    base = vals
-    r1 = np.abs(psi(z + geo.L1) - base * f1)
-    r2 = np.abs(psi(z + 1j * geo.L2) - base * f2)
-    resid = float(max(r1.max() / np.abs(base * f1).max(),
-                      r2.max() / np.abs(base * f2).max()))
+    r1, r2 = boundary_residual(psi, z)
+    resid = float(max(np.abs(r1).max() / np.abs(vals * f1).max(),
+                      np.abs(r2).max() / np.abs(vals * f2).max()))
     checks = {
         "duality_max_rel": duality,
         "duality_ok": duality < tolerances.get("poisson_duality_rel"),

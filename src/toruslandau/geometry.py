@@ -9,6 +9,7 @@ L1*L2 = N*pi with N the number of flux quanta through the torus.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import NonIntegralFlux
@@ -72,8 +73,10 @@ class TorusGeometry:
     def __post_init__(self):
         if not (self.L1 > 0 and self.L2 > 0):
             raise ValueError("torus sides must be strictly positive")
-        if not (isinstance(self.N, int) and self.N >= 1):
+        if not (isinstance(self.N, numbers.Integral) and not isinstance(self.N, bool)
+                and self.N >= 1):
             raise ValueError("flux quantum count N must be a positive integer")
+        object.__setattr__(self, "N", int(self.N))
         area = self.L1 * self.L2
         if abs(area - self.N * math.pi) > _AREA_RTOL * self.N * math.pi:
             raise NonIntegralFlux(area / math.pi)

@@ -18,11 +18,24 @@ periodicity (with boundary phases delta1 = delta2 = 0)
   psi(z + L1)   = psi(z) * exp{L1 z + L1^2/2 + i delta1}
   psi(z + i L2) = psi(z) * exp{-i L2 z + L2^2/2 + i delta2}.
 
-Evaluation assembles the full exponent of every term in extended precision,
-reduces the phase mod 2pi, factors out the peak, and exponentiates in double
-precision.  This avoids overflow of e^{z^2/2} against the theta tail and
-keeps relative rounding near machine level even for N ~ 10 where individual
-exponent pieces reach several hundred.
+Exponents are assembled in extended precision, phases are reduced mod 2pi
+and the peak is factored out before exponentiating in double precision.
+This avoids overflow of e^{z^2/2} against the theta tail and keeps relative
+rounding near machine level even where exponent pieces reach several
+hundred.  The Fourier series has two paths:
+
+  grid       z[j, i] = x[i] + i y[j] (any 2-D array whose real part is the
+             same down each column and imaginary part the same along each
+             row).  Term n splits into a factor of (y, n), a factor of
+             (n, x) and the phase e^{i x y} of e^{z^2/2}, so a section is
+             one (rows x K) @ (K x columns) matrix product times that
+             phase, formed a block of rows at a time, with each row's peak
+             factored out.
+  pointwise  any other z: every term's full exponent per point, with each
+             point's own peak factored out.
+
+The Gaussian series is always evaluated pointwise; it is the independent
+reference for the Fourier series.
 """
 
 from __future__ import annotations
@@ -42,6 +55,10 @@ _TWO_PI = 2 * np.pi
 # Tail threshold: dropped terms are smaller than e^-40 ~ 4e-18 relative to
 # the largest kept term anywhere in the evaluation domain.
 _TAIL_MARGIN = 40.0
+
+# The grid path works on blocks of about this many points, so its
+# long-double temporaries stay a few MB whatever the grid size.
+_BLOCK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,12 +190,83 @@ def _eval_poly(coeffs, v):
     return acc
 
 
+def _fourier_indices(psi: ThetaBasisFunction, y) -> np.ndarray:
+    """Indices n = nu (mod N) of the Fourier terms kept for points with Im z in y."""
+    geo = psi.geometry
+    y_extent = max(float(np.max(np.abs(y))), 2 * geo.L2)
+    cutoff = max(psi.n_max, fourier_cutoff(geo, y_extent))
+    ns = np.arange(-cutoff, cutoff + 1)
+    return ns[(ns - psi.nu) % geo.N == 0]
+
+
+def _is_grid(arr) -> bool:
+    """True when arr[j, i] = x[i] + 1j*y[j] exactly (tensor-product points)."""
+    return (arr.ndim == 2 and arr.size > 0
+            and np.array_equal(arr.real, np.broadcast_to(arr.real[:1], arr.shape))
+            and np.array_equal(arr.imag, np.broadcast_to(arr.imag[:, :1], arr.shape)))
+
+
+def _fourier_grid(psi: ThetaBasisFunction, z, order: int):
+    """eval_fourier on a tensor grid z[j, i] = x[i] + 1j*y[j].
+
+    With e^{z^2/2} = e^{x^2/2} e^{-y^2/2} e^{i x y}, the term for index n is
+        [exp{-pi n^2 L2/(N L1) - 2 pi n y/L1 - y^2/2}]     row (y, n)
+      * [exp{x^2/2 + 2 pi i n x/L1}]                       column (n, x)
+      * exp{i x y},
+    so the sum over n is a (rows x K) @ (K x nx) product times a pointwise
+    phase.  Exponents are assembled in long double; each row's peak is
+    factored out of the row factor, and phases are reduced mod 2pi, before
+    the cast to double.  A derivative carries the factor q(z + b_n) with
+    b_n = 2 pi i n/L1 (see _prefactor_coeffs); expanding it as
+    sum_j q^(j)(z)/j! b_n^j costs one more product per power of b_n.
+    """
+    geo = psi.geometry
+    L1, L2, n_flux = geo.L1, geo.L2, geo.N
+    ny, nx = z.shape
+    ys = z[:, 0].imag
+    ns = _fourier_indices(psi, ys)
+    nl = ns.astype(_LD)
+    L1l, L2l, pil, two_pi = _LD(L1), _LD(L2), _LD(np.pi), _LD(_TWO_PI)
+
+    x = z[0].real.astype(_LD)
+    col_phase = np.mod(two_pi * nl[:, None] * x / L1l, two_pi)
+    col = np.asarray(np.exp(x * x / 2), dtype=float) \
+        * np.exp(1j * np.asarray(col_phase, dtype=float))
+    col = col.view(float)            # (K, 2 nx): real and imaginary parts
+    quad = -pil * nl * nl * L2l / (n_flux * L1l)
+
+    q = _prefactor_coeffs(order, 1.0)
+    taylor = [[math.comb(p, j) * q[p] for p in range(j, len(q))]
+              for j in range(len(q))]
+    b = _TWO_PI * ns / L1            # b_n / i
+
+    out = np.empty(z.shape, dtype=complex)
+    step = max(1, _BLOCK_POINTS // nx)
+    for start in range(0, ny, step):
+        rows = slice(start, start + step)
+        y = ys[rows].astype(_LD)[:, None]
+        re = quad - two_pi * nl * y / L1l
+        peak = re.max(axis=1, keepdims=True)
+        row = np.exp(np.asarray(re - peak, dtype=float))
+        sums = 0
+        for j, coeffs in enumerate(taylor):
+            s = ((row * b**j) @ col).view(complex)
+            weight = coeffs[0] if len(coeffs) == 1 else _eval_poly(coeffs, z[rows])
+            sums = sums + (weight * 1j**j) * s
+        scale = psi.norm_const * np.asarray(np.exp(peak - y * y / 2), dtype=float)
+        gauge = np.exp(1j * np.asarray(np.mod(x * y, two_pi), dtype=float))
+        out[rows] = scale * gauge * sums
+    return out
+
+
 def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
     """Evaluate d^order/dz^order of psi at z through the Fourier series.
 
     z may be a complex scalar or array; the function is entire, so any
     finite z is accepted (the term window adapts to Im z).  Truncation keeps
-    the largest dropped term below 1e-16 of the largest kept one.
+    the largest dropped term below 1e-16 of the largest kept one.  A 2-D
+    tensor grid takes the matrix-product path (_fourier_grid); any other z
+    is evaluated point by point.
     """
     geo = psi.geometry
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
@@ -187,11 +275,10 @@ def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
     arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)):
         raise ValueError("evaluation point must be finite")
+    if _is_grid(arr):
+        return _fourier_grid(psi, arr, order)
 
-    y_extent = max(float(np.max(np.abs(arr.imag))), 2 * L2)
-    cutoff = max(psi.n_max, fourier_cutoff(geo, y_extent))
-    ns = np.arange(-cutoff, cutoff + 1)
-    ns = ns[(ns - psi.nu) % n_flux == 0]
+    ns = _fourier_indices(psi, arr.imag)
 
     x = arr.real.astype(_LD)[..., None]
     y = arr.imag.astype(_LD)[..., None]

@@ -54,13 +54,18 @@ class Translation:
         object.__setattr__(self, "a", a)
 
 
+def _displacement(a) -> complex:
+    """a (a number or a Translation) as a finite complex displacement."""
+    return a.a if isinstance(a, Translation) else Translation(a).a
+
+
 def lattice_indices(a, geometry: TorusGeometry, atol: float = LATTICE_ATOL):
     """(n1, n2) with a = (n1 L1 + i n2 L2)/N, or None if a is off-lattice.
 
     Classification uses absolute tolerance `atol` on the integer residuals;
     inputs are exact rationals of the sides in practice.
     """
-    a = complex(a.a if isinstance(a, Translation) else a)
+    a = _displacement(a)
     f1 = a.real * geometry.N / geometry.L1
     f2 = a.imag * geometry.N / geometry.L2
     n1, n2 = round(f1), round(f2)
@@ -101,7 +106,7 @@ def translate_section(a, s, z, representation: str = "fourier"):
     z may be anywhere; z - a is brought back into the fundamental domain by
     the boundary conditions with the factor kept in log space.
     """
-    a = complex(a.a if isinstance(a, Translation) else a)
+    a = _displacement(a)
     s = as_section(s)
     z = np.asarray(z, dtype=complex)
     w0, exponent = reduce_to_fundamental(s.geometry, z - a)
@@ -147,7 +152,7 @@ def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
     residual T_a s_nu - sum_mu t_{nu mu} s_mu, which stays at rounding level
     for lattice a and is O(1) at half-lattice displacements.
     """
-    a = complex(a.a if isinstance(a, Translation) else a)
+    a = _displacement(a)
     nx, ny = _resolve_grid(geometry, nx, ny)
     if basis is None:
         basis = level_basis(geometry, level, nx, ny)
@@ -168,8 +173,8 @@ def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
 
 def commutator_phase(a, b) -> complex:
     """exp(conj(a) b - a conj(b)), the group commutator T_a T_b T_-a T_-b."""
-    a = complex(a.a if isinstance(a, Translation) else a)
-    b = complex(b.a if isinstance(b, Translation) else b)
+    a = _displacement(a)
+    b = _displacement(b)
     return complex(np.exp(np.conj(a) * b - a * np.conj(b)))
 
 
@@ -182,8 +187,8 @@ def commutator_matrix_residual(geometry: TorusGeometry, a, b, level: int = 0,
     TranslationMatrix the product is t(-b) t(-a) t(b) t(a)) and returns
     (phase, max |product - phase * I|).
     """
-    a = complex(a.a if isinstance(a, Translation) else a)
-    b = complex(b.a if isinstance(b, Translation) else b)
+    a = _displacement(a)
+    b = _displacement(b)
     nx, ny = _resolve_grid(geometry, nx, ny)
     basis = level_basis(geometry, level, nx, ny)
     mats = {c: translation_matrix(geometry, c, level, nx, ny, basis).entries
@@ -200,7 +205,7 @@ def bundle_shift_phase(a, ell, geometry: TorusGeometry) -> complex:
     period precisely when a is on the Z_N lattice, since then
     Im(conj(a) l) = (n1 k2 - n2 k1) pi.
     """
-    a = complex(a.a if isinstance(a, Translation) else a)
+    a = _displacement(a)
     ell = complex(ell)
     k1 = ell.real / geometry.L1
     k2 = ell.imag / geometry.L2
@@ -224,8 +229,8 @@ def wintner_check(n_dim: int, a, b, tol: float = 1e-12) -> WintnerResult:
     exp(2 i N Im(conj(a) b)) = 1; returns whether that holds within tol.
     Lattice displacements with L1 L2 = N pi satisfy it, generic ones do not.
     """
-    a = complex(a.a if isinstance(a, Translation) else a)
-    b = complex(b.a if isinstance(b, Translation) else b)
+    a = _displacement(a)
+    b = _displacement(b)
     phase = complex(np.exp(2j * n_dim * (np.conj(a) * b).imag))
     return WintnerResult(abs(phase - 1.0) <= tol, phase)
 
@@ -239,7 +244,7 @@ def hamiltonian_commutation_residual(geometry: TorusGeometry, a, s,
     the termwise section calculus; T_a(H s) reuses the exact calculus.
     The identity holds for any displacement, lattice or not.
     """
-    a = complex(a.a if isinstance(a, Translation) else a)
+    a = _displacement(a)
     s = as_section(s)
     # probe points placed off the grid lines used elsewhere
     xs = (np.arange(n_probe) + 0.37) * geometry.L1 / n_probe
@@ -265,7 +270,7 @@ def hamiltonian_commutation_residual(geometry: TorusGeometry, a, s,
 def translation_report(geometry: TorusGeometry, a, level: int = 0,
                        nx: int | None = None, ny: int | None = None) -> dict:
     """JSON-ready record of the translation diagnostics for one displacement."""
-    a = complex(a.a if isinstance(a, Translation) else a)
+    a = _displacement(a)
     nx, ny = _resolve_grid(geometry, nx, ny)
     tmat = translation_matrix(geometry, a, level, nx, ny)
     indices = lattice_indices(a, geometry)

@@ -2,9 +2,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toruslandau.cli import main
+from toruslandau.geometry import TorusGeometry
+from toruslandau.levels import periodic_grid
+from toruslandau.lll_basis import boundary_factors, normalize, theta_basis
 
 
 def run(args):
@@ -31,6 +35,20 @@ class TestBasisCommand:
         report = json.loads((tmp_path / "basis_N1_nu0_report.json").read_text())
         assert report["duality_max_rel"] < 1e-12
         assert report["boundary_residual_rel"] < 1e-12
+
+    def test_boundary_residual_is_relative_to_expected_value(self, tmp_path):
+        run(["basis", "--N", "3", "--nu", "1", "--grid", "32",
+             "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "basis_N3_nu1_report.json").read_text())
+        geo = TorusGeometry.square(3)
+        psi = normalize(theta_basis(geo, 1))
+        z = periodic_grid(geo, 32, 32)
+        f1, f2 = boundary_factors(geo, z)
+        expect1, expect2 = psi(z) * f1, psi(z) * f2
+        direct = max(
+            np.abs(psi(z + geo.L1) - expect1).max() / np.abs(expect1).max(),
+            np.abs(psi(z + 1j * geo.L2) - expect2).max() / np.abs(expect2).max())
+        assert report["boundary_residual_rel"] == float(direct)
 
     def test_nu_out_of_range(self, tmp_path, capsys):
         code = run(["basis", "--N", "3", "--nu", "5", "--out-dir", str(tmp_path)])

@@ -104,6 +104,17 @@ class TestTorusGeometry:
         geo = TorusGeometry.square(5)
         assert geo.L1 == geo.L2 == pytest.approx(math.sqrt(5 * math.pi))
 
+    @pytest.mark.parametrize("n", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_flux_count(self, n):
+        geo = TorusGeometry.square(n)
+        assert geo == TorusGeometry.square(3)
+        assert type(geo.N) is int
+
+    @pytest.mark.parametrize("n", [True, 3.0, np.float64(3.0), "3"])
+    def test_non_integer_flux_count_rejected(self, n):
+        with pytest.raises(ValueError):
+            TorusGeometry(math.sqrt(3 * math.pi), math.sqrt(3 * math.pi), n)
+
 
 class TestPhysicalConfig:
     def test_positive_fields_required(self):

@@ -1,18 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruslandau import numdiff
 from toruslandau.errors import IndexMismatch
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import inner_product
-from toruslandau.lll_basis import (BoundaryPhases, boundary_factors,
+from toruslandau.levels import default_resolution, inner_product, periodic_grid
+from toruslandau.lll_basis import (BoundaryPhases, _is_grid, boundary_factors,
                                    boundary_residual, double_shift_factors,
                                    eval_derivative, eval_fourier,
                                    eval_gaussian, fourier_cutoff,
                                    ground_basis, normalize, normalized_basis,
                                    theta_basis, verify_recurrence)
+from toruslandau.translations import reduce_to_fundamental
 
 # Frozen reference: sum_n exp(-pi n^2), from the brute-force oracle below.
 GAUSS_SUM = 1.0864348112133082
@@ -285,3 +289,122 @@ class TestThetaBasisValidation:
     def test_basis_count(self):
         for n in (1, 4, 7):
             assert len(ground_basis(TorusGeometry.square(n))) == n
+
+
+# The grid path against the pointwise path on the same points.  The bound is
+# an order below the tightest value gate (1e-12) in the tolerance table.
+GRID_BOUND = 1e-13
+
+
+def weighted_rel_diff(z, got, ref):
+    """max |e^{-|z|^2/2} (got - ref)| / max |e^{-|z|^2/2} ref|.
+
+    The Gaussian weight makes a section's values O(1) all over the plane,
+    so points far from the origin count as much as points near it.
+    """
+    w = np.exp(-np.abs(z) ** 2 / 2)
+    return np.max(np.abs(w * (got - ref))) / np.max(np.abs(w * ref))
+
+
+def grid_vs_pointwise(psi, z, order):
+    assert _is_grid(z)
+    got = eval_fourier(psi, z, order)
+    ref = eval_fourier(psi, z.ravel(), order).reshape(z.shape)
+    return weighted_rel_diff(z, got, ref)
+
+
+def sample_classes(n):
+    return sorted({0, n // 2, n - 1})
+
+
+class TestGridPath:
+    @pytest.mark.parametrize("n", [1, 6, 12, 30])
+    @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+    def test_plain_grid(self, n, ratio):
+        geo = TorusGeometry.with_aspect(n, ratio)
+        z = periodic_grid(geo, 40, 36)
+        for nu in sample_classes(n):
+            for order in (0, 1, 2):
+                assert grid_vs_pointwise(theta_basis(geo, nu), z, order) < GRID_BOUND
+
+    # N = 30 is shifted on the square torus only: with aspect 4 or 1/4 the
+    # shifted grids reach |z|^2/2 > 709, where e^{z^2/2} overflows a double.
+    @pytest.mark.parametrize("n, ratio", [(1, 1.0), (6, 0.25), (6, 4.0), (12, 0.25),
+                                          (12, 1.0), (12, 4.0), (30, 1.0)])
+    @pytest.mark.parametrize("shift", ["L1", "iL2"])
+    def test_grid_shifted_by_a_period(self, n, ratio, shift):
+        geo = TorusGeometry.with_aspect(n, ratio)
+        z = periodic_grid(geo, 40, 36) + (geo.L1 if shift == "L1" else 1j * geo.L2)
+        for nu in sample_classes(n):
+            for order in (0, 1, 2):
+                assert grid_vs_pointwise(theta_basis(geo, nu), z, order) < GRID_BOUND
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_reduced_translation_grid(self, n, lattice):
+        # z - a brought back into [0, L1) x [0, L2), as translate_section does
+        geo = TorusGeometry.with_aspect(n, 2.0)
+        if lattice:
+            a = (geo.L1 + 2j * geo.L2) / n
+        else:
+            a = 0.37 * geo.L1 + 0.61j * geo.L2
+        w0, _ = reduce_to_fundamental(geo, periodic_grid(geo, 40, 36) - a)
+        for nu in sample_classes(n):
+            for order in (0, 1, 2):
+                assert grid_vs_pointwise(theta_basis(geo, nu), w0, order) < GRID_BOUND
+
+    def test_normalization_carried(self):
+        geo = TorusGeometry.square(6)
+        psi = normalize(theta_basis(geo, 3))
+        z = periodic_grid(geo, 24, 24)
+        assert grid_vs_pointwise(psi, z, 0) < GRID_BOUND
+
+    def test_other_inputs_stay_pointwise(self):
+        geo = TorusGeometry.square(6)
+        psi = theta_basis(geo, 2)
+        z = periodic_grid(geo, 16, 12)
+        rng = np.random.default_rng(5)
+        jittered = z + 1e-3 * (rng.random(z.shape) + 1j * rng.random(z.shape))
+        assert not _is_grid(jittered)
+        assert not _is_grid(z.ravel())
+        assert not _is_grid(z[None])
+        for order in (0, 1, 2):
+            got = eval_fourier(psi, jittered, order)
+            ref = np.array([eval_fourier(psi, w, order) for w in jittered.ravel()])
+            np.testing.assert_allclose(got.ravel(), ref, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(
+                eval_fourier(psi, z.ravel(), order),
+                np.array([eval_fourier(psi, w, order) for w in z.ravel()]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_separable_grids(self, data):
+        n = data.draw(st.integers(1, 30), label="N")
+        ratio = data.draw(st.floats(0.25, 4.0), label="L1/L2")
+        geo = TorusGeometry.with_aspect(n, ratio)
+        nu = data.draw(st.integers(0, n - 1), label="nu")
+        order = data.draw(st.integers(0, 2), label="order")
+        # The drawn coordinates are joined by 8 spread over each period, so
+        # the grid never lies only next to zeros of the section, where the
+        # relative difference would measure rounding noise against ~0.
+        unit = st.lists(st.floats(-1.0, 1.5), min_size=1, max_size=10)
+        spread = np.arange(8) / 8
+        xs = np.concatenate([data.draw(unit, label="x / L1"), spread]) * geo.L1
+        ys = np.concatenate([data.draw(unit, label="y / L2"), spread]) * geo.L2
+        z = xs[None, :] + 1j * ys[:, None]
+        assert grid_vs_pointwise(theta_basis(geo, nu), z, order) < GRID_BOUND
+
+    def test_memory_bounded_at_large_n(self):
+        geo = TorusGeometry.square(60)
+        nx = default_resolution(geo)
+        z = periodic_grid(geo, nx, nx)
+        psi = theta_basis(geo, 30)
+        tracemalloc.start()
+        try:
+            out = eval_fourier(psi, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (nx, nx) == (960, 960)
+        assert np.all(np.isfinite(out))
+        assert peak < 4 * out.nbytes

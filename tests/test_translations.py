@@ -77,6 +77,19 @@ class TestTranslateSection:
         assert exponent == pytest.approx(expect, rel=1e-12)
 
 
+class TestDisplacementValidation:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_nonfinite_rejected_before_reduction(self, geo3, basis3, a):
+        z = periodic_grid(geo3, 8, 8)
+        with pytest.raises(ValueError, match="finite"):
+            translate_section(a, basis3[0], z)
+        with pytest.raises(ValueError, match="finite"):
+            translation_matrix(geo3, a, nx=8)
+        with pytest.raises(ValueError, match="finite"):
+            translation_report(geo3, a, nx=8)
+
+
 class TestLatticeClassification:
     def test_lattice_points(self, geo3):
         assert lattice_indices((geo3.L1 + 1j * geo3.L2) / 3, geo3) == (1, 1)

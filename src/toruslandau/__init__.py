@@ -14,7 +14,7 @@ from .geometry import (PhysicalConfig, TorusGeometry, dirac_quantize,
                        parse_config, resolve_geometry, to_natural)
 from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
                         boundary_residual, double_shift_factors,
-                        eval_derivative, eval_fourier, eval_gaussian,
+                        eval_fourier, eval_gaussian,
                         ground_basis, normalize, normalized_basis,
                         theta_basis, verify_recurrence)
 from .levels import (DensityMap, GridField, PolynomialSection,
@@ -22,7 +22,7 @@ from .levels import (DensityMap, GridField, PolynomialSection,
                      density_map, deviation_decay, gram_matrix,
                      ground_section, hermitian_density, inner_product,
                      level_basis, raise_section, rayleigh_quotient)
-from .translations import (Translation, TranslationMatrix,
+from .translations import (TranslationMatrix,
                            bundle_shift_phase, commutator_matrix_residual,
                            commutator_phase, hamiltonian_commutation_residual,
                            is_lattice, lattice_indices, translate_section,

@@ -26,7 +26,7 @@ from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
 from .lll_basis import (BoundaryPhases, boundary_factors, boundary_residual,
                         eval_fourier, eval_gaussian, normalize, theta_basis)
-from .levels import GridField, density_map, periodic_grid
+from .levels import GridField, Quadrature, density_map
 from .cocycle import cocycle_constant, total_flux, triangle_identity, uniform_mesh
 from .translations import translation_report
 
@@ -112,9 +112,10 @@ def cmd_basis(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     psi = normalize(theta_basis(geo, args.nu))
     nx = args.grid
-    z = periodic_grid(geo, nx, nx)
+    quad = Quadrature(geo, nx, nx)
+    z = quad.z
     vals = eval_fourier(psi, z)
-    weighted = np.exp(-np.abs(z) ** 2) * np.abs(vals) ** 2
+    weighted = quad.weight * np.abs(vals) ** 2
 
     stem = f"basis_N{geo.N}_nu{args.nu}"
     outputs = [

@@ -154,6 +154,15 @@ class Triangulation:
         return charts
 
 
+def _vertex_cocycles(tri: Triangulation, t: int):
+    """(lift, edge charts, chi_ab + chi_bc + chi_ca at each lifted vertex)."""
+    lifted = tri.lift(t)
+    charts = tri._edge_charts(t, lifted)
+    values = [sum(chi(c1, c2, vertex + off, tri.B) for c1, c2, off in charts)
+              for vertex in lifted]
+    return lifted, charts, values
+
+
 def cocycle_constant(tri: Triangulation, t: int) -> float:
     """The constant c = chi_ab + chi_bc + chi_ca on triangle t.
 
@@ -161,12 +170,7 @@ def cocycle_constant(tri: Triangulation, t: int) -> float:
     1e-10 (NotConstant otherwise, which signals corrupted wrap offsets).
     Zero for triangles whose lifts stay in one fundamental copy.
     """
-    lifted = tri.lift(t)
-    charts = tri._edge_charts(t, lifted)
-    values = []
-    for vertex in lifted:
-        values.append(sum(chi(c1, c2, vertex + off, tri.B)
-                          for c1, c2, off in charts))
+    _, _, values = _vertex_cocycles(tri, t)
     spread = max(values) - min(values)
     if spread > COCYCLE_CONSTANT_ATOL * max(1.0, max(abs(v) for v in values)):
         raise NotConstant(f"triangle {t}: cocycle varies by {spread:.3e}")
@@ -175,12 +179,9 @@ def cocycle_constant(tri: Triangulation, t: int) -> float:
 
 def _identity_parts(tri: Triangulation, t: int):
     """(B*area, cocycle term, vertex term, edge term) of the flux identity."""
-    lifted = tri.lift(t)
-    charts = tri._edge_charts(t, lifted)
+    lifted, charts, values = _vertex_cocycles(tri, t)
     b = tri.B
-    cocycle_term = float(np.mean([
-        sum(chi(c1, c2, v + off, b) for c1, c2, off in charts)
-        for v in lifted]))
+    cocycle_term = float(np.mean(values))
     vertex_term = 0.0
     edge_term = 0.0
     for k, (c1, c2, off) in enumerate(charts):

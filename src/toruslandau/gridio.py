@@ -20,22 +20,23 @@ def _require_real(field: GridField):
             "serialize complex fields as two real ones (values.real / values.imag)")
 
 
-def write_csv(field: GridField, path) -> Path:
-    """One row per y-line, columns along x, comma separated."""
+def _write_rows(field: GridField, path, sep: str) -> Path:
+    """One line per y-row, the repr of each value, separated by sep."""
     _require_real(field)
     path = Path(path)
-    rows = [",".join(repr(float(v)) for v in row) for row in field.values]
+    rows = [sep.join(repr(float(v)) for v in row) for row in field.values]
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+def write_csv(field: GridField, path) -> Path:
+    """One row per y-line, columns along x, comma separated."""
+    return _write_rows(field, path, ",")
 
 
 def write_matrix(field: GridField, path) -> Path:
     """Whitespace-delimited matrix for external plotters."""
-    _require_real(field)
-    path = Path(path)
-    rows = [" ".join(repr(float(v)) for v in row) for row in field.values]
-    path.write_text("\n".join(rows) + "\n")
-    return path
+    return _write_rows(field, path, " ")
 
 
 def write_json_grid(field: GridField, path) -> Path:

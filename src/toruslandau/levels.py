@@ -4,18 +4,24 @@ The gauge-invariant density of two sections is
 h(s1, s2)(z) = exp(-|z|^2) conj(s1(z)) s2(z); it is doubly periodic for any
 pair of sections obeying the twisted periodicity, so the inner product
 <s1|s2> = integral of h over the fundamental domain is computed with the
-equal-weight periodic trapezoid rule, which converges spectrally here.
+equal-weight periodic trapezoid rule, which converges spectrally here.  A
+Quadrature holds that rule on one grid: the points, the weight exp(-|z|^2)
+at them and the cell area.
 
 Higher levels are built from the ground states with the covariant creation
-operator (d/dz - zbar).  Sections are stored as polynomials in zbar with
-holomorphic coefficient series,
+operator (d/dz - zbar).  A section is a flat sum of terms
 
-    s(z) = sum_j conj(z)^j f_j(z),
+    s(z) = sum weight * conj(z)^p * psi^(k)(z),
 
-on which d/dz, dbar and the creation operator act termwise:
-(d/dz - zbar) maps {f_j} to {f_j' - f_{j-1}} and dbar maps it to
-{(j+1) f_{j+1}}.  The Hamiltonian in units of hbar*omega (zero-point term
-dropped) is H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
+each a power p of zbar times the k-th z-derivative of a ground state psi,
+on which d/dz, dbar and the creation operator act term by term:
+(d/dz - zbar) maps a term (p, psi, k) to (p, psi, k + 1) minus
+(p + 1, psi, k), and dbar maps it to p times (p - 1, psi, k).  The
+Hamiltonian in units of hbar*omega (zero-point term dropped) is
+H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
+
+A level basis is sampled on the quadrature grid once, to normalize it; the
+density map and the translation matrices reuse those samples.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .errors import GeometryMismatch, ZeroNorm
 from .geometry import TorusGeometry
-from .lll_basis import ThetaBasisFunction, eval_derivative, normalized_basis
+from .lll_basis import ThetaBasisFunction, eval_fourier, ground_basis
 
 
 def default_resolution(geometry: TorusGeometry) -> int:
@@ -41,125 +47,101 @@ def periodic_grid(geometry: TorusGeometry, nx: int, ny: int):
     return x[None, :] + 1j * y[:, None]
 
 
-def _resolve_grid(geometry, nx, ny):
-    if nx is None:
-        nx = default_resolution(geometry)
-    if ny is None:
-        ny = nx
-    if nx < 4 or ny < 4:
-        raise ValueError("grid resolution must be at least 4")
-    return nx, ny
+class Quadrature:
+    """The periodic trapezoid rule with the Hermitian weight on one grid.
+
+    nx defaults to default_resolution(geometry) and ny to nx; both must be
+    at least 4.  z is the periodic_grid, weight = exp(-|z|^2) at its points
+    and cell the area per point; all are read-only after construction.
+    Sample stacks have shape (n, ny, nx).
+    """
+
+    def __init__(self, geometry: TorusGeometry, nx: int | None = None,
+                 ny: int | None = None):
+        nx = default_resolution(geometry) if nx is None else nx
+        ny = nx if ny is None else ny
+        if nx < 4 or ny < 4:
+            raise ValueError("grid resolution must be at least 4")
+        self.geometry, self.nx, self.ny = geometry, nx, ny
+        self.z = periodic_grid(geometry, nx, ny)
+        self.weight = np.exp(-np.abs(self.z) ** 2)
+        self.cell = (geometry.L1 / nx) * (geometry.L2 / ny)
+
+    def sample(self, sections) -> np.ndarray:
+        """Values of each section at the grid points."""
+        out = np.empty((len(sections), self.ny, self.nx), dtype=complex)
+        for i, s in enumerate(sections):
+            out[i] = as_section(s)(self.z)
+        return out
+
+    def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Matrix of inner products <u_i|v_j> of two sample stacks."""
+        wu = np.conj(u).reshape(len(u), -1)
+        wu *= self.weight.ravel()
+        return wu @ v.reshape(len(v), -1).T * self.cell
+
+    def norms(self, values: np.ndarray) -> np.ndarray:
+        """Norms sqrt(<v_i|v_i>) of a sample stack."""
+        return np.sqrt(np.sum(self.weight * np.abs(values) ** 2, axis=(1, 2))
+                       * self.cell)
 
 
 # ---------------------------------------------------------------------------
-# sections: polynomials in zbar with holomorphic coefficients
+# sections: sums of zbar powers times derivatives of ground states
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CoefficientSeries:
-    """Linear combination of z-derivatives of ground-state sections.
+class PolynomialSection:
+    """Section s(z) = sum weight * conj(z)^p * psi^(k)(z) over its terms.
 
-    terms maps (basis function, derivative order) -> complex weight.  Closed
-    under d/dz, addition and scalar multiplication, which is all the section
-    calculus needs.
+    terms holds (p, psi, k, weight) tuples: p the power of zbar, psi a
+    ground-state ThetaBasisFunction, k the order of its z-derivative.  Like
+    terms are merged and zero weights dropped at construction, so the empty
+    tuple is the zero section.  The degree is the largest p: degree-0
+    sections span the holomorphic ground level, and each application of the
+    creation operator raises the degree by one.  Immutable; evaluation is
+    pure.
     """
 
     geometry: TorusGeometry
-    terms: tuple
+    terms: tuple = ()
 
-    @classmethod
-    def from_basis(cls, psi: ThetaBasisFunction, order: int = 0, weight=1.0):
-        return cls(psi.geometry, ((psi, order, complex(weight)),))
+    def __post_init__(self):
+        merged = {}
+        for p, psi, k, w in self.terms:
+            merged[p, psi, k] = merged.get((p, psi, k), 0j) + complex(w)
+        object.__setattr__(self, "terms", tuple(
+            (p, psi, k, w) for (p, psi, k), w in merged.items() if w != 0))
 
-    @classmethod
-    def zero(cls, geometry: TorusGeometry):
-        return cls(geometry, ())
-
-    def __call__(self, z, representation: str = "fourier"):
-        acc = np.zeros(np.shape(z), dtype=complex)
-        for psi, order, weight in self.terms:
-            acc = acc + weight * eval_derivative(psi, z, order, representation)
-        return acc
-
-    def derivative(self) -> "CoefficientSeries":
-        return CoefficientSeries(
-            self.geometry,
-            tuple((psi, order + 1, w) for psi, order, w in self.terms))
-
-    def _merged(self, other_terms):
-        acc = {}
-        for psi, order, w in self.terms + tuple(other_terms):
-            key = (psi, order)
-            acc[key] = acc.get(key, 0j) + w
-        items = tuple((psi, order, w) for (psi, order), w in acc.items() if w != 0)
-        return CoefficientSeries(self.geometry, items)
-
-    def __add__(self, other: "CoefficientSeries") -> "CoefficientSeries":
-        return self._merged(other.terms)
-
-    def __neg__(self) -> "CoefficientSeries":
-        return self * (-1.0)
-
-    def __sub__(self, other: "CoefficientSeries") -> "CoefficientSeries":
-        return self._merged((psi, order, -w) for psi, order, w in other.terms)
-
-    def __mul__(self, scalar) -> "CoefficientSeries":
-        return CoefficientSeries(
-            self.geometry,
-            tuple((psi, order, w * complex(scalar)) for psi, order, w in self.terms))
-
-    __rmul__ = __mul__
+    @property
+    def degree(self) -> int:
+        return max((p for p, _, _, _ in self.terms), default=0)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-
-@dataclass(frozen=True)
-class PolynomialSection:
-    """Section s(z) = sum_{j<=k} conj(z)^j f_j(z) of degree k.
-
-    Degree-0 sections span the holomorphic ground level; each application of
-    the creation operator raises the degree by one.  The zbar-coefficients
-    f_j are CoefficientSeries, so the whole object is immutable and its
-    evaluation pure.
-    """
-
-    geometry: TorusGeometry
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a section needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(f.is_zero for f in self.coeffs)
-
-    def __call__(self, z, representation: str = "fourier"):
-        zbar = np.conj(np.asarray(z, dtype=complex))
-        acc = np.zeros(np.shape(z), dtype=complex)
-        for f in reversed(self.coeffs):
-            acc = acc * zbar + f(z, representation)
+    def __call__(self, z):
+        """Values at z; each distinct (psi, k) is evaluated once."""
+        z = np.asarray(z, dtype=complex)
+        samples = {}
+        acc = np.zeros(z.shape, dtype=complex)
+        for p, psi, k, w in self.terms:
+            if (psi, k) not in samples:
+                samples[psi, k] = eval_fourier(psi, z, k)
+            term = w * samples[psi, k]
+            acc = acc + (term * np.conj(z) ** p if p else term)
         return acc
 
     def __add__(self, other: "PolynomialSection") -> "PolynomialSection":
         if other.geometry != self.geometry:
             raise GeometryMismatch("sections live on different tori")
-        k = max(len(self.coeffs), len(other.coeffs))
-        zero = CoefficientSeries.zero(self.geometry)
-        mine = list(self.coeffs) + [zero] * (k - len(self.coeffs))
-        theirs = list(other.coeffs) + [zero] * (k - len(other.coeffs))
-        return PolynomialSection(self.geometry,
-                                 tuple(a + b for a, b in zip(mine, theirs)))
+        return PolynomialSection(self.geometry, self.terms + other.terms)
 
     def __mul__(self, scalar) -> "PolynomialSection":
-        return PolynomialSection(self.geometry,
-                                 tuple(f * scalar for f in self.coeffs))
+        c = complex(scalar)
+        return PolynomialSection(
+            self.geometry, tuple((p, psi, k, w * c) for p, psi, k, w in self.terms))
 
     __rmul__ = __mul__
 
@@ -169,7 +151,7 @@ class PolynomialSection:
 
 def ground_section(psi: ThetaBasisFunction) -> PolynomialSection:
     """psi_nu wrapped as a degree-0 section."""
-    return PolynomialSection(psi.geometry, (CoefficientSeries.from_basis(psi),))
+    return PolynomialSection(psi.geometry, ((0, psi, 0, 1.0),))
 
 
 def as_section(obj) -> PolynomialSection:
@@ -183,27 +165,21 @@ def as_section(obj) -> PolynomialSection:
 def raise_section(s: PolynomialSection) -> PolynomialSection:
     """Apply the covariant creation operator (d/dz - zbar).
 
-    On the zbar-polynomial this sends {f_j} to {f_j' - f_{j-1}} and raises
-    the degree by one; the boundary transformation law of the section is
-    preserved.
+    Term by term, zbar^p psi^(k) goes to zbar^p psi^(k+1) - zbar^(p+1) psi^(k)
+    (d/dz does not see zbar), raising the degree by one; the boundary
+    transformation law of the section is preserved.
     """
     s = as_section(s)
-    zero = CoefficientSeries.zero(s.geometry)
-    old = (zero,) + tuple(s.coeffs) + (zero,)
-    new = []
-    for j in range(len(s.coeffs) + 1):
-        fj = s.coeffs[j].derivative() if j < len(s.coeffs) else zero
-        new.append(fj - old[j])
-    return PolynomialSection(s.geometry, tuple(new))
+    return PolynomialSection(s.geometry, tuple(
+        term for p, psi, k, w in s.terms
+        for term in ((p, psi, k + 1, w), (p + 1, psi, k, -w))))
 
 
 def dbar_section(s: PolynomialSection) -> PolynomialSection:
-    """Termwise dbar: sum_j conj(z)^j f_j -> sum_j (j+1) conj(z)^j f_{j+1}."""
+    """Term by term, dbar(zbar^p psi^(k)) = p zbar^(p-1) psi^(k)."""
     s = as_section(s)
-    if s.degree == 0:
-        return PolynomialSection(s.geometry, (CoefficientSeries.zero(s.geometry),))
-    new = tuple((j + 1) * s.coeffs[j + 1] for j in range(s.degree))
-    return PolynomialSection(s.geometry, new)
+    return PolynomialSection(s.geometry, tuple(
+        (p - 1, psi, k, p * w) for p, psi, k, w in s.terms if p))
 
 
 def apply_hamiltonian(s: PolynomialSection) -> PolynomialSection:
@@ -220,7 +196,7 @@ def _check_same_geometry(s1, s2):
         raise GeometryMismatch("operands live on different tori")
 
 
-def hermitian_density(s1, s2, z, representation: str = "fourier"):
+def hermitian_density(s1, s2, z):
     """Gauge-invariant density h(s1, s2)(z) = e^{-|z|^2} conj(s1(z)) s2(z).
 
     Doubly periodic and smooth across the seams for any pair of sections
@@ -229,13 +205,12 @@ def hermitian_density(s1, s2, z, representation: str = "fourier"):
     _check_same_geometry(s1, s2)
     z = np.asarray(z, dtype=complex)
     w = np.exp(-np.abs(z) ** 2)
-    v1 = as_section(s1)(z, representation)
-    v2 = v1 if s1 is s2 else as_section(s2)(z, representation)
+    v1 = as_section(s1)(z)
+    v2 = v1 if s1 is s2 else as_section(s2)(z)
     return w * np.conj(v1) * v2
 
 
-def inner_product(s1, s2, nx: int | None = None, ny: int | None = None,
-                  representation: str = "fourier") -> complex:
+def inner_product(s1, s2, nx: int | None = None, ny: int | None = None) -> complex:
     """<s1|s2> by the periodic trapezoid rule on an nx x ny grid.
 
     The integrand is smooth and doubly periodic, so doubling the grid
@@ -243,26 +218,21 @@ def inner_product(s1, s2, nx: int | None = None, ny: int | None = None,
     max(64, 16N) is well past that point).
     """
     _check_same_geometry(s1, s2)
-    geo = s1.geometry
-    nx, ny = _resolve_grid(geo, nx, ny)
-    z = periodic_grid(geo, nx, ny)
-    cell = (geo.L1 / nx) * (geo.L2 / ny)
-    return complex(hermitian_density(s1, s2, z, representation).sum() * cell)
+    quad = Quadrature(s1.geometry, nx, ny)
+    v1 = quad.sample([s1])
+    v2 = v1 if s1 is s2 else quad.sample([s2])
+    return complex(quad.gram(v1, v2)[0, 0])
 
 
 def gram_matrix(basis, nx: int | None = None, ny: int | None = None) -> np.ndarray:
     """Pairwise inner products, Hermitized by averaging with the adjoint."""
     if not basis:
         return np.zeros((0, 0), dtype=complex)
-    geo = basis[0].geometry
     for s in basis[1:]:
         _check_same_geometry(basis[0], s)
-    nx, ny = _resolve_grid(geo, nx, ny)
-    z = periodic_grid(geo, nx, ny)
-    cell = (geo.L1 / nx) * (geo.L2 / ny)
-    w = np.exp(-np.abs(z) ** 2)
-    vals = np.stack([as_section(s)(z).ravel() for s in basis])
-    g = (np.conj(vals) * w.ravel()) @ vals.T * cell
+    quad = Quadrature(basis[0].geometry, nx, ny)
+    vals = quad.sample(basis)
+    g = quad.gram(vals, vals)
     return (g + g.conj().T) / 2
 
 
@@ -272,17 +242,11 @@ def rayleigh_quotient(s, nx: int | None = None, ny: int | None = None) -> float:
     Zero exactly on the holomorphic ground level; 2k on level k.
     """
     s = as_section(s)
-    geo = s.geometry
-    nx, ny = _resolve_grid(geo, nx, ny)
-    z = periodic_grid(geo, nx, ny)
-    cell = (geo.L1 / nx) * (geo.L2 / ny)
-    w = np.exp(-np.abs(z) ** 2)
-    den = float(np.sum(w * np.abs(s(z)) ** 2) * cell)
+    quad = Quadrature(s.geometry, nx, ny)
+    den, num = quad.norms(quad.sample([s, dbar_section(s)])) ** 2
     if not den > 0:
         raise ZeroNorm("section has vanishing quadrature norm")
-    ds = dbar_section(s)
-    num = 2 * float(np.sum(w * np.abs(ds(z)) ** 2) * cell)
-    return num / den
+    return float(2 * num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +279,6 @@ class GridField:
     def ny(self) -> int:
         return self.values.shape[0]
 
-    def with_values(self, name: str, values) -> "GridField":
-        return GridField(self.geometry, name, values)
-
 
 @dataclass(frozen=True)
 class DensityMap:
@@ -334,36 +295,40 @@ class DensityMap:
         return self.max_deviation / self.mean
 
 
+def _sampled_level(quad: Quadrature, level: int):
+    """Normalized basis of a Landau level (0 or 1) and its samples on quad.
+
+    The samples, shape (N, ny, nx), are taken once and give the norms.
+    """
+    if level not in (0, 1):
+        raise ValueError("only levels 0 and 1 are supported")
+    sections = [ground_section(p) for p in ground_basis(quad.geometry)]
+    if level == 1:
+        sections = [raise_section(s) for s in sections]
+    vals = quad.sample(sections)
+    scales = 1.0 / quad.norms(vals)
+    vals *= scales[:, None, None]
+    return [s * c for s, c in zip(sections, scales)], vals
+
+
 def level_basis(geometry: TorusGeometry, level: int,
                 nx: int | None = None, ny: int | None = None) -> list[PolynomialSection]:
     """Quadrature-normalized basis of the requested Landau level (0 or 1)."""
-    if level not in (0, 1):
-        raise ValueError("only levels 0 and 1 are supported")
-    sections = [ground_section(p) for p in normalized_basis(geometry, nx, ny)]
-    if level == 1:
-        raised = [raise_section(s) for s in sections]
-        sections = []
-        for s in raised:
-            nrm = np.sqrt(float(np.real(inner_product(s, s, nx, ny))))
-            sections.append(s * (1.0 / nrm))
-    return sections
+    return _sampled_level(Quadrature(geometry, nx, ny), level)[0]
 
 
 def density_map(geometry: TorusGeometry, level: int = 0,
-                nx: int | None = None, ny: int | None = None,
-                representation: str = "fourier") -> DensityMap:
+                nx: int | None = None, ny: int | None = None) -> DensityMap:
     """rho(z) = sum_nu h(s_nu, s_nu)(z) for the normalized level basis.
 
     The Hermitian weight is included, making rho a genuine function on the
     torus.  Breaking of continuous translation symmetry shows up as bumps of
     the deviation field on the lattice (n1 L1 + i n2 L2)/N.
     """
-    nx, ny = _resolve_grid(geometry, nx, ny)
-    z = periodic_grid(geometry, nx, ny)
-    w = np.exp(-np.abs(z) ** 2)
-    rho = np.zeros(z.shape, dtype=float)
-    for s in level_basis(geometry, level, nx, ny):
-        rho += w * np.abs(s(z, representation)) ** 2
+    quad = Quadrature(geometry, nx, ny)
+    rho = np.zeros(quad.z.shape, dtype=float)
+    for v in _sampled_level(quad, level)[1]:
+        rho += quad.weight * np.abs(v) ** 2
     mean = float(rho.mean())
     dev = rho / mean - 1.0
     return DensityMap(
@@ -389,28 +354,33 @@ def local_extrema(values: np.ndarray) -> np.ndarray:
     return is_max | is_min
 
 
+def log_linear_fit(ns, ds) -> dict:
+    """Least-squares fit log d = slope * N + intercept.
+
+    Returns {"slope", "intercept", "fit_residual"} with fit_residual =
+    rms(log d - fit) / rms(log d - mean), the fraction of the variation the
+    affine fit fails to explain.
+    """
+    ns = np.asarray(ns, dtype=float)
+    logd = np.log(np.asarray(ds, dtype=float))
+    slope, intercept = np.polyfit(ns, logd, 1)
+    resid = logd - (slope * ns + intercept)
+    centered = logd - logd.mean()
+    r = float(np.sqrt(np.mean(resid**2) / np.mean(centered**2)))
+    return {"slope": float(slope), "intercept": float(intercept), "fit_residual": r}
+
+
 def deviation_decay(geometry_for, levels=(0,), n_values=range(1, 11),
                     nx: int | None = None) -> dict:
-    """Table of d(N) per level plus a log-linear fit.
+    """Table of d(N) per level plus its log_linear_fit.
 
     geometry_for: callable N -> TorusGeometry.  Returns
-    {level: {"d": array, "slope": b, "intercept": a, "fit_residual": r}}
-    with r = rms(log d - fit) / rms(log d - mean), the fraction of the
-    variation the affine fit fails to explain.
+    {level: {"d": array, "slope": b, "intercept": a, "fit_residual": r}}.
     """
+    ns = [int(n) for n in n_values]
     out = {}
-    ns = np.asarray(list(n_values))
     for level in levels:
-        ds = []
-        for n in ns:
-            geo = geometry_for(int(n))
-            ds.append(density_map(geo, level, nx).relative_deviation)
-        ds = np.asarray(ds)
-        logd = np.log(ds)
-        slope, intercept = np.polyfit(ns, logd, 1)
-        resid = logd - (slope * ns + intercept)
-        centered = logd - logd.mean()
-        r = float(np.sqrt(np.mean(resid**2) / np.mean(centered**2)))
-        out[level] = {"d": ds, "slope": float(slope),
-                      "intercept": float(intercept), "fit_residual": r}
+        ds = np.asarray([density_map(geometry_for(n), level, nx).relative_deviation
+                         for n in ns])
+        out[level] = {"d": ds, **log_linear_fit(ns, ds)}
     return out

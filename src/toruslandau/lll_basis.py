@@ -34,8 +34,10 @@ hundred.  The Fourier series has two paths:
   pointwise  any other z: every term's full exponent per point, with each
              point's own peak factored out.
 
-The Gaussian series is always evaluated pointwise; it is the independent
-reference for the Fourier series.
+eval_fourier is the one evaluator of the package: every section of the
+levels module, and every z-derivative (its `order` argument), is sampled
+through it.  eval_gaussian, always pointwise, is the independent reference
+that the tests and the Poisson-duality check compare it with.
 """
 
 from __future__ import annotations
@@ -342,16 +344,6 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
 
     out = psi.norm_const * _peak_split_sum(re, ph, poly)
     return complex(out[0]) if scalar else out.reshape(np.shape(z))
-
-
-def eval_derivative(psi: ThetaBasisFunction, z, order: int = 1,
-                    representation: str = "fourier"):
-    """d^order psi/dz^order in the chosen representation."""
-    if representation == "fourier":
-        return eval_fourier(psi, z, order)
-    if representation == "gaussian":
-        return eval_gaussian(psi, z, order)
-    raise ValueError(f"unknown representation {representation!r}")
 
 
 def boundary_factors(geometry: TorusGeometry, z, phases: BoundaryPhases = TRIVIAL_PHASES):

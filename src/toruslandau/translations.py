@@ -34,29 +34,19 @@ import numpy as np
 
 from .errors import NotAPeriod
 from .geometry import TorusGeometry
-from .levels import (PolynomialSection, apply_hamiltonian, as_section,
-                     level_basis, periodic_grid, _resolve_grid)
+from .levels import (PolynomialSection, Quadrature, apply_hamiltonian,
+                     as_section, _sampled_level)
 from . import numdiff
 
 LATTICE_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Translation:
-    """A displacement of the torus, classified against the Z_N lattice."""
-
-    a: complex
-
-    def __post_init__(self):
-        a = complex(self.a)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("displacement must be finite")
-        object.__setattr__(self, "a", a)
-
-
 def _displacement(a) -> complex:
-    """a (a number or a Translation) as a finite complex displacement."""
-    return a.a if isinstance(a, Translation) else Translation(a).a
+    """a as a complex displacement; ValueError unless it is finite."""
+    a = complex(a)
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        raise ValueError("displacement must be finite")
+    return a
 
 
 def lattice_indices(a, geometry: TorusGeometry, atol: float = LATTICE_ATOL):
@@ -100,7 +90,7 @@ def reduce_to_fundamental(geometry: TorusGeometry, w):
     return w0, exponent
 
 
-def translate_section(a, s, z, representation: str = "fourier"):
+def translate_section(a, s, z):
     """(T_a s)(z) = exp(conj(a) z - |a|^2/2) s(z - a), values at z.
 
     z may be anywhere; z - a is brought back into the fundamental domain by
@@ -111,7 +101,7 @@ def translate_section(a, s, z, representation: str = "fourier"):
     z = np.asarray(z, dtype=complex)
     w0, exponent = reduce_to_fundamental(s.geometry, z - a)
     pref = np.conj(a) * z - abs(a) ** 2 / 2
-    return np.exp(pref + exponent) * s(w0, representation)
+    return np.exp(pref + exponent) * s(w0)
 
 
 @dataclass(frozen=True)
@@ -153,22 +143,24 @@ def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
     for lattice a and is O(1) at half-lattice displacements.
     """
     a = _displacement(a)
-    nx, ny = _resolve_grid(geometry, nx, ny)
+    quad = Quadrature(geometry, nx, ny)
     if basis is None:
-        basis = level_basis(geometry, level, nx, ny)
+        basis, vals = _sampled_level(quad, level)
+    else:
+        vals = quad.sample(basis)
+    return _project(quad, a, level, basis, vals)
+
+
+def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> TranslationMatrix:
+    """translation_matrix on a basis already sampled on quad (vals)."""
     n = len(basis)
-    z = periodic_grid(geometry, nx, ny)
-    cell = (geometry.L1 / nx) * (geometry.L2 / ny)
-    w = np.exp(-np.abs(z) ** 2)
-    vals = np.stack([s(z) for s in basis])
     entries = np.zeros((n, n), dtype=complex)
     defects = np.zeros(n)
     for nu in range(n):
-        shifted = translate_section(a, basis[nu], z)
-        entries[nu] = np.tensordot(np.conj(vals) * w, shifted, axes=2) * cell
-        residual = shifted - np.tensordot(entries[nu], vals, axes=1)
-        defects[nu] = math.sqrt(float(np.sum(w * np.abs(residual) ** 2) * cell))
-    return TranslationMatrix(geometry, a, level, entries, defects)
+        shifted = translate_section(a, basis[nu], quad.z)[None]
+        entries[nu] = quad.gram(vals, shifted)[:, 0]
+        defects[nu] = quad.norms(shifted - np.tensordot(entries[nu], vals, axes=1))[0]
+    return TranslationMatrix(quad.geometry, a, level, entries, defects)
 
 
 def commutator_phase(a, b) -> complex:
@@ -189,10 +181,9 @@ def commutator_matrix_residual(geometry: TorusGeometry, a, b, level: int = 0,
     """
     a = _displacement(a)
     b = _displacement(b)
-    nx, ny = _resolve_grid(geometry, nx, ny)
-    basis = level_basis(geometry, level, nx, ny)
-    mats = {c: translation_matrix(geometry, c, level, nx, ny, basis).entries
-            for c in (a, b, -a, -b)}
+    quad = Quadrature(geometry, nx, ny)
+    basis, vals = _sampled_level(quad, level)
+    mats = {c: _project(quad, c, level, basis, vals).entries for c in (a, b, -a, -b)}
     product = mats[-b] @ mats[-a] @ mats[b] @ mats[a]
     phase = commutator_phase(a, b)
     return phase, float(np.max(np.abs(product - phase * np.eye(len(basis)))))
@@ -271,8 +262,8 @@ def translation_report(geometry: TorusGeometry, a, level: int = 0,
                        nx: int | None = None, ny: int | None = None) -> dict:
     """JSON-ready record of the translation diagnostics for one displacement."""
     a = _displacement(a)
-    nx, ny = _resolve_grid(geometry, nx, ny)
-    tmat = translation_matrix(geometry, a, level, nx, ny)
+    quad = Quadrature(geometry, nx, ny)
+    tmat = translation_matrix(geometry, a, level, quad.nx, quad.ny)
     indices = lattice_indices(a, geometry)
     dual = 1j * geometry.L2 / geometry.N
     phase_comm = commutator_phase(a, dual)
@@ -284,7 +275,7 @@ def translation_report(geometry: TorusGeometry, a, level: int = 0,
     return {
         "a": [a.real, a.imag],
         "level": level,
-        "grid": [nx, ny],
+        "grid": [quad.nx, quad.ny],
         "lattice": indices is not None,
         "lattice_indices": list(indices) if indices is not None else None,
         "unitarity_defect": tmat.unitarity_defect,

@@ -18,9 +18,10 @@ from .errors import NonIntegralFlux
 from .geometry import TorusGeometry, dirac_quantize
 from .lll_basis import (BoundaryPhases, boundary_factors, double_shift_factors,
                         eval_fourier, eval_gaussian, normalized_basis)
-from .levels import (density_map, default_resolution, gram_matrix,
-                     ground_section, local_extrema, periodic_grid,
-                     raise_section, rayleigh_quotient, apply_hamiltonian)
+from .levels import (Quadrature, density_map, default_resolution, gram_matrix,
+                     ground_section, local_extrema, log_linear_fit,
+                     periodic_grid, raise_section, rayleigh_quotient,
+                     apply_hamiltonian)
 from .translations import (commutator_matrix_residual, translation_matrix,
                            wintner_check)
 from .cocycle import total_flux, triangle_identity, uniform_mesh
@@ -130,7 +131,8 @@ def check_boundary(n_max: int = 10, grid: int = 32,
         geo = TorusGeometry.square(n)
         z = periodic_grid(geo, grid, grid)
         f1, f2 = boundary_factors(geo, z, phases)
-        for psi in normalized_basis(geo):
+        basis = normalized_basis(geo)
+        for psi in basis:
             base = psi(z)
             up1 = psi(z + geo.L1)
             up2 = psi(z + 1j * geo.L2)
@@ -145,7 +147,7 @@ def check_boundary(n_max: int = 10, grid: int = 32,
         worst_shift = max(worst_shift,
                           abs(via_xy / via_yx - 1.0),
                           abs(via_xy / sym - (-1.0) ** n))
-        psi0 = normalized_basis(geo)[0]
+        psi0 = basis[0]
         both = psi0(zpt + geo.L1 + 1j * geo.L2)
         ref = max(abs(both), abs(psi0(zpt) * via_xy))
         worst_shift = max(worst_shift, abs(both - psi0(zpt) * via_xy) / ref)
@@ -207,21 +209,18 @@ def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10),
         ds = np.array(d_table[level])
         if np.any(np.diff(ds) >= 0):
             problems.append(f"L{level}: d(N) not strictly decreasing")
-        ns = np.arange(1, n_max + 1)
-        slope, intercept = np.polyfit(ns, np.log(ds), 1)
-        resid = np.log(ds) - (slope * ns + intercept)
-        centered = np.log(ds) - np.log(ds).mean()
-        rel = float(np.sqrt(np.mean(resid**2) / np.mean(centered**2)))
-        fits[level] = (slope, rel)
+        fits[level] = log_linear_fit(range(1, n_max + 1), ds)
+        rel = fits[level]["fit_residual"]
         if rel > tol_fit:
             problems.append(f"L{level}: log-linear fit residual {rel:.1%}")
 
     detail = "; ".join(problems) if problems else (
         "extrema on (n1 L1 + i n2 L2)/N, Z_NxZ_N invariant; " +
-        ", ".join(f"L{lv}: slope {fits[lv][0]:+.3f}, fit resid {fits[lv][1]:.1%}"
-                  for lv in levels))
+        ", ".join(f"L{lv}: slope {fits[lv]['slope']:+.3f}, "
+                  f"fit resid {fits[lv]['fit_residual']:.1%}" for lv in levels))
     return CheckResult("symmetry breaking structure", not problems, detail,
-                       {"d": {lv: list(map(float, d_table[lv])) for lv in levels}})
+                       {"d": {lv: list(map(float, d_table[lv])) for lv in levels},
+                        "fits": fits})
 
 
 # --------------------------------------------------------------------------
@@ -296,10 +295,7 @@ def check_energy_ladder(n_max: int = 6) -> CheckResult:
     problems = []
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
-        nx = default_resolution(geo)
-        z = periodic_grid(geo, nx, nx)
-        cell = (geo.L1 / nx) * (geo.L2 / nx)
-        w = np.exp(-np.abs(z) ** 2)
+        quad = Quadrature(geo)
         for psi in normalized_basis(geo):
             s0 = ground_section(psi)
             rq0 = rayleigh_quotient(s0)
@@ -309,9 +305,7 @@ def check_energy_ladder(n_max: int = 6) -> CheckResult:
             rq1 = rayleigh_quotient(s1)
             if abs(rq1 - 2.0) > tol1:
                 problems.append(f"N={n} nu={psi.nu}: level-1 RQ {rq1}")
-            resid = apply_hamiltonian(s1) - 2.0 * s1
-            num = math.sqrt(float(np.sum(w * np.abs(resid(z)) ** 2) * cell))
-            den = math.sqrt(float(np.sum(w * np.abs(s1(z)) ** 2) * cell))
+            num, den = quad.norms(quad.sample([apply_hamiltonian(s1) - 2.0 * s1, s1]))
             if num / den > tol_eig:
                 problems.append(f"N={n} nu={psi.nu}: eigen residual {num/den:.1e}")
     detail = "; ".join(problems) if problems else (

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from toruslandau.cocycle import (Triangulation, chart_potential, chi,
+from toruslandau.cocycle import (Triangulation, _identity_parts,
+                                 chart_potential, chi,
                                  cocycle_constant, edge_cancellation_total,
                                  mesh_from_json, mesh_to_json, total_flux,
                                  triangle_identity, uniform_mesh)
@@ -97,6 +98,12 @@ class TestCocycleConstant:
         wrapped = sum(cocycle_constant(mesh, t) for t in range(mesh.n_triangles)
                       if np.any(mesh.wraps[t] != 0))
         assert wrapped == pytest.approx(flux, rel=1e-12)
+
+    @pytest.mark.parametrize("quanta", [1.0, 1.5])
+    def test_equals_cocycle_term_of_identity(self, quanta):
+        mesh = uniform_mesh(4, 1.0, 1.3, 2 * math.pi * quanta)
+        for t in range(mesh.n_triangles):
+            assert cocycle_constant(mesh, t) == _identity_parts(mesh, t)[1]
 
 
 class TestTriangleIdentity:

@@ -4,15 +4,16 @@ import pytest
 from toruslandau import gridio
 from toruslandau.errors import GeometryMismatch, ZeroNorm
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import (CoefficientSeries, GridField,
-                                PolynomialSection, apply_hamiltonian,
-                                dbar_section, default_resolution, density_map,
+from toruslandau.levels import (GridField, PolynomialSection,
+                                apply_hamiltonian, dbar_section,
+                                default_resolution, density_map,
                                 deviation_decay, gram_matrix, ground_section,
                                 hermitian_density, inner_product, level_basis,
                                 local_extrema, periodic_grid, raise_section,
                                 rayleigh_quotient)
-from toruslandau.lll_basis import (boundary_factors, eval_derivative,
-                                   ground_basis, normalized_basis, theta_basis)
+from toruslandau.lll_basis import (boundary_factors, eval_fourier,
+                                   eval_gaussian, ground_basis,
+                                   normalized_basis, theta_basis)
 
 
 @pytest.fixture(scope="module")
@@ -122,15 +123,12 @@ class TestCreationOperator:
         psi = basis2[0]
         s = raise_section(ground_section(psi))
         assert s.degree == 1
+        assert s.terms == ((0, psi, 1, 1.0), (1, psi, 0, -1.0))
         rng = np.random.default_rng(1)
         geo = psi.geometry
         z = rng.random(10) * geo.L1 + 1j * rng.random(10) * geo.L2
-        f0 = s.coeffs[0](z)
-        f1 = s.coeffs[1](z)
-        np.testing.assert_allclose(f1, -psi(z), rtol=1e-14)
-        np.testing.assert_allclose(f0, eval_derivative(psi, z, 1), rtol=1e-14)
         np.testing.assert_allclose(
-            s(z), eval_derivative(psi, z, 1) - np.conj(z) * psi(z), rtol=1e-13)
+            s(z), eval_fourier(psi, z, 1) - np.conj(z) * psi(z), rtol=1e-13)
 
     def test_preserves_boundary_law(self, geo2, basis2):
         # a raised section still transforms with the same factors
@@ -218,7 +216,7 @@ class TestRayleighQuotient:
             assert rayleigh_quotient(s) >= -1e-12
 
     def test_zero_norm_raises(self, geo2):
-        zero = PolynomialSection(geo2, (CoefficientSeries.zero(geo2),))
+        zero = PolynomialSection(geo2, ())
         with pytest.raises(ZeroNorm):
             rayleigh_quotient(zero)
 
@@ -261,13 +259,17 @@ class TestDensityMap:
         assert dm.relative_deviation > 0.5   # order-one bumps at N=1
 
     def test_representations_agree(self):
+        # the density rebuilt from the Gaussian series, term by term, matches
         geo = TorusGeometry.square(3)
-        a = density_map(geo, 0, 66, 66, representation="fourier")
-        b = density_map(geo, 0, 66, 66, representation="gaussian")
-        assert np.max(np.abs(a.rho.values - b.rho.values)) < 1e-11
-        c = density_map(geo, 1, 66, 66, representation="fourier")
-        d = density_map(geo, 1, 66, 66, representation="gaussian")
-        assert np.max(np.abs(c.rho.values - d.rho.values)) < 1e-11
+        z = periodic_grid(geo, 66, 66)
+        for level in (0, 1):
+            rho = np.zeros(z.shape)
+            for s in level_basis(geo, level, 66, 66):
+                vals = sum(w * np.conj(z) ** p * eval_gaussian(psi, z, k)
+                           for p, psi, k, w in s.terms)
+                rho += np.exp(-np.abs(z) ** 2) * np.abs(vals) ** 2
+            fourier = density_map(geo, level, 66, 66).rho.values
+            assert np.max(np.abs(fourier - rho)) < 1e-11
 
     def test_deviation_decay_table(self):
         table = deviation_decay(TorusGeometry.square, levels=(0,),
@@ -275,6 +277,28 @@ class TestDensityMap:
         d = table[0]["d"]
         assert np.all(np.diff(d) < 0)
         assert table[0]["slope"] < -1.0
+
+    def test_decay_fit_shared_with_criterion_5(self, monkeypatch):
+        # deviation_decay and check_symmetry_breaking fit the same d table
+        # identically
+        from toruslandau import levels, verify
+        table = {0: [0.9, 0.31, 0.12, 0.041], 1: [1.4, 0.52, 0.2, 0.083]}
+
+        def fake_density_map(geo, level=0, nx=None, ny=None):
+            d = table[level][geo.N - 1]
+            ones = np.ones((8, 8))
+            return levels.DensityMap(GridField(geo, "rho", ones),
+                                     GridField(geo, "dev", 0 * ones), 1.0, d)
+
+        monkeypatch.setattr(levels, "density_map", fake_density_map)
+        monkeypatch.setattr(verify, "density_map", fake_density_map)
+        decay = deviation_decay(TorusGeometry.square, levels=(0, 1),
+                                n_values=range(1, 5))
+        fits = verify.check_symmetry_breaking(n_max=4, figure_ns=()).data["fits"]
+        for level in (0, 1):
+            np.testing.assert_array_equal(decay[level]["d"], table[level])
+            assert fits[level]["slope"] == decay[level]["slope"]
+            assert fits[level]["fit_residual"] == decay[level]["fit_residual"]
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
@@ -299,6 +323,17 @@ class TestGridFieldAndSerialization:
         assert len(rows) == 4 and len(rows[0].split(",")) == 5
         back = np.array([[float(tok) for tok in row.split(",")] for row in rows])
         np.testing.assert_array_equal(back, values)   # repr round-trips
+
+    def test_writers_byte_exact(self, tmp_path, geo2):
+        # repr keeps signed zeros, extreme exponents and the shortest
+        # round-trip digits; both writers share that format
+        values = np.array([[-0.0, 1e-300, 0.1, 1 / 3, 1e300]] * 4)
+        field = GridField(geo2, "awkward", values)
+        row = ["-0.0", "1e-300", "0.1", "0.3333333333333333", "1e+300"]
+        csv = gridio.write_csv(field, tmp_path / "a.csv").read_bytes()
+        assert csv == ((",".join(row) + "\n") * 4).encode()
+        mat = gridio.write_matrix(field, tmp_path / "a.dat").read_bytes()
+        assert mat == ((" ".join(row) + "\n") * 4).encode()
 
     def test_matrix_format(self, tmp_path, geo2):
         field = GridField(geo2, "demo", np.ones((4, 4)))
@@ -325,10 +360,6 @@ class TestSectionAlgebraValidation:
         other = ground_section(theta_basis(TorusGeometry.square(3), 0))
         with pytest.raises(GeometryMismatch):
             ground_section(basis2[0]) + other
-
-    def test_empty_coeffs_rejected(self, geo2):
-        with pytest.raises(ValueError):
-            PolynomialSection(geo2, ())
 
     def test_periodic_grid_layout(self, geo2):
         z = periodic_grid(geo2, 8, 6)

@@ -12,8 +12,7 @@ from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import default_resolution, inner_product, periodic_grid
 from toruslandau.lll_basis import (BoundaryPhases, _is_grid, boundary_factors,
                                    boundary_residual, double_shift_factors,
-                                   eval_derivative, eval_fourier,
-                                   eval_gaussian, fourier_cutoff,
+                                   eval_fourier, eval_gaussian, fourier_cutoff,
                                    ground_basis, normalize, normalized_basis,
                                    theta_basis, verify_recurrence)
 from toruslandau.translations import reduce_to_fundamental
@@ -233,15 +232,15 @@ class TestDerivativesAndHolomorphy:
         psi = theta_basis(geo, 1)
         z = np.array([0.3 + 0.2j, 1.1 + 0.9j, 2.0 + 1.5j])
         dz_fd, _ = numdiff.wirtinger(lambda w: eval_fourier(psi, w), z)
-        dz = eval_derivative(psi, z, order=1)
+        dz = eval_fourier(psi, z, order=1)
         assert np.max(np.abs(dz - dz_fd)) < 1e-9 * np.max(np.abs(dz))
 
     def test_second_derivative_consistency(self):
         geo = TorusGeometry.square(2)
         psi = theta_basis(geo, 0)
         z = np.array([0.4 + 0.3j, 1.0 + 1.2j])
-        d2 = eval_derivative(psi, z, order=2)
-        d1_fd, _ = numdiff.wirtinger(lambda w: eval_derivative(psi, w, 1), z)
+        d2 = eval_fourier(psi, z, order=2)
+        d1_fd, _ = numdiff.wirtinger(lambda w: eval_fourier(psi, w, 1), z)
         assert np.max(np.abs(d2 - d1_fd)) < 1e-8 * np.max(np.abs(d2))
 
     @pytest.mark.parametrize("n", [1, 4, 10])
@@ -259,14 +258,8 @@ class TestDerivativesAndHolomorphy:
         geo = TorusGeometry.square(3)
         psi = theta_basis(geo, 2)
         z = np.array([0.5 + 0.4j, 1.7 + 1.1j])
-        np.testing.assert_allclose(
-            eval_derivative(psi, z, 1, representation="gaussian"),
-            eval_derivative(psi, z, 1, representation="fourier"), rtol=1e-11)
-
-    def test_unknown_representation(self):
-        psi = theta_basis(TorusGeometry.square(1), 0)
-        with pytest.raises(ValueError):
-            eval_derivative(psi, 0.0, 1, representation="chebyshev")
+        np.testing.assert_allclose(eval_gaussian(psi, z, 1),
+                                   eval_fourier(psi, z, 1), rtol=1e-11)
 
 
 class TestBoundaryPhases:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from toruslandau import lll_basis, tolerances
 from toruslandau.errors import NotAPeriod
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import (density_map, ground_section, periodic_grid,
-                                raise_section)
+from toruslandau.levels import (density_map, gram_matrix, ground_section,
+                                level_basis, periodic_grid, raise_section)
 from toruslandau.lll_basis import eval_fourier, normalized_basis
-from toruslandau.translations import (Translation, bundle_shift_phase,
+from toruslandau.translations import (bundle_shift_phase,
                                       commutator_matrix_residual,
                                       commutator_phase,
                                       hamiltonian_commutation_residual,
@@ -83,6 +84,8 @@ class TestDisplacementValidation:
     def test_nonfinite_rejected_before_reduction(self, geo3, basis3, a):
         z = periodic_grid(geo3, 8, 8)
         with pytest.raises(ValueError, match="finite"):
+            lattice_indices(a, geo3)
+        with pytest.raises(ValueError, match="finite"):
             translate_section(a, basis3[0], z)
         with pytest.raises(ValueError, match="finite"):
             translation_matrix(geo3, a, nx=8)
@@ -101,10 +104,9 @@ class TestLatticeClassification:
         assert not is_lattice(0.1 + 0.2j, geo3)
 
     def test_translation_type(self, geo3):
-        t = Translation((geo3.L1 + 1j * geo3.L2) / 3)
-        assert is_lattice(t, geo3)
+        assert is_lattice((geo3.L1 + 1j * geo3.L2) / 3, geo3)
         with pytest.raises(ValueError):
-            Translation(complex("nan"))
+            lattice_indices(complex("nan"), geo3)
 
 
 class TestTranslationMatrix:
@@ -266,3 +268,45 @@ class TestCrossModuleConsistency:
         assert report["lattice"] is False
         assert report["projection_defect"] > 1e-3
         assert not report["phases"]["wintner_consistent"]
+
+
+class TestOffSquareTorus:
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_level_quadrature_and_lattice_translation(self, n, ratio, level):
+        # the half-lattice lower bound is not asserted here: on a long thin
+        # torus the states are near plane waves along the short side, and the
+        # smallest half-lattice defect falls to ~1e-9 at N = 6, ratio 1/4
+        geo = TorusGeometry.with_aspect(n, ratio)
+        g = gram_matrix(level_basis(geo, level))
+        assert np.max(np.abs(g - np.eye(n))) < tolerances.get("gram_identity_abs")
+        tm = translation_matrix(geo, (geo.L1 + 1j * geo.L2) / n, level)
+        assert tm.unitarity_defect < tolerances.get("unitarity_abs")
+        assert tm.max_projection_defect < tolerances.get("projection_defect_lattice")
+        dm = density_map(geo, level)
+        assert abs(dm.mean * geo.area - n) < tolerances.get("density_mean_abs") * n
+
+
+class TestSamplingOnce:
+    """Each level section is sampled on the grid once per (psi, order)."""
+
+    @pytest.mark.parametrize("call, most", [
+        (lambda g: density_map(g, 0), 3),
+        (lambda g: density_map(g, 1), 6),
+        (lambda g: translation_matrix(g, g.L1 / 3), 6),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1), 12),
+        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3), 15),
+    ], ids=["density_L0", "density_L1", "lattice_L0", "half_lattice_L1",
+            "commutator_L0"])
+    def test_grid_evaluations_at_n3(self, monkeypatch, geo3, call, most):
+        calls = []
+        grid = lll_basis._fourier_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return grid(*args, **kwargs)
+
+        monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
+        call(geo3)
+        assert 0 < len(calls) <= most

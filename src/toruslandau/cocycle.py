@@ -14,6 +14,11 @@ each triangle; it vanishes whenever the three lifts share one fundamental
 copy and carries the seam contributions otherwise.  Summed over a mesh the
 constants reproduce the total flux B*L1*L2 exactly, and a consistent line
 bundle exists only when that flux is an integer multiple of 2 pi.
+
+Every operation takes the whole mesh at once: the lifts are one (T, 3, 2)
+array, recomputed from the wraps on each call, and `cocycle_constant` and
+`triangle_identity` return length-T arrays.  `chi` and `chart_potential`
+take (..., 2) arrays of points and broadcast over the leading axes.
 """
 
 from __future__ import annotations
@@ -24,23 +29,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import NotConstant
 
 COCYCLE_CONSTANT_ATOL = 1e-10
 LIFT_CLOSURE_ATOL = 1e-9
 
+# directed edge k of a triangle runs from corner k to corner _NEXT[k]
+_NEXT = [1, 2, 0]
+
 
 def chart_potential(center, point, B: float):
     """Radial-gauge potential (A_x, A_y) of the chart centered at `center`."""
-    cx, cy = center
-    x, y = point
-    return np.array([-0.5 * B * (y - cy), 0.5 * B * (x - cx)])
+    center, point = np.asarray(center), np.asarray(point)
+    return np.stack([-0.5 * B * (point[..., 1] - center[..., 1]),
+                     0.5 * B * (point[..., 0] - center[..., 0])], axis=-1)
 
 
-def chi(center_a, center_b, point, B: float) -> float:
+def chi(center_a, center_b, point, B: float):
     """Transition function with d(chi) = A_a - A_b, antisymmetric in a, b."""
-    return 0.5 * B * ((center_b[0] - center_a[0]) * point[1]
-                      - (center_b[1] - center_a[1]) * point[0])
+    d = np.subtract(center_b, center_a)
+    point = np.asarray(point)
+    return 0.5 * B * (d[..., 0] * point[..., 1] - d[..., 1] * point[..., 0])
+
+
+def _signed_areas(lifted: np.ndarray) -> np.ndarray:
+    e1, e2 = lifted[:, 1] - lifted[:, 0], lifted[:, 2] - lifted[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 @dataclass
@@ -68,143 +83,137 @@ class Triangulation:
         self.wraps = np.asarray(self.wraps, dtype=int)
         self.validate()
 
-    # -- structure ---------------------------------------------------------
+    def lifts(self) -> np.ndarray:
+        """Coherent planar positions of every triangle's vertices, (T, 3, 2).
 
-    def edge_vector(self, t: int, k: int) -> np.ndarray:
-        """True planar vector of directed edge k of triangle t."""
-        i1 = self.triangles[t, k]
-        i2 = self.triangles[t, (k + 1) % 3]
-        shift = self.wraps[t, k] * np.array([self.L1, self.L2])
-        return self.vertices[i2] + shift - self.vertices[i1]
-
-    def lift(self, t: int) -> np.ndarray:
-        """Coherent planar positions of triangle t's vertices, (3, 2).
-
-        Anchored at the first vertex's canonical position; raises NotConstant
-        if the recorded wraps do not close up.
+        Each triangle is anchored at its first vertex's canonical position;
+        raises NotConstant, naming the first such triangle, if the recorded
+        wraps do not close up.
         """
-        p0 = self.vertices[self.triangles[t, 0]].astype(float)
-        pts = [p0, p0 + self.edge_vector(t, 0)]
-        pts.append(pts[1] + self.edge_vector(t, 1))
-        closure = pts[2] + self.edge_vector(t, 2) - pts[0]
-        if np.max(np.abs(closure)) > LIFT_CLOSURE_ATOL:
-            raise NotConstant(f"triangle {t}: edge wraps do not close a lift")
-        return np.array(pts)
+        corners = self.vertices[self.triangles]
+        edges = corners[:, _NEXT] + self.wraps * np.array([self.L1, self.L2]) - corners
+        p0 = corners[:, 0]
+        p1 = p0 + edges[:, 0]
+        p2 = p1 + edges[:, 1]
+        closure = np.abs(p2 + edges[:, 2] - p0).max(axis=1)
+        bad = np.flatnonzero(closure > LIFT_CLOSURE_ATOL)
+        if bad.size:
+            raise NotConstant(f"triangle {bad[0]}: edge wraps do not close a lift")
+        return np.stack([p0, p1, p2], axis=1)
 
-    def signed_area(self, t: int) -> float:
-        v = self.lift(t)
-        e1, e2 = v[1] - v[0], v[2] - v[0]
-        return 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
+    def signed_areas(self) -> np.ndarray:
+        """Signed area of every triangle's lift, (T,)."""
+        return _signed_areas(self.lifts())
 
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
 
     def validate(self):
-        """Check the mesh is a positively-oriented one-cover of the torus."""
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise ValueError("vertices must be a (V, 2) array")
+        """Check the mesh is a positively-oriented one-cover of the torus.
+
+        Orientation comes first, then the topology (edge pairing, valence,
+        Euler characteristic), then the area sum, so that a closed component
+        of the wrong kind is reported as such rather than as a wrong area.
+        """
+        v = self.vertices
+        if v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all():
+            raise ValueError("vertices must be a finite (V, 2) array")
         if self.triangles.shape[1:] != (3,) or self.wraps.shape != (*self.triangles.shape, 2):
             raise ValueError("triangles must be (T, 3) with wraps (T, 3, 2)")
-        area = 0.0
-        edge_use: dict = {}
-        for t in range(self.n_triangles):
-            a = self.signed_area(t)
-            if a <= 0:
-                raise ValueError(f"triangle {t} is not positively oriented")
-            area += a
-            for k in range(3):
-                i1 = int(self.triangles[t, k])
-                i2 = int(self.triangles[t, (k + 1) % 3])
-                edge_use.setdefault(frozenset((i1, i2)), []).append((i1, i2))
-        target = self.L1 * self.L2
+        n_vertices = len(self.vertices)
+        if np.any((self.triangles < 0) | (self.triangles >= n_vertices)):
+            raise ValueError("triangle vertex ids must lie in [0, V)")
+        areas = self.signed_areas()
+        bad = np.flatnonzero(areas <= 0)
+        if bad.size:
+            raise ValueError(f"triangle {bad[0]} is not positively oriented")
+        # sorting the directed edges by endpoint pair puts both uses of an
+        # undirected edge next to each other
+        start = self.triangles.ravel()
+        end = self.triangles[:, _NEXT].ravel()
+        key = np.minimum(start, end) * n_vertices + np.maximum(start, end)
+        order = np.argsort(key, kind="stable")
+        a, b = order[0::2], order[1::2]
+        if (len(order) % 2 or np.any(key[a] != key[b]) or np.any(key[b[:-1]] == key[a[1:]])
+                or np.any(start[a] != end[b]) or np.any(end[a] != start[b])):
+            raise ValueError("every edge must be shared by two opposite triangles")
+        if np.any(np.bincount(start, minlength=n_vertices) < 3):
+            raise ValueError("mesh too coarse: a vertex star is degenerate")
+        # Euler characteristic of the torus; each edge is used twice
+        if n_vertices - len(order) // 2 + self.n_triangles != 0:
+            raise ValueError("mesh is not a closed torus triangulation")
+        area, target = float(np.sum(areas)), self.L1 * self.L2
         if abs(area - target) > 1e-12 * target:
             raise ValueError(f"mesh area {area} does not tile the torus once")
-        valence = np.zeros(len(self.vertices), dtype=int)
-        for uses in edge_use.values():
-            if len(uses) != 2 or uses[0] != (uses[1][1], uses[1][0]):
-                raise ValueError("every edge must be shared by two opposite triangles")
-        for tri in self.triangles:
-            valence[tri] += 1
-        if np.any(valence < 3):
-            raise ValueError("mesh too coarse: a vertex star is degenerate")
-        # Euler characteristic of the torus
-        if len(self.vertices) - len(edge_use) + self.n_triangles != 0:
-            raise ValueError("mesh is not a closed torus triangulation")
-
-    # -- per-triangle chart data --------------------------------------------
-
-    def _edge_charts(self, t: int, lifted: np.ndarray):
-        """Per edge: chart centers and point offset in the edge's own lift.
-
-        The edge lift anchors the lower-indexed endpoint at its canonical
-        position; the returned offset translates triangle-lift coordinates
-        into that lift.  Using one lift per undirected edge is what lets the
-        cocycle pick up the seam contributions.
-        """
-        charts = []
-        for k in range(3):
-            i1 = int(self.triangles[t, k])
-            i2 = int(self.triangles[t, (k + 1) % 3])
-            p1, p2 = lifted[k], lifted[(k + 1) % 3]
-            anchor_pos, anchor_lift = (self.vertices[i1], p1) if i1 <= i2 \
-                else (self.vertices[i2], p2)
-            offset = np.asarray(anchor_pos, dtype=float) - anchor_lift
-            charts.append((p1 + offset, p2 + offset, offset))
-        return charts
 
 
-def _vertex_cocycles(tri: Triangulation, t: int):
-    """(lift, edge charts, chi_ab + chi_bc + chi_ca at each lifted vertex)."""
-    lifted = tri.lift(t)
-    charts = tri._edge_charts(t, lifted)
-    values = [sum(chi(c1, c2, vertex + off, tri.B) for c1, c2, off in charts)
-              for vertex in lifted]
-    return lifted, charts, values
+def _edge_charts(tri: Triangulation, lifted: np.ndarray):
+    """Per directed edge: chart centers and point offset in the edge's own lift.
+
+    Returns (c1, c2, offset), each (T, 3, 2).  The edge lift anchors the
+    lower-indexed endpoint at its canonical position; the offset translates
+    triangle-lift coordinates into that lift.  Using one lift per undirected
+    edge is what lets the cocycle pick up the seam contributions.
+    """
+    start, end = tri.triangles, tri.triangles[:, _NEXT]
+    p1, p2 = lifted, lifted[:, _NEXT]
+    low_first = (start <= end)[..., None]
+    offset = (np.where(low_first, tri.vertices[start], tri.vertices[end])
+              - np.where(low_first, p1, p2))
+    return p1 + offset, p2 + offset, offset
 
 
-def cocycle_constant(tri: Triangulation, t: int) -> float:
-    """The constant c = chi_ab + chi_bc + chi_ca on triangle t.
+def _cocycles(tri: Triangulation):
+    """(lifts, chart centers c1 and c2, c = chi_ab + chi_bc + chi_ca per triangle).
 
-    Evaluates the sum at the three vertices and checks they agree within
-    1e-10 (NotConstant otherwise, which signals corrupted wrap offsets).
+    Evaluates the sum at the three lifted vertices and checks they agree
+    within COCYCLE_CONSTANT_ATOL (NotConstant otherwise, naming the first
+    bad triangle, which signals corrupted wrap offsets).
+    """
+    lifted = tri.lifts()
+    c1, c2, off = _edge_charts(tri, lifted)
+    # axis 1 picks the vertex evaluated at, axis 2 the edge's chart pair
+    values = chi(c1[:, None], c2[:, None], lifted[:, :, None] + off[:, None],
+                 tri.B).sum(axis=2)
+    spread = values.max(axis=1) - values.min(axis=1)
+    scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    bad = np.flatnonzero(spread > COCYCLE_CONSTANT_ATOL * scale)
+    if bad.size:
+        raise NotConstant(f"triangle {bad[0]}: cocycle varies by {spread[bad[0]]:.3e}")
+    return lifted, c1, c2, values.mean(axis=1)
+
+
+def cocycle_constant(tri: Triangulation) -> np.ndarray:
+    """The constant c = chi_ab + chi_bc + chi_ca of every triangle, (T,).
+
     Zero for triangles whose lifts stay in one fundamental copy.
     """
-    _, _, values = _vertex_cocycles(tri, t)
-    spread = max(values) - min(values)
-    if spread > COCYCLE_CONSTANT_ATOL * max(1.0, max(abs(v) for v in values)):
-        raise NotConstant(f"triangle {t}: cocycle varies by {spread:.3e}")
-    return float(np.mean(values))
+    return _cocycles(tri)[3]
 
 
-def _identity_parts(tri: Triangulation, t: int):
-    """(B*area, cocycle term, vertex term, edge term) of the flux identity."""
-    lifted, charts, values = _vertex_cocycles(tri, t)
+def _identity_parts(tri: Triangulation):
+    """(B*area, cocycle term, vertex term, edge term) of the flux identity, each (T,)."""
+    lifted, c1, c2, constant = _cocycles(tri)
     b = tri.B
-    cocycle_term = float(np.mean(values))
-    vertex_term = 0.0
-    edge_term = 0.0
-    for k, (c1, c2, off) in enumerate(charts):
-        p1, p2 = lifted[k], lifted[(k + 1) % 3]
-        vertex_term += chi(c1, c2, p1 + off, b) + chi(c1, c2, p2 + off, b)
-        # midpoint rule, exact: the radial-gauge forms are affine along edges
-        mid = (p1 + p2) / 2
-        a_sum = chart_potential(p1, mid, b) + chart_potential(p2, mid, b)
-        edge_term += float(np.dot(a_sum, p2 - p1))
-    e1, e2 = lifted[1] - lifted[0], lifted[2] - lifted[0]
-    lhs = b * 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
-    return lhs, cocycle_term, vertex_term, edge_term
+    p1, p2 = lifted, lifted[:, _NEXT]
+    vertex_term = (chi(c1, c2, c1, b) + chi(c1, c2, c2, b)).sum(axis=1)
+    # midpoint rule, exact: the radial-gauge forms are affine along edges
+    mid = (p1 + p2) / 2
+    a_sum = chart_potential(p1, mid, b) + chart_potential(p2, mid, b)
+    edge_term = (a_sum * (p2 - p1)).sum(axis=2).sum(axis=1)
+    return b * _signed_areas(lifted), constant, vertex_term, edge_term
 
 
-def triangle_identity(tri: Triangulation, t: int):
-    """Both sides of the per-triangle flux identity.
+def triangle_identity(tri: Triangulation):
+    """Both sides of the per-triangle flux identity, as two (T,) arrays.
 
     lhs = B * area(t); rhs = c - (vertex pairs)/2 + (edge integrals)/2.
     They agree to rounding for every triangle; the vertex and edge pieces
     cancel pairwise when summed over a closed mesh, leaving flux = sum of c.
     """
-    lhs, cocycle_term, vertex_term, edge_term = _identity_parts(tri, t)
-    return float(lhs), float(cocycle_term - vertex_term / 2 + edge_term / 2)
+    lhs, cocycle_term, vertex_term, edge_term = _identity_parts(tri)
+    return lhs, cocycle_term - vertex_term / 2 + edge_term / 2
 
 
 @dataclass(frozen=True)
@@ -213,34 +222,37 @@ class FluxResult:
 
     sum_cocycles: float
     flux: float
-    theorem_holds: bool
-    weil_integral: bool     # flux in 2*pi*Z within 1e-9
+    theorem_holds: bool     # sum within cocycle_sum_rel of the flux
+    weil_integral: bool     # flux in 2*pi*Z within weil_integrality_rel
     flux_quanta: float      # flux / (2*pi)
 
 
-def total_flux(tri: Triangulation, rtol: float = 1e-9) -> FluxResult:
+def total_flux(tri: Triangulation) -> FluxResult:
     """Sum the per-triangle constants and compare with the flux B*L1*L2.
 
     The theorem (sum equals flux) holds for any B; the Weil verdict reports
-    whether flux/(2 pi) is an integer within 1e-9, i.e. whether a consistent
-    bundle exists.
+    whether flux/(2 pi) is an integer, i.e. whether a consistent bundle
+    exists.  Both thresholds come from the tolerance table.
     """
-    total = sum(cocycle_constant(tri, t) for t in range(tri.n_triangles))
+    total = float(np.sum(cocycle_constant(tri)))
     flux = tri.B * tri.L1 * tri.L2
     scale = max(abs(flux), 1.0)
-    holds = abs(total - flux) <= rtol * scale
+    holds = abs(total - flux) <= tolerances.get("cocycle_sum_rel") * scale
     quanta = flux / (2 * math.pi)
-    integral = abs(quanta - round(quanta)) <= rtol * max(1.0, abs(quanta))
+    integral = (abs(quanta - round(quanta))
+                <= tolerances.get("weil_integrality_rel") * max(1.0, abs(quanta)))
     return FluxResult(total, flux, holds, integral, quanta)
 
 
 def edge_cancellation_total(tri: Triangulation) -> float:
     """|sum over all triangles of the vertex and edge pieces| (should vanish)."""
-    acc = 0.0
-    for t in range(tri.n_triangles):
-        _, _, vertex_term, edge_term = _identity_parts(tri, t)
-        acc += -vertex_term / 2 + edge_term / 2
-    return abs(acc)
+    _, _, vertex_term, edge_term = _identity_parts(tri)
+    return abs(float(np.sum(-vertex_term / 2 + edge_term / 2)))
+
+
+# the two triangles of grid square (i, j), as corner offsets
+_SQUARE_SPLIT = np.array([[[0, 0], [1, 0], [1, 1]],
+                          [[0, 0], [1, 1], [0, 1]]])
 
 
 def uniform_mesh(n: int, L1: float, L2: float, B: float) -> Triangulation:
@@ -250,26 +262,13 @@ def uniform_mesh(n: int, L1: float, L2: float, B: float) -> Triangulation:
     """
     if n < 3:
         raise ValueError("need n >= 3 for nondegenerate vertex stars")
-    verts = np.array([[i * L1 / n, j * L2 / n]
-                      for j in range(n) for i in range(n)])
-    tris, wraps = [], []
-
-    def vid(i, j):
-        return (j % n) * n + (i % n)
-
-    for j in range(n):
-        for i in range(n):
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            for tri_idx in ((0, 1, 2), (0, 2, 3)):
-                ids = [vid(*corners[q]) for q in tri_idx]
-                w = []
-                for k in range(3):
-                    a1, b1 = corners[tri_idx[k]]
-                    a2, b2 = corners[tri_idx[(k + 1) % 3]]
-                    w.append((a2 // n - a1 // n, b2 // n - b1 // n))
-                tris.append(ids)
-                wraps.append(w)
-    return Triangulation(L1, L2, B, verts, np.array(tris), np.array(wraps))
+    # grid point (i, j) is vertex j * n + i and square j * n + i
+    j, i = np.divmod(np.arange(n * n), n)
+    verts = np.stack([i * L1 / n, j * L2 / n], axis=1)
+    corners = np.stack([i, j], axis=1)[:, None, None] + _SQUARE_SPLIT
+    ids = (corners[..., 1] % n) * n + corners[..., 0] % n
+    wraps = corners[:, :, _NEXT] // n - corners // n
+    return Triangulation(L1, L2, B, verts, ids.reshape(-1, 3), wraps.reshape(-1, 3, 2))
 
 
 def mesh_to_json(tri: Triangulation) -> str:

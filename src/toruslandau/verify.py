@@ -24,7 +24,8 @@ from .levels import (Quadrature, density_map, default_resolution, gram_matrix,
                      apply_hamiltonian)
 from .translations import (commutator_matrix_residual, translation_matrix,
                            wintner_check)
-from .cocycle import total_flux, triangle_identity, uniform_mesh
+from .cocycle import (edge_cancellation_total, total_flux, triangle_identity,
+                      uniform_mesh)
 
 DEFAULT_SEED = 20260810
 
@@ -209,15 +210,18 @@ def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10),
         ds = np.array(d_table[level])
         if np.any(np.diff(ds) >= 0):
             problems.append(f"L{level}: d(N) not strictly decreasing")
+        if n_max < 2:   # a line through one point has no residual to judge
+            continue
         fits[level] = log_linear_fit(range(1, n_max + 1), ds)
         rel = fits[level]["fit_residual"]
         if rel > tol_fit:
             problems.append(f"L{level}: log-linear fit residual {rel:.1%}")
 
+    fit_detail = ", ".join(f"L{lv}: slope {fits[lv]['slope']:+.3f}, "
+                           f"fit resid {fits[lv]['fit_residual']:.1%}" for lv in fits)
     detail = "; ".join(problems) if problems else (
         "extrema on (n1 L1 + i n2 L2)/N, Z_NxZ_N invariant; " +
-        ", ".join(f"L{lv}: slope {fits[lv]['slope']:+.3f}, "
-                  f"fit resid {fits[lv]['fit_residual']:.1%}" for lv in levels))
+        (fit_detail or f"d(N) fit skipped: needs N_max >= 2, got {n_max}"))
     return CheckResult("symmetry breaking structure", not problems, detail,
                        {"d": {lv: list(map(float, d_table[lv])) for lv in levels},
                         "fits": fits})
@@ -320,16 +324,20 @@ def check_cocycle_theorem(mesh_sizes=(4, 8, 16),
                           flux_quanta=(1.0, 3.0, 1.5)) -> CheckResult:
     tol_id = tolerances.get("triangle_identity_rel")
     tol_sum = tolerances.get("cocycle_sum_rel")
+    tol_edge = tolerances.get("edge_cancellation_abs")
     problems = []
     for quanta in flux_quanta:
         b = 2 * math.pi * quanta   # on the unit torus, flux = B
         for n in mesh_sizes:
             mesh = uniform_mesh(n, 1.0, 1.0, b)
-            for t in range(mesh.n_triangles):
-                lhs, rhs = triangle_identity(mesh, t)
-                if abs(lhs - rhs) > tol_id * abs(lhs) + 1e-14:
-                    problems.append(f"flux {quanta}: triangle {t} identity")
-                    break
+            lhs, rhs = triangle_identity(mesh)
+            bad = np.flatnonzero(np.abs(lhs - rhs) > tol_id * np.abs(lhs) + 1e-14)
+            if bad.size:
+                problems.append(f"flux {quanta} n={n}: triangle {bad[0]} identity")
+            cancellation = edge_cancellation_total(mesh)
+            if cancellation > tol_edge:
+                problems.append(f"flux {quanta} n={n}: vertex and edge pieces "
+                                f"sum to {cancellation:.1e}")
             result = total_flux(mesh)
             if not result.theorem_holds:
                 problems.append(f"flux {quanta} n={n}: sum {result.sum_cocycles} "
@@ -340,7 +348,8 @@ def check_cocycle_theorem(mesh_sizes=(4, 8, 16),
                                 f"{result.weil_integral}")
     detail = "; ".join(problems) if problems else (
         f"meshes 2x{{{','.join(str(n)+'^2' for n in mesh_sizes)}}}: identity holds, "
-        f"sum c = flux within {tol_sum:g}, Weil verdicts correct")
+        f"edge pieces cancel within {tol_edge:g}, sum c = flux within {tol_sum:g}, "
+        f"Weil verdicts correct")
     return CheckResult("mesh flux theorem", not problems, detail)
 
 

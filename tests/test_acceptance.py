@@ -86,3 +86,15 @@ def test_fault_injection_is_detected(n_max):
                                    fault_phases=BoundaryPhases(math.pi, 0.0))
     print(str(result))
     assert not result.passed
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_criteria_pass_at_n_max_1():
+    # a single N gives no d(N) fit: criterion 5 skips it, says so, and still
+    # runs its density checks
+    results = verify.run_acceptance(n_max=1)
+    for result in results:
+        report(result)
+    assert len(results) == 10
+    assert "d(N) fit skipped" in results[4].detail
+    assert results[4].data["fits"] == {} and len(results[4].data["d"][0]) == 1

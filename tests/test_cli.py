@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toruslandau.cli import main
+from toruslandau.cocycle import cocycle_constant, triangle_identity, uniform_mesh
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import periodic_grid
 from toruslandau.lll_basis import boundary_factors, normalize, theta_basis
@@ -178,6 +179,23 @@ class TestCocycleCommand:
         report = json.loads((tmp_path / "cocycle_report.json").read_text())
         assert len(report["cocycles"]) == 32
         assert sum(report["cocycles"]) == pytest.approx(2 * math.pi)
+
+    def test_per_triangle_table_matches_api(self, tmp_path):
+        run(["cocycle", "--mesh-n", "8", "--flux", "3pi", "--per-triangle",
+             "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "cocycle_report.json").read_text())
+        mesh = uniform_mesh(8, 1.0, 1.0, 3 * math.pi)
+        assert report["cocycles"] == cocycle_constant(mesh).tolist()
+        lhs, rhs = triangle_identity(mesh)
+        worst = np.max(np.abs(lhs - rhs) / np.abs(lhs))
+        assert report["worst_triangle_identity_rel"] == worst
+
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["cocycle", "--mesh-n", "16", "--flux", "3pi", "--per-triangle"]
+        assert run(args + ["--out-dir", str(a)]) == 0
+        assert run(args + ["--out-dir", str(b)]) == 0
+        assert tree_bytes(a) == tree_bytes(b)
 
     def test_numeric_flux(self, tmp_path):
         code = run(["cocycle", "--mesh-n", "4", "--flux", "6.283185307179586",

@@ -10,4 +10,4 @@ def test_quick_start_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
-    assert capsys.readouterr().out.count("\n") == 4
+    assert capsys.readouterr().out.count("\n") == 5

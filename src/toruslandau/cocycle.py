@@ -32,9 +32,6 @@ import numpy as np
 from . import tolerances
 from .errors import NotConstant
 
-COCYCLE_CONSTANT_ATOL = 1e-10
-LIFT_CLOSURE_ATOL = 1e-9
-
 # directed edge k of a triangle runs from corner k to corner _NEXT[k]
 _NEXT = [1, 2, 0]
 
@@ -88,7 +85,7 @@ class Triangulation:
 
         Each triangle is anchored at its first vertex's canonical position;
         raises NotConstant, naming the first such triangle, if the recorded
-        wraps do not close up.
+        wraps do not close up within lift_closure_abs.
         """
         corners = self.vertices[self.triangles]
         edges = corners[:, _NEXT] + self.wraps * np.array([self.L1, self.L2]) - corners
@@ -96,7 +93,7 @@ class Triangulation:
         p1 = p0 + edges[:, 0]
         p2 = p1 + edges[:, 1]
         closure = np.abs(p2 + edges[:, 2] - p0).max(axis=1)
-        bad = np.flatnonzero(closure > LIFT_CLOSURE_ATOL)
+        bad = np.flatnonzero(closure > tolerances.get("lift_closure_abs"))
         if bad.size:
             raise NotConstant(f"triangle {bad[0]}: edge wraps do not close a lift")
         return np.stack([p0, p1, p2], axis=1)
@@ -144,7 +141,7 @@ class Triangulation:
         if n_vertices - len(order) // 2 + self.n_triangles != 0:
             raise ValueError("mesh is not a closed torus triangulation")
         area, target = float(np.sum(areas)), self.L1 * self.L2
-        if abs(area - target) > 1e-12 * target:
+        if abs(area - target) > tolerances.get("mesh_area_rel") * target:
             raise ValueError(f"mesh area {area} does not tile the torus once")
 
 
@@ -168,8 +165,8 @@ def _cocycles(tri: Triangulation):
     """(lifts, chart centers c1 and c2, c = chi_ab + chi_bc + chi_ca per triangle).
 
     Evaluates the sum at the three lifted vertices and checks they agree
-    within COCYCLE_CONSTANT_ATOL (NotConstant otherwise, naming the first
-    bad triangle, which signals corrupted wrap offsets).
+    within cocycle_constancy_rel times max(1, |c|) (NotConstant otherwise,
+    naming the first bad triangle, which signals corrupted wrap offsets).
     """
     lifted = tri.lifts()
     c1, c2, off = _edge_charts(tri, lifted)
@@ -178,7 +175,7 @@ def _cocycles(tri: Triangulation):
                  tri.B).sum(axis=2)
     spread = values.max(axis=1) - values.min(axis=1)
     scale = np.maximum(1.0, np.abs(values).max(axis=1))
-    bad = np.flatnonzero(spread > COCYCLE_CONSTANT_ATOL * scale)
+    bad = np.flatnonzero(spread > tolerances.get("cocycle_constancy_rel") * scale)
     if bad.size:
         raise NotConstant(f"triangle {bad[0]}: cocycle varies by {spread[bad[0]]:.3e}")
     return lifted, c1, c2, values.mean(axis=1)

@@ -12,6 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from . import tolerances
 from .errors import NonIntegralFlux
 
 # CGS-Gaussian constants for the default carrier (electron)
@@ -19,11 +20,6 @@ E_CHARGE = 4.80320425e-10   # statC
 M_ELECTRON = 9.1093837015e-28  # g
 HBAR = 1.054571817e-27      # erg*s
 C_LIGHT = 2.99792458e10     # cm/s
-
-# Integrality gate on physical input (flux carries measurement noise); the
-# constructed TorusGeometry is held to the much tighter _AREA_RTOL.
-FLUX_INT_RTOL = 1e-9
-_AREA_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,9 +57,9 @@ class PhysicalConfig:
 class TorusGeometry:
     """Rectangular torus in natural units with N flux quanta.
 
-    Invariants: L1, L2 > 0 and L1*L2 = N*pi to relative precision 1e-12,
-    enforced at construction.  Instances are immutable and safe to share
-    across threads.
+    Invariants: L1, L2 > 0 and L1*L2 = N*pi to relative precision
+    geometry_area_rel, enforced at construction.  Instances are immutable
+    and safe to share across threads.
     """
 
     L1: float
@@ -77,8 +73,8 @@ class TorusGeometry:
                 and self.N >= 1):
             raise ValueError("flux quantum count N must be a positive integer")
         object.__setattr__(self, "N", int(self.N))
-        area = self.L1 * self.L2
-        if abs(area - self.N * math.pi) > _AREA_RTOL * self.N * math.pi:
+        area, target = self.L1 * self.L2, self.N * math.pi
+        if abs(area - target) > tolerances.get("geometry_area_rel") * target:
             raise NonIntegralFlux(area / math.pi)
 
     @classmethod
@@ -101,14 +97,16 @@ def dirac_quantize(L1: float, L2: float) -> int:
     """Number of flux quanta for a torus with natural-unit sides L1, L2.
 
     Returns N = L1*L2/pi when that is an integer >= 1 within relative
-    tolerance 1e-9; raises NonIntegralFlux otherwise (the exception records
-    the fractional part).
+    tolerance flux_integrality_rel, a gate on physical input that carries
+    measurement noise; raises NonIntegralFlux otherwise (the exception
+    records the fractional part).
     """
     if not (L1 > 0 and L2 > 0):
         raise ValueError("torus sides must be strictly positive")
     ratio = L1 * L2 / math.pi
     n = round(ratio)
-    if n < 1 or abs(ratio - n) > FLUX_INT_RTOL * max(1.0, abs(ratio)):
+    tol = tolerances.get("flux_integrality_rel")
+    if n < 1 or abs(ratio - n) > tol * max(1.0, abs(ratio)):
         raise NonIntegralFlux(ratio)
     return n
 
@@ -117,9 +115,9 @@ def to_natural(cfg: PhysicalConfig) -> TorusGeometry:
     """Convert a physical configuration to natural units.
 
     The flux B*L1*L2 must be an integer multiple of hc/e within relative
-    tolerance 1e-9.  Input float noise inside that gate is absorbed by an
-    aspect-preserving rescale so the returned geometry satisfies
-    L1*L2 = N*pi exactly (to 1e-12).
+    tolerance flux_integrality_rel.  Input float noise inside that gate is
+    absorbed by an aspect-preserving rescale so the returned geometry
+    satisfies L1*L2 = N*pi exactly (to geometry_area_rel).
     """
     unit = cfg.length_unit
     L1 = cfg.L1_phys / unit

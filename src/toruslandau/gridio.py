@@ -39,21 +39,18 @@ def write_matrix(field: GridField, path) -> Path:
     return _write_rows(field, path, " ")
 
 
+def _header(field: GridField) -> dict:
+    """Quantity, resolution and geometry, shared by the JSON writers."""
+    geo = field.geometry
+    return {"quantity": field.name, "nx": field.nx, "ny": field.ny,
+            "geometry": {"L1": geo.L1, "L2": geo.L2, "N": geo.N}}
+
+
 def write_json_grid(field: GridField, path) -> Path:
     """Whole grid as one JSON document: metadata plus the value rows."""
     _require_real(field)
     path = Path(path)
-    payload = {
-        "quantity": field.name,
-        "nx": field.nx,
-        "ny": field.ny,
-        "geometry": {
-            "L1": field.geometry.L1,
-            "L2": field.geometry.L2,
-            "N": field.geometry.N,
-        },
-        "values": [[float(v) for v in row] for row in field.values],
-    }
+    payload = {**_header(field), "values": np.asarray(field.values, dtype=float).tolist()}
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
     return path
 
@@ -68,17 +65,7 @@ def write_sidecar(field: GridField, path, extra: dict | None = None) -> Path:
     }
     if np.iscomplexobj(vals):
         stats["max_abs"] = float(np.max(np.abs(vals)))
-    payload = {
-        "quantity": field.name,
-        "nx": field.nx,
-        "ny": field.ny,
-        "geometry": {
-            "L1": field.geometry.L1,
-            "L2": field.geometry.L2,
-            "N": field.geometry.N,
-        },
-        "statistics": stats,
-    }
+    payload = {**_header(field), "statistics": stats}
     if extra:
         payload.update(extra)
     path = Path(path)

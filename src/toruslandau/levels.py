@@ -359,9 +359,12 @@ def log_linear_fit(ns, ds) -> dict:
 
     Returns {"slope", "intercept", "fit_residual"} with fit_residual =
     rms(log d - fit) / rms(log d - mean), the fraction of the variation the
-    affine fit fails to explain.
+    affine fit fails to explain.  Needs at least two distinct N (ValueError
+    otherwise): a line through one point leaves no residual to judge.
     """
     ns = np.asarray(ns, dtype=float)
+    if len(set(ns.tolist())) < 2:
+        raise ValueError(f"a log-linear fit needs two distinct N, got {ns.tolist()}")
     logd = np.log(np.asarray(ds, dtype=float))
     slope, intercept = np.polyfit(ns, logd, 1)
     resid = logd - (slope * ns + intercept)
@@ -372,7 +375,7 @@ def log_linear_fit(ns, ds) -> dict:
 
 def deviation_decay(geometry_for, levels=(0,), n_values=range(1, 11),
                     nx: int | None = None) -> dict:
-    """Table of d(N) per level plus its log_linear_fit.
+    """Table of d(N) per level plus its log_linear_fit (two N at least).
 
     geometry_for: callable N -> TorusGeometry.  Returns
     {level: {"d": array, "slope": b, "intercept": a, "fit_residual": r}}.

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import IndexMismatch, ZeroNorm
 from .geometry import TorusGeometry
 
@@ -399,7 +400,7 @@ def verify_recurrence(geometry: TorusGeometry, nu: int, n: int) -> bool:
 
     The coefficients c_n = exp{-pi n^2 L2/(N L1)} must satisfy
     c_n = c_{n-N} * exp{-2 n pi L2/L1 + 2 N pi L2/L1 - L2^2}; returns True
-    when the log-space identity holds within 1e-14 relative.
+    when the log-space identity holds within recurrence_rel, relative.
     """
     L1, L2, n_flux = geometry.L1, geometry.L2, geometry.N
     if (n - nu) % n_flux != 0:
@@ -407,7 +408,8 @@ def verify_recurrence(geometry: TorusGeometry, nu: int, n: int) -> bool:
     lhs = -math.pi * n * n * L2 / (n_flux * L1)
     rhs = -math.pi * (n - n_flux) ** 2 * L2 / (n_flux * L1) \
         - 2 * n * math.pi * L2 / L1 + 2 * n_flux * math.pi * L2 / L1 - L2 * L2
-    return abs(lhs - rhs) <= 1e-14 * max(abs(lhs), abs(rhs), 1.0)
+    scale = max(abs(lhs), abs(rhs), 1.0)
+    return abs(lhs - rhs) <= tolerances.get("recurrence_rel") * scale
 
 
 def normalize(psi: ThetaBasisFunction, nx: int | None = None,

@@ -1,8 +1,11 @@
-"""Central table of the verification tolerances.
+"""Central table of the package's tolerances.
 
-Every acceptance check reads its threshold from here, and the CLI prints
-this table with --show-tolerances, so the thresholds in force are always
-inspectable in one place.
+Every threshold the package applies lives here: the acceptance checks', the
+construction gates' (flux integrality, torus area, mesh validity) and the
+classifiers' (lattice displacements, Wintner consistency).  Each consumer
+calls get(name) where it applies the bound, never at import time, so the
+table can be patched in one place.  The CLI prints it with
+--show-tolerances and every run_manifest.json records it.
 """
 
 TOLERANCES = {
@@ -16,8 +19,10 @@ TOLERANCES = {
     "density_shift_abs": (1e-10, "rho invariance under lattice shifts"),
     "density_mean_abs": (1e-10, "mean(rho)*L1*L2 vs N"),
     "decay_fit_rel": (0.10, "rms residual of the log-linear d(N) fit, relative"),
+    "lattice_abs": (1e-12, "integer residuals of lattice displacements and periods"),
     "unitarity_abs": (1e-10, "lattice translation matrix unitarity defect"),
     "commutator_matrix_abs": (1e-9, "four-factor matrix product vs commutator phase"),
+    "commutator_phase_abs": (1e-12, "commutator phase vs exp(2 pi i/N)"),
     "projection_defect_lattice": (1e-10, "projection defect at lattice displacements"),
     "projection_defect_half": (1e-4, "minimum defect at half-lattice midpoints"),
     "wintner_abs": (1e-12, "determinant consistency phase vs 1 on the lattice"),
@@ -25,15 +30,15 @@ TOLERANCES = {
     "rayleigh_ground_abs": (1e-12, "Rayleigh quotient on level 0"),
     "energy_level1_abs": (1e-8, "Rayleigh quotient vs 2 on level 1, hbar*omega units"),
     "eigen_residual_rel": (1e-8, "||H s - 2 s|| / ||s|| for raised sections"),
-    "holomorphy_abs": (1e-8, "finite-difference |dbar psi| / max |psi|"),
-    "hamiltonian_commutation_rel": (1e-8, "||[H, T_a]s|| via finite differences"),
-    "section_boundary_rel": (1e-10, "raised-section boundary law residual"),
+    "lift_closure_abs": (1e-9, "edge wraps of a triangle close its planar lift"),
+    "mesh_area_rel": (1e-12, "triangle areas sum to L1*L2, relative"),
+    "cocycle_constancy_rel": (1e-10, "triple chi sum spread, relative to max(1, |c|)"),
     "triangle_identity_rel": (1e-10, "per-triangle flux identity, relative"),
+    "triangle_identity_abs": (1e-14, "absolute floor of the per-triangle identity"),
     "cocycle_sum_rel": (1e-9, "sum of cocycle constants vs B*L1*L2"),
     "weil_integrality_rel": (1e-9, "flux/(2 pi) vs nearest integer"),
     "edge_cancellation_abs": (1e-10, "mesh total of vertex+edge identity pieces"),
     "quadrature_doubling_abs": (1e-12, "inner-product change when the grid doubles"),
-    "normalization_abs": (1e-12, "norm of normalized sections vs 1"),
 }
 
 

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import NotAPeriod
 from .geometry import TorusGeometry
 from .levels import (PolynomialSection, Quadrature, apply_hamiltonian,
                      as_section, _sampled_level)
 from . import numdiff
-
-LATTICE_ATOL = 1e-12
 
 
 def _displacement(a) -> complex:
@@ -49,19 +48,22 @@ def _displacement(a) -> complex:
     return a
 
 
-def lattice_indices(a, geometry: TorusGeometry, atol: float = LATTICE_ATOL):
+def _near_integers(f1: float, f2: float) -> bool:
+    """Both within lattice_abs of an integer."""
+    tol = tolerances.get("lattice_abs")
+    return abs(f1 - round(f1)) <= tol and abs(f2 - round(f2)) <= tol
+
+
+def lattice_indices(a, geometry: TorusGeometry):
     """(n1, n2) with a = (n1 L1 + i n2 L2)/N, or None if a is off-lattice.
 
-    Classification uses absolute tolerance `atol` on the integer residuals;
-    inputs are exact rationals of the sides in practice.
+    Classification uses absolute tolerance lattice_abs on the integer
+    residuals; inputs are exact rationals of the sides in practice.
     """
     a = _displacement(a)
     f1 = a.real * geometry.N / geometry.L1
     f2 = a.imag * geometry.N / geometry.L2
-    n1, n2 = round(f1), round(f2)
-    if abs(f1 - n1) <= atol and abs(f2 - n2) <= atol:
-        return n1, n2
-    return None
+    return (round(f1), round(f2)) if _near_integers(f1, f2) else None
 
 
 def is_lattice(a, geometry: TorusGeometry) -> bool:
@@ -198,9 +200,7 @@ def bundle_shift_phase(a, ell, geometry: TorusGeometry) -> complex:
     """
     a = _displacement(a)
     ell = complex(ell)
-    k1 = ell.real / geometry.L1
-    k2 = ell.imag / geometry.L2
-    if abs(k1 - round(k1)) > LATTICE_ATOL or abs(k2 - round(k2)) > LATTICE_ATOL:
+    if not _near_integers(ell.real / geometry.L1, ell.imag / geometry.L2):
         raise NotAPeriod(f"{ell} is not an integer combination of L1 and iL2")
     return complex(np.exp(np.conj(a) * ell - a * np.conj(ell)))
 
@@ -213,17 +213,18 @@ class WintnerResult:
     phase: complex
 
 
-def wintner_check(n_dim: int, a, b, tol: float = 1e-12) -> WintnerResult:
+def wintner_check(n_dim: int, a, b) -> WintnerResult:
     """Determinant obstruction for an N-dimensional commutator pair.
 
     An N x N unitary pair with commutator exp(conj(a) b - a conj(b)) forces
-    exp(2 i N Im(conj(a) b)) = 1; returns whether that holds within tol.
-    Lattice displacements with L1 L2 = N pi satisfy it, generic ones do not.
+    exp(2 i N Im(conj(a) b)) = 1; returns whether that holds within
+    wintner_abs.  Lattice displacements with L1 L2 = N pi satisfy it,
+    generic ones do not.
     """
     a = _displacement(a)
     b = _displacement(b)
     phase = complex(np.exp(2j * n_dim * (np.conj(a) * b).imag))
-    return WintnerResult(abs(phase - 1.0) <= tol, phase)
+    return WintnerResult(abs(phase - 1.0) <= tolerances.get("wintner_abs"), phase)
 
 
 def hamiltonian_commutation_residual(geometry: TorusGeometry, a, s,

@@ -9,8 +9,8 @@ from toruslandau.levels import (GridField, PolynomialSection,
                                 default_resolution, density_map,
                                 deviation_decay, gram_matrix, ground_section,
                                 hermitian_density, inner_product, level_basis,
-                                local_extrema, periodic_grid, raise_section,
-                                rayleigh_quotient)
+                                local_extrema, log_linear_fit, periodic_grid,
+                                raise_section, rayleigh_quotient)
 from toruslandau.lll_basis import (boundary_factors, eval_fourier,
                                    eval_gaussian, ground_basis,
                                    normalized_basis, theta_basis)
@@ -278,6 +278,20 @@ class TestDensityMap:
         assert np.all(np.diff(d) < 0)
         assert table[0]["slope"] < -1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ns, ds", [([1], [0.5]), ([2, 2], [0.5, 0.4]), ([], [])])
+    def test_log_linear_fit_needs_two_distinct_n(self, ns, ds):
+        # one N leaves no variation to fit: an error, not inf/nan with warnings
+        with pytest.raises(ValueError, match="two distinct N"):
+            log_linear_fit(ns, ds)
+
+    @pytest.mark.filterwarnings("error")
+    def test_deviation_decay_needs_two_n(self):
+        with pytest.raises(ValueError, match="two distinct N"):
+            deviation_decay(TorusGeometry.square, n_values=[1])
+        fit = log_linear_fit([1, 2], [0.5, 0.2])   # two points: an exact line
+        assert fit["fit_residual"] < 1e-12 and fit["slope"] == pytest.approx(np.log(0.4))
+
     def test_decay_fit_shared_with_criterion_5(self, monkeypatch):
         # deviation_decay and check_symmetry_breaking fit the same d table
         # identically
@@ -326,7 +340,7 @@ class TestGridFieldAndSerialization:
 
     def test_writers_byte_exact(self, tmp_path, geo2):
         # repr keeps signed zeros, extreme exponents and the shortest
-        # round-trip digits; both writers share that format
+        # round-trip digits; the row writers and both JSON writers share that format
         values = np.array([[-0.0, 1e-300, 0.1, 1 / 3, 1e300]] * 4)
         field = GridField(geo2, "awkward", values)
         row = ["-0.0", "1e-300", "0.1", "0.3333333333333333", "1e+300"]
@@ -334,6 +348,18 @@ class TestGridFieldAndSerialization:
         assert csv == ((",".join(row) + "\n") * 4).encode()
         mat = gridio.write_matrix(field, tmp_path / "a.dat").read_bytes()
         assert mat == ((" ".join(row) + "\n") * 4).encode()
+        side = repr(geo2.L1)
+        geometry = f'"geometry": {{"L1": {side}, "L2": {side}, "N": 2}}'
+        header = f'{geometry}, "nx": 5, "ny": 4, "quantity": "awkward"'
+        rows = ", ".join(["[" + ", ".join(row) + "]"] * 4)
+        grid = gridio.write_json_grid(field, tmp_path / "a.grid.json").read_bytes()
+        assert grid == f'{{{header}, "values": [{rows}]}}\n'.encode()
+        sidecar = gridio.write_sidecar(field, tmp_path / "a.json").read_bytes()
+        assert sidecar == "\n".join([
+            "{", '  "geometry": {', f'    "L1": {side},', f'    "L2": {side},',
+            '    "N": 2', "  },", '  "nx": 5,', '  "ny": 4,', '  "quantity": "awkward",',
+            '  "statistics": {', '    "max": 1e+300,', '    "mean": 2e+299,',
+            '    "min": -0.0', "  }", "}", ""]).encode()
 
     def test_matrix_format(self, tmp_path, geo2):
         field = GridField(geo2, "demo", np.ones((4, 4)))

@@ -14,7 +14,7 @@ from .geometry import (PhysicalConfig, TorusGeometry, dirac_quantize,
                        parse_config, resolve_geometry, to_natural)
 from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
                         boundary_residual, double_shift_factors,
-                        eval_fourier, eval_gaussian,
+                        eval_fourier, eval_fourier_stack, eval_gaussian,
                         ground_basis, normalize, normalized_basis,
                         theta_basis, verify_recurrence)
 from .levels import (DensityMap, GridField, PolynomialSection,

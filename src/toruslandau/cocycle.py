@@ -209,7 +209,12 @@ def triangle_identity(tri: Triangulation):
     They agree to rounding for every triangle; the vertex and edge pieces
     cancel pairwise when summed over a closed mesh, leaving flux = sum of c.
     """
-    lhs, cocycle_term, vertex_term, edge_term = _identity_parts(tri)
+    return _identity_sides(_identity_parts(tri))
+
+
+def _identity_sides(parts):
+    """(lhs, rhs) of the per-triangle identity from the parts of _identity_parts."""
+    lhs, cocycle_term, vertex_term, edge_term = parts
     return lhs, cocycle_term - vertex_term / 2 + edge_term / 2
 
 
@@ -231,7 +236,12 @@ def total_flux(tri: Triangulation) -> FluxResult:
     whether flux/(2 pi) is an integer, i.e. whether a consistent bundle
     exists.  Both thresholds come from the tolerance table.
     """
-    total = float(np.sum(cocycle_constant(tri)))
+    return _flux_result(tri, cocycle_constant(tri))
+
+
+def _flux_result(tri: Triangulation, constant: np.ndarray) -> FluxResult:
+    """total_flux, given the per-triangle constants of tri."""
+    total = float(np.sum(constant))
     flux = tri.B * tri.L1 * tri.L2
     scale = max(abs(flux), 1.0)
     holds = abs(total - flux) <= tolerances.get("cocycle_sum_rel") * scale

@@ -24,7 +24,8 @@ def _write_rows(field: GridField, path, sep: str) -> Path:
     """One line per y-row, the repr of each value, separated by sep."""
     _require_real(field)
     path = Path(path)
-    rows = [sep.join(repr(float(v)) for v in row) for row in field.values]
+    rows = [sep.join(map(repr, row))
+            for row in np.asarray(field.values, dtype=float).tolist()]
     path.write_text("\n".join(rows) + "\n")
     return path
 

@@ -20,8 +20,9 @@ on which d/dz, dbar and the creation operator act term by term:
 Hamiltonian in units of hbar*omega (zero-point term dropped) is
 H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
 
-A level basis is sampled on the quadrature grid once, to normalize it; the
-density map and the translation matrices reuse those samples.
+A level basis is sampled on the quadrature grid once, to normalize it, one
+stacked grid pass per derivative order of its terms; the density map and the
+translation matrices reuse those samples.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import GeometryMismatch, ZeroNorm
 from .geometry import TorusGeometry
-from .lll_basis import ThetaBasisFunction, eval_fourier, ground_basis
+from .lll_basis import ThetaBasisFunction, eval_fourier_stack, ground_basis
 
 
 def default_resolution(geometry: TorusGeometry) -> int:
@@ -68,10 +69,23 @@ class Quadrature:
         self.cell = (geometry.L1 / nx) * (geometry.L2 / ny)
 
     def sample(self, sections) -> np.ndarray:
-        """Values of each section at the grid points."""
-        out = np.empty((len(sections), self.ny, self.nx), dtype=complex)
-        for i, s in enumerate(sections):
-            out[i] = as_section(s)(self.z)
+        """Values of each section at the grid points.
+
+        Ground states alone (ThetaBasisFunction) are one stacked grid pass,
+        and the stack is the result.  Otherwise the distinct (psi, k) of all
+        the sections are sampled once, one stacked grid pass per derivative
+        order, and each stack is added into the sections before the next is
+        taken.
+        """
+        if all(isinstance(s, ThetaBasisFunction) for s in sections):
+            return eval_fourier_stack(sections, self.z)
+        sections = [as_section(s) for s in sections]
+        out = np.zeros((len(sections), self.ny, self.nx), dtype=complex)
+        keys = ((psi, k) for s in sections for _, psi, k, _ in s.terms)
+        for samples in _term_stacks(keys, self.z):
+            for s, acc in zip(sections, out):
+                s._add_terms(self.z, samples, acc)
+            del samples  # free this stack before the next one is taken
         return out
 
     def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -81,8 +95,8 @@ class Quadrature:
         return wu @ v.reshape(len(v), -1).T * self.cell
 
     def norms(self, values: np.ndarray) -> np.ndarray:
-        """Norms sqrt(<v_i|v_i>) of a sample stack."""
-        return np.sqrt(np.sum(self.weight * np.abs(values) ** 2, axis=(1, 2))
+        """Norms sqrt(<v_i|v_i>) of a sample stack, one sample at a time."""
+        return np.sqrt(np.array([np.sum(self.weight * np.abs(v) ** 2) for v in values])
                        * self.cell)
 
 
@@ -125,12 +139,16 @@ class PolynomialSection:
         """Values at z; each distinct (psi, k) is evaluated once."""
         z = np.asarray(z, dtype=complex)
         samples = {}
-        acc = np.zeros(z.shape, dtype=complex)
+        for stack in _term_stacks(((psi, k) for _, psi, k, _ in self.terms), z):
+            samples.update(stack)
+        return self._add_terms(z, samples, np.zeros(z.shape, dtype=complex))
+
+    def _add_terms(self, z, samples, acc):
+        """Add into acc, in term order, the terms whose psi^(k) at z is in samples."""
         for p, psi, k, w in self.terms:
-            if (psi, k) not in samples:
-                samples[psi, k] = eval_fourier(psi, z, k)
-            term = w * samples[psi, k]
-            acc = acc + (term * np.conj(z) ** p if p else term)
+            if (psi, k) in samples:
+                term = w * samples[psi, k]
+                np.add(acc, term * np.conj(z) ** p if p else term, out=acc)
         return acc
 
     def __add__(self, other: "PolynomialSection") -> "PolynomialSection":
@@ -147,6 +165,19 @@ class PolynomialSection:
 
     def __sub__(self, other: "PolynomialSection") -> "PolynomialSection":
         return self + other * (-1.0)
+
+
+def _term_stacks(keys, z):
+    """Yield {(psi, k): psi^(k)(z)} for the distinct (psi, k) of keys.
+
+    One dict per geometry and derivative order, in order of first use: its
+    ground states are evaluated as one stack, on a tensor grid one grid pass.
+    """
+    groups = {}
+    for psi, k in dict.fromkeys(keys):
+        groups.setdefault((psi.geometry, k), []).append(psi)
+    for (_, k), psis in groups.items():
+        yield dict(zip(((psi, k) for psi in psis), eval_fourier_stack(psis, z, k)))
 
 
 def ground_section(psi: ThetaBasisFunction) -> PolynomialSection:
@@ -302,10 +333,11 @@ def _sampled_level(quad: Quadrature, level: int):
     """
     if level not in (0, 1):
         raise ValueError("only levels 0 and 1 are supported")
-    sections = [ground_section(p) for p in ground_basis(quad.geometry)]
+    psis = ground_basis(quad.geometry)
+    sections = [ground_section(p) for p in psis]
     if level == 1:
         sections = [raise_section(s) for s in sections]
-    vals = quad.sample(sections)
+    vals = quad.sample(psis if level == 0 else sections)
     scales = 1.0 / quad.norms(vals)
     vals *= scales[:, None, None]
     return [s * c for s, c in zip(sections, scales)], vals

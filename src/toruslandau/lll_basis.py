@@ -30,14 +30,19 @@ hundred.  The Fourier series has two paths:
              (n, x) and the phase e^{i x y} of e^{z^2/2}, so a section is
              one (rows x K) @ (K x columns) matrix product times that
              phase, formed a block of rows at a time, with each row's peak
-             factored out.
+             factored out.  A stack of sections of one torus and one
+             derivative order is one pass: the column factors, the phase
+             and the derivative weights are built once per block of rows
+             and shared, and each section keeps its own row peaks, so its
+             samples are bit-identical to those of a one-section call.
   pointwise  any other z: every term's full exponent per point, with each
              point's own peak factored out.
 
-eval_fourier is the one evaluator of the package: every section of the
-levels module, and every z-derivative (its `order` argument), is sampled
-through it.  eval_gaussian, always pointwise, is the independent reference
-that the tests and the Poisson-duality check compare it with.
+eval_fourier_stack is the one evaluator of the package, and eval_fourier
+its one-section case: every section of the levels module, and every
+z-derivative (the `order` argument), is sampled through it.  eval_gaussian,
+always pointwise, is the independent reference that the tests and the
+Poisson-duality check compare it with.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import IndexMismatch, ZeroNorm
+from .errors import GeometryMismatch, IndexMismatch, ZeroNorm
 from .geometry import TorusGeometry
 
 _LD = np.longdouble
@@ -209,26 +214,35 @@ def _is_grid(arr) -> bool:
             and np.array_equal(arr.imag, np.broadcast_to(arr.imag[:, :1], arr.shape)))
 
 
-def _fourier_grid(psi: ThetaBasisFunction, z, order: int):
-    """eval_fourier on a tensor grid z[j, i] = x[i] + 1j*y[j].
+def _fourier_grid(psis, z, order: int):
+    """d^order psi on a tensor grid z[j, i] = x[i] + 1j*y[j], for each psi of psis.
 
-    With e^{z^2/2} = e^{x^2/2} e^{-y^2/2} e^{i x y}, the term for index n is
+    The sections share one geometry.  With e^{z^2/2} = e^{x^2/2} e^{-y^2/2}
+    e^{i x y}, the term for index n is
         [exp{-pi n^2 L2/(N L1) - 2 pi n y/L1 - y^2/2}]     row (y, n)
       * [exp{x^2/2 + 2 pi i n x/L1}]                       column (n, x)
       * exp{i x y},
-    so the sum over n is a (rows x K) @ (K x nx) product times a pointwise
+    so each sum over n is a (rows x K) @ (K x nx) product times a pointwise
     phase.  Exponents are assembled in long double; each row's peak is
     factored out of the row factor, and phases are reduced mod 2pi, before
     the cast to double.  A derivative carries the factor q(z + b_n) with
     b_n = 2 pi i n/L1 (see _prefactor_coeffs); expanding it as
     sum_j q^(j)(z)/j! b_n^j costs one more product per power of b_n.
+
+    The column factors of every index in the sections' windows are built
+    once, and the phase e^{i x y} and the Taylor weights q^(j)(z)/j! once
+    per block of rows, all shared by the stack; each section keeps its own
+    row peaks, so its samples are bit-identical to those of a one-section
+    call.  Returns an array of shape (len(psis), ny, nx).
     """
-    geo = psi.geometry
+    geo = psis[0].geometry
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
     ny, nx = z.shape
     ys = z[:, 0].imag
-    ns = _fourier_indices(psi, ys)
-    nl = ns.astype(_LD)
+    windows = [_fourier_indices(psi, ys) for psi in psis]
+    every = np.array(sorted(set(np.concatenate(windows).tolist())))
+    picks = [np.searchsorted(every, ns) for ns in windows]
+    nl = every.astype(_LD)
     L1l, L2l, pil, two_pi = _LD(L1), _LD(L2), _LD(np.pi), _LD(_TWO_PI)
 
     x = z[0].real.astype(_LD)
@@ -236,51 +250,55 @@ def _fourier_grid(psi: ThetaBasisFunction, z, order: int):
     col = np.asarray(np.exp(x * x / 2), dtype=float) \
         * np.exp(1j * np.asarray(col_phase, dtype=float))
     col = col.view(float)            # (K, 2 nx): real and imaginary parts
+    cols = [col[pick] for pick in picks]
     quad = -pil * nl * nl * L2l / (n_flux * L1l)
 
     q = _prefactor_coeffs(order, 1.0)
     taylor = [[math.comb(p, j) * q[p] for p in range(j, len(q))]
               for j in range(len(q))]
-    b = _TWO_PI * ns / L1            # b_n / i
+    b = _TWO_PI * every / L1         # b_n / i
 
-    out = np.empty(z.shape, dtype=complex)
+    out = np.empty((len(psis), ny, nx), dtype=complex)
     step = max(1, _BLOCK_POINTS // nx)
     for start in range(0, ny, step):
         rows = slice(start, start + step)
         y = ys[rows].astype(_LD)[:, None]
         re = quad - two_pi * nl * y / L1l
-        peak = re.max(axis=1, keepdims=True)
-        row = np.exp(np.asarray(re - peak, dtype=float))
-        sums = 0
-        for j, coeffs in enumerate(taylor):
-            s = ((row * b**j) @ col).view(complex)
-            weight = coeffs[0] if len(coeffs) == 1 else _eval_poly(coeffs, z[rows])
-            sums = sums + (weight * 1j**j) * s
-        scale = psi.norm_const * np.asarray(np.exp(peak - y * y / 2), dtype=float)
+        half_y2 = y * y / 2
+        weights = [(coeffs[0] if len(coeffs) == 1 else _eval_poly(coeffs, z[rows])) * 1j**j
+                   for j, coeffs in enumerate(taylor)]
         gauge = np.exp(1j * np.asarray(np.mod(x * y, two_pi), dtype=float))
-        out[rows] = scale * gauge * sums
+        sums, term = np.empty((2, len(y), nx), dtype=complex)
+        for i, (psi, pick, col_i) in enumerate(zip(psis, picks, cols)):
+            re_i = re[:, pick]
+            peak = re_i.max(axis=1, keepdims=True)
+            row = np.exp(np.asarray(re_i - peak, dtype=float))
+            # sums = 0 + sum_j weight_j * product_j, in place but in that
+            # operand order: with fused multiply-adds, complex products do
+            # not commute bit for bit
+            for j, weight in enumerate(weights):
+                product = term if j else sums
+                np.matmul(row * b[pick]**j, col_i, out=product.view(float))
+                np.multiply(weight, product, out=product)
+                np.add(sums if j else 0, product, out=sums)
+            scale = psi.norm_const * np.asarray(np.exp(peak - half_y2), dtype=float)
+            np.multiply(scale, gauge, out=out[i, rows])
+            out[i, rows] *= sums
     return out
 
 
-def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
-    """Evaluate d^order/dz^order of psi at z through the Fourier series.
-
-    z may be a complex scalar or array; the function is entire, so any
-    finite z is accepted (the term window adapts to Im z).  Truncation keeps
-    the largest dropped term below 1e-16 of the largest kept one.  A 2-D
-    tensor grid takes the matrix-product path (_fourier_grid); any other z
-    is evaluated point by point.
-    """
-    geo = psi.geometry
-    L1, L2, n_flux = geo.L1, geo.L2, geo.N
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+def _points(z) -> np.ndarray:
+    """z as an at-least-1-D complex array; ValueError unless every point is finite."""
+    arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.all(np.isfinite(arr)):
         raise ValueError("evaluation point must be finite")
-    if _is_grid(arr):
-        return _fourier_grid(psi, arr, order)
+    return arr
 
+
+def _fourier_points(psi: ThetaBasisFunction, arr, order: int):
+    """eval_fourier at arbitrary points: every term's full exponent per point."""
+    geo = psi.geometry
+    L1, L2, n_flux = geo.L1, geo.L2, geo.N
     ns = _fourier_indices(psi, arr.imag)
 
     x = arr.real.astype(_LD)[..., None]
@@ -298,8 +316,39 @@ def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
         w = arr[..., None] + 2j * np.pi * ns / L1   # dE/dz per term
         poly = _eval_poly(_prefactor_coeffs(order, 1.0), w)
 
-    out = psi.norm_const * _peak_split_sum(re, ph, poly)
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    return psi.norm_const * _peak_split_sum(re, ph, poly)
+
+
+def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
+    """d^order/dz^order of each section of psis at z, shape (len(psis),) + z.shape.
+
+    On a 2-D tensor grid the whole stack is one pass of _fourier_grid, so the
+    sections must share one geometry (GeometryMismatch otherwise); any other
+    z is evaluated point by point, one section at a time.
+    """
+    arr = _points(z)
+    if not psis:
+        return np.empty((0,) + np.shape(z), dtype=complex)
+    if _is_grid(arr):
+        if any(psi.geometry != psis[0].geometry for psi in psis):
+            raise GeometryMismatch("stacked sections live on different tori")
+        return _fourier_grid(psis, arr, order)
+    out = np.stack([_fourier_points(psi, arr, order) for psi in psis])
+    return out.reshape((len(psis),) + np.shape(z))
+
+
+def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
+    """Evaluate d^order/dz^order of psi at z through the Fourier series.
+
+    z may be a complex scalar or array; the function is entire, so any
+    finite z is accepted (the term window adapts to Im z).  Truncation keeps
+    the largest dropped term below 1e-16 of the largest kept one.  This is
+    the one-section case of eval_fourier_stack: a 2-D tensor grid takes the
+    matrix-product path (_fourier_grid); any other z is evaluated point by
+    point.
+    """
+    out = eval_fourier_stack((psi,), z, order)[0]
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):

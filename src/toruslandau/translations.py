@@ -18,6 +18,17 @@ forces a finite-dimensional representation onto that discrete subgroup
 (taking determinants gives 1 = exp(2 i N Im(conj(a) b)), impossible for
 continuous a, b).
 
+A level matrix projects T_a s_nu onto the sampled level basis by quadrature.
+When a is a node of the quadrature grid's own lattice (L1/nx)Z + i(L2/ny)Z,
+which on the default grids holds every lattice and half-lattice point, z - a
+is again a grid point up to whole periods.  T_a s_nu on the grid is then the
+held samples of s_nu, index-rolled, times one factor exp(conj(a) z - |a|^2/2
++ E) shared by the whole level, with E the boundary exponent of the integer
+wrap counts; no section is evaluated again.  Any other a falls back to
+translate_section, one section at a time.  Either way the shifted sections
+are projected a block of nu at a time, one matrix product for the entries
+and one for the residual, so the temporaries stay a fraction of the samples.
+
 The formal infinitesimal generators i z - i(d/dz + dbar) and
 -i z - i(d/dz - dbar) are documentation only: they do not map sections to
 sections (already d/dz alone breaks the boundary law), which is the
@@ -86,10 +97,15 @@ def reduce_to_fundamental(geometry: TorusGeometry, w):
     n1 = np.floor(w.real / L1).astype(int)
     n2 = np.floor(w.imag / L2).astype(int)
     w0 = w - n1 * L1 - 1j * n2 * L2
-    exponent = (n1 * L1 - 1j * n2 * L2) * w0 \
+    return w0, _wrap_exponent(geometry, w0, n1, n2)
+
+
+def _wrap_exponent(geometry: TorusGeometry, w0, n1, n2):
+    """E with s(w0 + n1 L1 + i n2 L2) = s(w0) exp(E), see reduce_to_fundamental."""
+    L1, L2 = geometry.L1, geometry.L2
+    return (n1 * L1 - 1j * n2 * L2) * w0 \
         + (n1**2 * L1**2 + n2**2 * L2**2) / 2 \
         + 1j * (n1 * n2 * geometry.N) * math.pi
-    return w0, exponent
 
 
 def translate_section(a, s, z):
@@ -153,15 +169,66 @@ def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
     return _project(quad, a, level, basis, vals)
 
 
+def _grid_shift(quad: Quadrature, a: complex):
+    """(m1, m2) with a = m1 L1/nx + i m2 L2/ny, or None if a is off the grid lattice.
+
+    Judged like lattice_indices, with lattice_abs on the integer residuals.
+    """
+    f1 = a.real * quad.nx / quad.geometry.L1
+    f2 = a.imag * quad.ny / quad.geometry.L2
+    return (round(f1), round(f2)) if _near_integers(f1, f2) else None
+
+
+def _roll_factor(quad: Quadrature, a: complex, m1: int, m2: int) -> np.ndarray:
+    """F with (T_a s)(z[j, i]) = F[j, i] s(z[(j - m2) % ny, (i - m1) % nx]).
+
+    F = exp(conj(a) z - |a|^2/2 + E), where E is the boundary exponent of the
+    integer wraps i - m1 = i0 + n1 nx and j - m2 = j0 + n2 ny.  It holds for
+    every section with trivial boundary phases, so one F serves a level.
+    """
+    n1, i0 = np.divmod(np.arange(quad.nx) - m1, quad.nx)
+    n2, j0 = np.divmod(np.arange(quad.ny) - m2, quad.ny)
+    exponent = _wrap_exponent(quad.geometry, quad.z[np.ix_(j0, i0)],
+                              n1[None, :], n2[:, None])
+    return np.exp(np.conj(a) * quad.z - abs(a) ** 2 / 2 + exponent)
+
+
 def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> TranslationMatrix:
-    """translation_matrix on a basis already sampled on quad (vals)."""
+    """translation_matrix on a basis already sampled on quad (vals).
+
+    On the grid lattice, T_a s_nu is the held samples index-rolled times one
+    factor; elsewhere each T_a s_nu is evaluated with translate_section.  The
+    shifted sections are projected a block of nu at a time: one product for
+    the entries and one for the residual, conjugating only the block.
+    """
     n = len(basis)
-    entries = np.zeros((n, n), dtype=complex)
-    defects = np.zeros(n)
-    for nu in range(n):
-        shifted = translate_section(a, basis[nu], quad.z)[None]
-        entries[nu] = quad.gram(vals, shifted)[:, 0]
-        defects[nu] = quad.norms(shifted - np.tensordot(entries[nu], vals, axes=1))[0]
+    shift = _grid_shift(quad, a)
+    if shift is not None:
+        factor = _roll_factor(quad, a, *shift)
+    flat = vals.reshape(n, -1)
+    weight = quad.weight.ravel()
+    entries = np.empty((n, n), dtype=complex)
+    defects = np.empty(n)
+    # an eighth of the level at a time: the two block temporaries stay
+    # within a quarter of the size of the samples
+    step = max(1, n // 8)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        if shift is None:
+            shifted = np.empty_like(vals[block])
+            for k, s in enumerate(basis[block]):
+                shifted[k] = translate_section(a, s, quad.z)
+        else:
+            shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))
+            shifted *= factor
+        shifted = shifted.reshape(len(shifted), -1)
+        # <s_mu|T_a s_nu> = cell * conj(sum_p s_mu conj(weight T_a s_nu))
+        work = np.multiply(shifted, weight)
+        np.conjugate(work, out=work)
+        entries[block] = (flat @ work.T).T.conj() * quad.cell
+        np.matmul(entries[block], flat, out=work)
+        np.subtract(shifted, work, out=work)
+        defects[block] = quad.norms(work.reshape(-1, quad.ny, quad.nx))
     return TranslationMatrix(quad.geometry, a, level, entries, defects)
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toruslandau import cocycle, lll_basis
 from toruslandau.cli import main
-from toruslandau.cocycle import cocycle_constant, triangle_identity, uniform_mesh
+from toruslandau.cocycle import (cocycle_constant, total_flux, triangle_identity,
+                                 uniform_mesh)
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import periodic_grid
 from toruslandau.lll_basis import boundary_factors, normalize, theta_basis
@@ -50,6 +52,20 @@ class TestBasisCommand:
             np.abs(psi(z + geo.L1) - expect1).max() / np.abs(expect1).max(),
             np.abs(psi(z + 1j * geo.L2) - expect2).max() / np.abs(expect2).max())
         assert report["boundary_residual_rel"] == float(direct)
+
+    def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
+        # the normalization grid, the 32^2 grid and its L1 and iL2 shifts
+        grids = []
+        original = lll_basis._fourier_grid
+
+        def counted(psis, z, order):
+            grids.append(z.shape)
+            return original(psis, z, order)
+
+        monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
+        assert run(["basis", "--N", "3", "--nu", "1", "--grid", "32",
+                    "--out-dir", str(tmp_path)]) == 0
+        assert grids == [(64, 64)] + [(32, 32)] * 3
 
     def test_nu_out_of_range(self, tmp_path, capsys):
         code = run(["basis", "--N", "3", "--nu", "5", "--out-dir", str(tmp_path)])
@@ -189,6 +205,20 @@ class TestCocycleCommand:
         lhs, rhs = triangle_identity(mesh)
         worst = np.max(np.abs(lhs - rhs) / np.abs(lhs))
         assert report["worst_triangle_identity_rel"] == worst
+        assert report["sum_cocycles"] == total_flux(mesh).sum_cocycles
+
+    def test_mesh_cocycles_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = cocycle._cocycles
+
+        def counted(tri):
+            calls.append(1)
+            return original(tri)
+
+        monkeypatch.setattr(cocycle, "_cocycles", counted)
+        assert run(["cocycle", "--mesh-n", "8", "--per-triangle",
+                    "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslandau import numdiff
-from toruslandau.errors import IndexMismatch
+from toruslandau.errors import GeometryMismatch, IndexMismatch
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import default_resolution, inner_product, periodic_grid
-from toruslandau.lll_basis import (BoundaryPhases, _is_grid, boundary_factors,
-                                   boundary_residual, double_shift_factors,
-                                   eval_fourier, eval_gaussian, fourier_cutoff,
-                                   ground_basis, normalize, normalized_basis,
-                                   theta_basis, verify_recurrence)
+from toruslandau.levels import (Quadrature, default_resolution, ground_section,
+                                inner_product, periodic_grid, raise_section)
+from toruslandau.lll_basis import (BoundaryPhases, ThetaBasisFunction, _is_grid,
+                                   boundary_factors, boundary_residual,
+                                   double_shift_factors, eval_fourier,
+                                   eval_fourier_stack, eval_gaussian,
+                                   fourier_cutoff, ground_basis, normalize,
+                                   normalized_basis, theta_basis,
+                                   verify_recurrence)
 from toruslandau.translations import reduce_to_fundamental
 
 # Frozen reference: sum_n exp(-pi n^2), from the brute-force oracle below.
@@ -401,3 +404,75 @@ class TestGridPath:
         assert out.shape == (nx, nx) == (960, 960)
         assert np.all(np.isfinite(out))
         assert peak < 4 * out.nbytes
+
+
+class TestStackedGridPath:
+    """A stack of sections on one grid is bit-identical to one section at a time."""
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_stack_equals_single_sections(self, n, ratio, shift):
+        geo = TorusGeometry.with_aspect(n, ratio)
+        z = periodic_grid(geo, 40, 36) + shift * geo.L1
+        psis = normalized_basis(geo, 32, 32)
+        for order in (0, 1, 2):
+            stack = eval_fourier_stack(psis, z, order)
+            assert stack.shape == (n, 36, 40)
+            for psi, got in zip(psis, stack):
+                np.testing.assert_array_equal(got, eval_fourier(psi, z, order))
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_level_samples_equal_per_section(self, n, level):
+        # a level-1 section needs psi and psi': Quadrature.sample takes each
+        # order of the whole level in one pass
+        geo = TorusGeometry.square(n)
+        quad = Quadrature(geo, 48, 40)
+        sections = [ground_section(psi) for psi in ground_basis(geo)]
+        if level:
+            sections = [raise_section(s) * 0.7 for s in sections]
+        vals = quad.sample(sections)
+        for s, got in zip(sections, vals):
+            np.testing.assert_array_equal(got, s(quad.z))
+
+    def test_sections_with_different_windows(self):
+        # a wider Fourier window for one section: each keeps its own terms
+        geo = TorusGeometry.square(6)
+        z = periodic_grid(geo, 24, 20)
+        wide = ThetaBasisFunction(geo, 4, 3 * fourier_cutoff(geo, 2 * geo.L2))
+        psis = [theta_basis(geo, 1), wide, theta_basis(geo, 4)]
+        stack = eval_fourier_stack(psis, z, 1)
+        for psi, got in zip(psis, stack):
+            np.testing.assert_array_equal(got, eval_fourier(psi, z, 1))
+
+    def test_points_off_a_grid(self):
+        geo = TorusGeometry.square(3)
+        psis = ground_basis(geo)
+        z = np.array([[0.1 + 0.2j, 0.4 + 0.9j], [1.3 + 0.3j, 2.0 + 1.1j]])
+        assert not _is_grid(z)
+        stack = eval_fourier_stack(psis, z, 1)
+        assert stack.shape == (3, 2, 2)
+        for psi, got in zip(psis, stack):
+            np.testing.assert_array_equal(got, eval_fourier(psi, z, 1))
+        assert eval_fourier_stack(psis, 0.3 + 0.1j).shape == (3,)
+        assert eval_fourier_stack([], periodic_grid(geo, 8, 6)).shape == (0, 6, 8)
+
+    def test_mixed_geometries_rejected_on_a_grid(self):
+        a, b = TorusGeometry.square(2), TorusGeometry.square(3)
+        with pytest.raises(GeometryMismatch):
+            eval_fourier_stack([theta_basis(a, 0), theta_basis(b, 0)], periodic_grid(a, 8, 8))
+
+    def test_level_one_holds_one_stack_at_a_time(self):
+        # the psi' stack is added into the sections and released before the
+        # psi stack is taken: the output plus one stack, not plus two
+        geo = TorusGeometry.square(12)
+        quad = Quadrature(geo)
+        sections = [raise_section(ground_section(psi)) for psi in ground_basis(geo)]
+        tracemalloc.start()
+        try:
+            vals = quad.sample(sections)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * vals.nbytes

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from toruslandau import lll_basis, tolerances
+from toruslandau import lll_basis, tolerances, translations
 from toruslandau.errors import NotAPeriod
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import (density_map, gram_matrix, ground_section,
+from toruslandau.levels import (Quadrature, _sampled_level, default_resolution,
+                                density_map, gram_matrix, ground_section,
                                 level_basis, periodic_grid, raise_section)
 from toruslandau.lll_basis import eval_fourier, normalized_basis
 from toruslandau.translations import (bundle_shift_phase,
@@ -289,17 +291,24 @@ class TestOffSquareTorus:
 
 
 class TestSamplingOnce:
-    """Each level section is sampled on the grid once per (psi, order)."""
+    """A level is one grid pass per derivative order, and on the grid lattice
+    a translation adds none; elsewhere each translated section adds one pass
+    per order."""
 
-    @pytest.mark.parametrize("call, most", [
-        (lambda g: density_map(g, 0), 3),
-        (lambda g: density_map(g, 1), 6),
-        (lambda g: translation_matrix(g, g.L1 / 3), 6),
-        (lambda g: translation_matrix(g, g.L1 / 6, level=1), 12),
-        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3), 15),
+    @pytest.mark.parametrize("call, count", [
+        (lambda g: density_map(g, 0), 1),
+        (lambda g: density_map(g, 1), 2),
+        (lambda g: translation_matrix(g, g.L1 / 3), 1 + 3),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2 + 3 * 2),
+        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3), 1 + 4 * 3),
+        (lambda g: translation_matrix(g, g.L1 / 3, nx=48), 1),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=48), 2),
+        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3, nx=48), 1),
     ], ids=["density_L0", "density_L1", "lattice_L0", "half_lattice_L1",
-            "commutator_L0"])
-    def test_grid_evaluations_at_n3(self, monkeypatch, geo3, call, most):
+            "commutator_L0", "rolled_lattice_L0", "rolled_half_lattice_L1",
+            "rolled_commutator_L0"])
+    def test_grid_evaluations_at_n3(self, monkeypatch, geo3, call, count):
+        # the default grid at N = 3 is 64 wide, so a = L1/3 is off its lattice
         calls = []
         grid = lll_basis._fourier_grid
 
@@ -309,4 +318,94 @@ class TestSamplingOnce:
 
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         call(geo3)
-        assert 0 < len(calls) <= most
+        assert len(calls) == count
+
+
+def reference_projection(quad, a, basis, vals):
+    """The projection one section at a time, every T_a s_nu from translate_section."""
+    n = len(basis)
+    entries = np.zeros((n, n), dtype=complex)
+    defects = np.zeros(n)
+    for nu in range(n):
+        shifted = translate_section(a, basis[nu], quad.z)[None]
+        entries[nu] = quad.gram(vals, shifted)[:, 0]
+        defects[nu] = quad.norms(shifted - np.tensordot(entries[nu], vals, axes=1))[0]
+    return entries, defects
+
+
+def count_translate_section(monkeypatch):
+    calls = []
+    original = translations.translate_section
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(translations, "translate_section", counted)
+    return calls
+
+
+class TestRolledProjection:
+    """On the grid lattice T_a is an index roll of the held samples."""
+
+    @pytest.mark.parametrize("kind", ["lattice", "half"])
+    @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 6, 12, 30])
+    def test_roll_matches_translate_section(self, monkeypatch, n, ratio, kind):
+        geo = TorusGeometry.with_aspect(n, ratio)
+        # N = 30 on a 4N grid: the two paths sum the same quadrature either way
+        quad = Quadrature(geo, 4 * n) if n == 30 else Quadrature(geo)
+        if kind == "lattice":
+            a = (-2 * geo.L1 + 3j * geo.L2) / n
+        else:
+            a = (geo.L1 + 1j * geo.L2) / (2 * n)
+        basis, vals = _sampled_level(quad, 0)
+        calls = count_translate_section(monkeypatch)
+        tm = translations._project(quad, a, 0, basis, vals)
+        assert not calls
+        entries, defects = reference_projection(quad, a, basis, vals)
+        assert np.max(np.abs(tm.entries - entries)) <= 1e-13
+        assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
+        if kind == "half":
+            assert not tm.is_lattice and tm.max_projection_defect > 1e-3
+
+    def test_level_one_roll(self, monkeypatch):
+        geo = TorusGeometry.with_aspect(4, 2.0)
+        quad = Quadrature(geo)
+        basis, vals = _sampled_level(quad, 1)
+        for a in ((geo.L1 + 1j * geo.L2) / 4, geo.L1 / 8):
+            calls = count_translate_section(monkeypatch)
+            tm = translations._project(quad, a, 1, basis, vals)
+            assert not calls
+            entries, defects = reference_projection(quad, a, basis, vals)
+            assert np.max(np.abs(tm.entries - entries)) <= 1e-13
+            assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
+
+    @pytest.mark.parametrize("a", [0.37 + 0.21j, "lattice_off_grid"])
+    def test_off_grid_uses_translate_section(self, monkeypatch, geo3, a):
+        # L1/3 is a lattice point, but not a node of the 64-wide default grid
+        a = geo3.L1 / 3 if a == "lattice_off_grid" else a
+        quad = Quadrature(geo3)
+        basis, vals = _sampled_level(quad, 0)
+        calls = count_translate_section(monkeypatch)
+        tm = translations._project(quad, a, 0, basis, vals)
+        assert len(calls) == geo3.N
+        entries, defects = reference_projection(quad, a, basis, vals)
+        assert np.max(np.abs(tm.entries - entries)) <= 1e-13
+        assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
+
+    def test_memory_bounded_at_n30(self):
+        # the rolled stack is projected a block of nu at a time, with no
+        # conjugated copy of the whole level
+        geo = TorusGeometry.square(30)
+        nx = default_resolution(geo)
+        basis_bytes = geo.N * nx * nx * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            tm = translation_matrix(geo, geo.L1 / geo.N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nx == 480
+        assert tm.max_projection_defect < tolerances.get("projection_defect_lattice")
+        assert peak < 1.5 * basis_bytes

@@ -16,10 +16,10 @@ from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
                         boundary_residual, double_shift_factors,
                         eval_fourier, eval_fourier_stack, eval_gaussian,
                         ground_basis, normalize, normalized_basis,
-                        theta_basis, verify_recurrence)
+                        theta_basis)
 from .levels import (DensityMap, GridField, PolynomialSection,
                      apply_hamiltonian, as_section, dbar_section,
-                     density_map, deviation_decay, gram_matrix,
+                     density_map, gram_matrix,
                      ground_section, hermitian_density, inner_product,
                      level_basis, raise_section, rayleigh_quotient)
 from .translations import (TranslationMatrix,

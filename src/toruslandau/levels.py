@@ -48,6 +48,16 @@ def periodic_grid(geometry: TorusGeometry, nx: int, ny: int):
     return x[None, :] + 1j * y[:, None]
 
 
+def _grid_shape(geometry: TorusGeometry, nx: int | None = None,
+                ny: int | None = None) -> tuple[int, int]:
+    """Quadrature's (nx, ny): nx defaults to default_resolution, ny to nx."""
+    nx = default_resolution(geometry) if nx is None else nx
+    ny = nx if ny is None else ny
+    if nx < 4 or ny < 4:
+        raise ValueError("grid resolution must be at least 4")
+    return nx, ny
+
+
 class Quadrature:
     """The periodic trapezoid rule with the Hermitian weight on one grid.
 
@@ -59,10 +69,7 @@ class Quadrature:
 
     def __init__(self, geometry: TorusGeometry, nx: int | None = None,
                  ny: int | None = None):
-        nx = default_resolution(geometry) if nx is None else nx
-        ny = nx if ny is None else ny
-        if nx < 4 or ny < 4:
-            raise ValueError("grid resolution must be at least 4")
+        nx, ny = _grid_shape(geometry, nx, ny)
         self.geometry, self.nx, self.ny = geometry, nx, ny
         self.z = periodic_grid(geometry, nx, ny)
         self.weight = np.exp(-np.abs(self.z) ** 2)
@@ -89,10 +96,19 @@ class Quadrature:
         return out
 
     def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Matrix of inner products <u_i|v_j> of two sample stacks."""
-        wu = np.conj(u).reshape(len(u), -1)
-        wu *= self.weight.ravel()
-        return wu @ v.reshape(len(v), -1).T * self.cell
+        """Matrix of inner products <u_i|v_j> of two sample stacks.
+
+        u is conjugated and weighted an eighth of the stack at a time, so the
+        temporary stays a fraction of the samples.
+        """
+        v = v.reshape(len(v), -1).T
+        out = np.empty((len(u), v.shape[1]), dtype=complex)
+        step = max(1, len(u) // 8)
+        for start in range(0, len(u), step):
+            wu = np.conj(u[start:start + step]).reshape(-1, v.shape[0])
+            wu *= self.weight.ravel()
+            out[start:start + step] = wu @ v * self.cell
+        return out
 
     def norms(self, values: np.ndarray) -> np.ndarray:
         """Norms sqrt(<v_i|v_i>) of a sample stack, one sample at a time."""
@@ -403,19 +419,3 @@ def log_linear_fit(ns, ds) -> dict:
     centered = logd - logd.mean()
     r = float(np.sqrt(np.mean(resid**2) / np.mean(centered**2)))
     return {"slope": float(slope), "intercept": float(intercept), "fit_residual": r}
-
-
-def deviation_decay(geometry_for, levels=(0,), n_values=range(1, 11),
-                    nx: int | None = None) -> dict:
-    """Table of d(N) per level plus its log_linear_fit (two N at least).
-
-    geometry_for: callable N -> TorusGeometry.  Returns
-    {level: {"d": array, "slope": b, "intercept": a, "fit_residual": r}}.
-    """
-    ns = [int(n) for n in n_values]
-    out = {}
-    for level in levels:
-        ds = np.asarray([density_map(geometry_for(n), level, nx).relative_deviation
-                         for n in ns])
-        out[level] = {"d": ds, **log_linear_fit(ns, ds)}
-    return out

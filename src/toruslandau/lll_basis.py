@@ -53,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
-from .errors import GeometryMismatch, IndexMismatch, ZeroNorm
+from .errors import GeometryMismatch, ZeroNorm
 from .geometry import TorusGeometry
 
 _LD = np.longdouble
@@ -442,23 +441,6 @@ def double_shift_factors(geometry: TorusGeometry, z,
     via_xy = np.exp(e_sym - 1j * L1 * L2)
     via_yx = np.exp(e_sym + 1j * L1 * L2)
     return via_xy, via_yx, np.exp(e_sym)
-
-
-def verify_recurrence(geometry: TorusGeometry, nu: int, n: int) -> bool:
-    """Check the closed-form Fourier coefficients against their recurrence.
-
-    The coefficients c_n = exp{-pi n^2 L2/(N L1)} must satisfy
-    c_n = c_{n-N} * exp{-2 n pi L2/L1 + 2 N pi L2/L1 - L2^2}; returns True
-    when the log-space identity holds within recurrence_rel, relative.
-    """
-    L1, L2, n_flux = geometry.L1, geometry.L2, geometry.N
-    if (n - nu) % n_flux != 0:
-        raise IndexMismatch(f"n={n} is not congruent to nu={nu} mod {n_flux}")
-    lhs = -math.pi * n * n * L2 / (n_flux * L1)
-    rhs = -math.pi * (n - n_flux) ** 2 * L2 / (n_flux * L1) \
-        - 2 * n * math.pi * L2 / L1 + 2 * n_flux * math.pi * L2 / L1 - L2 * L2
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) <= tolerances.get("recurrence_rel") * scale
 
 
 def normalize(psi: ThetaBasisFunction, nx: int | None = None,

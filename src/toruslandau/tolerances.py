@@ -15,7 +15,6 @@ TOLERANCES = {
     "poisson_duality_rel": (1e-12, "Fourier vs Gaussian values, relative to sample max"),
     "boundary_residual_rel": (1e-12, "twisted-periodicity residual / max local magnitude"),
     "double_shift_abs": (1e-12, "two shift orders agree; per-path factor is (-1)^N"),
-    "recurrence_rel": (1e-14, "closed-form coefficients vs recurrence, log space"),
     "density_shift_abs": (1e-10, "rho invariance under lattice shifts"),
     "density_mean_abs": (1e-10, "mean(rho)*L1*L2 vs N"),
     "decay_fit_rel": (0.10, "rms residual of the log-linear d(N) fit, relative"),

@@ -47,7 +47,7 @@ from . import tolerances
 from .errors import NotAPeriod
 from .geometry import TorusGeometry
 from .levels import (PolynomialSection, Quadrature, apply_hamiltonian,
-                     as_section, _sampled_level)
+                     as_section, _grid_shape, _sampled_level)
 from . import numdiff
 
 
@@ -330,8 +330,10 @@ def translation_report(geometry: TorusGeometry, a, level: int = 0,
                        nx: int | None = None, ny: int | None = None) -> dict:
     """JSON-ready record of the translation diagnostics for one displacement."""
     a = _displacement(a)
-    quad = Quadrature(geometry, nx, ny)
-    tmat = translation_matrix(geometry, a, level, quad.nx, quad.ny)
+    # only the grid's shape is resolved here: translation_matrix builds the
+    # one Quadrature and stays the report's entry to the translation layer
+    nx, ny = _grid_shape(geometry, nx, ny)
+    tmat = translation_matrix(geometry, a, level, nx, ny)
     indices = lattice_indices(a, geometry)
     dual = 1j * geometry.L2 / geometry.N
     phase_comm = commutator_phase(a, dual)
@@ -343,7 +345,7 @@ def translation_report(geometry: TorusGeometry, a, level: int = 0,
     return {
         "a": [a.real, a.imag],
         "level": level,
-        "grid": [quad.nx, quad.ny],
+        "grid": [nx, ny],
         "lattice": indices is not None,
         "lattice_indices": list(indices) if indices is not None else None,
         "unitarity_defect": tmat.unitarity_defect,

@@ -1,16 +1,25 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from toruslandau import gridio
+from toruslandau import gridio, tolerances
 from toruslandau.errors import GeometryMismatch, ZeroNorm
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import (GridField, PolynomialSection,
-                                apply_hamiltonian, dbar_section,
-                                default_resolution, density_map,
-                                deviation_decay, gram_matrix, ground_section,
-                                hermitian_density, inner_product, level_basis,
-                                local_extrema, log_linear_fit, periodic_grid,
-                                raise_section, rayleigh_quotient)
+from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
+                                Quadrature, apply_hamiltonian, dbar_section,
+                                default_resolution, density_map, gram_matrix,
+                                ground_section, hermitian_density,
+                                inner_product, level_basis, local_extrema,
+                                log_linear_fit, periodic_grid, raise_section,
+                                rayleigh_quotient)
 from toruslandau.lll_basis import (boundary_factors, eval_fourier,
                                    eval_gaussian, ground_basis,
                                    normalized_basis, theta_basis)
@@ -115,6 +124,32 @@ class TestGramMatrix:
     def test_hermitian_by_construction(self, basis2):
         g = gram_matrix(basis2)
         np.testing.assert_array_equal(g, g.conj().T)
+
+    def test_gram_conjugates_a_block_at_a_time(self):
+        # no conjugated copy of the whole stack: the new allocations stay a
+        # fraction of the samples (a full copy would be 1.0)
+        geo = TorusGeometry.square(12)
+        quad = Quadrature(geo)
+        vals = quad.sample(normalized_basis(geo))
+        tracemalloc.start()
+        try:
+            g = quad.gram(vals, vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(g - np.eye(12))) < tolerances.get("gram_identity_abs")
+        assert peak < 0.3 * vals.nbytes
+
+    def test_gram_one_row_unchanged(self):
+        # inner_product and normalize take one row; it is the whole-stack
+        # formula, bit for bit
+        geo = TorusGeometry.square(3)
+        quad = Quadrature(geo)
+        vals = quad.sample(ground_basis(geo))
+        u = vals[:1]
+        expected = (np.conj(u).reshape(1, -1) * quad.weight.ravel()) \
+            @ vals.reshape(3, -1).T * quad.cell
+        np.testing.assert_array_equal(quad.gram(u, vals), expected)
 
 
 class TestCreationOperator:
@@ -272,11 +307,11 @@ class TestDensityMap:
             assert np.max(np.abs(fourier - rho)) < 1e-11
 
     def test_deviation_decay_table(self):
-        table = deviation_decay(TorusGeometry.square, levels=(0,),
-                                n_values=range(1, 5))
-        d = table[0]["d"]
+        # d(N) from density_map falls with N, and log_linear_fit sees the decay
+        ns = range(1, 5)
+        d = [density_map(TorusGeometry.square(n), 0).relative_deviation for n in ns]
         assert np.all(np.diff(d) < 0)
-        assert table[0]["slope"] < -1.0
+        assert log_linear_fit(ns, d)["slope"] < -1.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ns, ds", [([1], [0.5]), ([2, 2], [0.5, 0.4]), ([], [])])
@@ -287,36 +322,58 @@ class TestDensityMap:
 
     @pytest.mark.filterwarnings("error")
     def test_deviation_decay_needs_two_n(self):
+        d = [density_map(TorusGeometry.square(1), 0).relative_deviation]
         with pytest.raises(ValueError, match="two distinct N"):
-            deviation_decay(TorusGeometry.square, n_values=[1])
+            log_linear_fit([1], d)
         fit = log_linear_fit([1, 2], [0.5, 0.2])   # two points: an exact line
         assert fit["fit_residual"] < 1e-12 and fit["slope"] == pytest.approx(np.log(0.4))
 
     def test_decay_fit_shared_with_criterion_5(self, monkeypatch):
-        # deviation_decay and check_symmetry_breaking fit the same d table
-        # identically
-        from toruslandau import levels, verify
+        # criterion 5 fits its d table with log_linear_fit, so a fit of the
+        # same density_map table reproduces its slope and residual exactly
+        from toruslandau import verify
         table = {0: [0.9, 0.31, 0.12, 0.041], 1: [1.4, 0.52, 0.2, 0.083]}
 
         def fake_density_map(geo, level=0, nx=None, ny=None):
             d = table[level][geo.N - 1]
             ones = np.ones((8, 8))
-            return levels.DensityMap(GridField(geo, "rho", ones),
-                                     GridField(geo, "dev", 0 * ones), 1.0, d)
+            return DensityMap(GridField(geo, "rho", ones),
+                              GridField(geo, "dev", 0 * ones), 1.0, d)
 
-        monkeypatch.setattr(levels, "density_map", fake_density_map)
         monkeypatch.setattr(verify, "density_map", fake_density_map)
-        decay = deviation_decay(TorusGeometry.square, levels=(0, 1),
-                                n_values=range(1, 5))
         fits = verify.check_symmetry_breaking(n_max=4, figure_ns=()).data["fits"]
         for level in (0, 1):
-            np.testing.assert_array_equal(decay[level]["d"], table[level])
-            assert fits[level]["slope"] == decay[level]["slope"]
-            assert fits[level]["fit_residual"] == decay[level]["fit_residual"]
+            ns = range(1, 5)
+            d = [fake_density_map(TorusGeometry.square(n), level).relative_deviation
+                 for n in ns]
+            np.testing.assert_array_equal(d, table[level])
+            expected = log_linear_fit(ns, d)
+            assert fits[level]["slope"] == expected["slope"]
+            assert fits[level]["fit_residual"] == expected["fit_residual"]
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
             density_map(TorusGeometry.square(1), level=2)
+
+
+def assert_rows_match_repr(tmp_path, values):
+    """write_csv and write_matrix emit the bytes of the repr oracle,
+    "\n".join(sep.join(map(repr, row)) for row in values.tolist()) + "\n"."""
+    field = GridField(TorusGeometry.square(2), "v", values)
+    rows = [list(map(repr, row)) for row in values.tolist()]
+    for write, sep in ((gridio.write_csv, ","), (gridio.write_matrix, " ")):
+        got = write(field, tmp_path / "v.txt").read_bytes()
+        want = ("\n".join(sep.join(row) for row in rows) + "\n").encode()
+        if got != want:   # name the first wrong value, not a megabyte diff
+            pairs = zip(got.replace(b"\n", sep.encode()).split(sep.encode()),
+                        want.replace(b"\n", sep.encode()).split(sep.encode()))
+            bad = next(((g, w) for g, w in pairs if g != w), "lengths differ")
+            pytest.fail(f"{write.__name__}: wrote/repr {bad}")
+
+
+def shortest_digits(v: float) -> int:
+    """Significant digits of repr(v)."""
+    return len(repr(v).split("e")[0].lstrip("-").replace(".", "").strip("0"))
 
 
 class TestGridFieldAndSerialization:
@@ -360,6 +417,63 @@ class TestGridFieldAndSerialization:
             '    "N": 2', "  },", '  "nx": 5,', '  "ny": 4,', '  "quantity": "awkward",',
             '  "statistics": {', '    "max": 1e+300,', '    "mean": 2e+299,',
             '    "min": -0.0', "  }", "}", ""]).encode()
+
+    def test_rows_match_repr_on_random_bits(self, tmp_path):
+        # a million random bit patterns: every exponent, subnormals, NaNs
+        # with payloads and either sign; 1049 columns leave a short last block
+        bits = np.random.default_rng(7).integers(0, 2**64, size=(1000, 1049),
+                                                 dtype=np.uint64, endpoint=False)
+        assert_rows_match_repr(tmp_path, bits.view(np.float64))
+
+    def test_rows_match_repr_on_edge_cases(self, tmp_path):
+        twos = 2.0 ** np.arange(-1074, 1024)
+        tiny = np.array([1, 2, 3], dtype=np.uint64).view(np.float64)   # t < 3 and after
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan,
+                   np.array(0xFFF8000000000000, dtype=np.uint64).view(np.float64)]
+        bounds = np.array([1e-5, 1e-4, 1e16, 1e17])
+        bounds = np.concatenate([bounds, np.nextafter(bounds, 0), np.nextafter(bounds, np.inf)])
+        near_2_53 = 2.0 ** 53 + np.arange(-40.0, 41.0)
+        rng = np.random.default_rng(3)
+        by_length = [float(f"{rng.integers(10 ** (d - 1), 10 ** d)}e{e}")
+                     for d in range(1, 18) for e in range(-320, 290, 7)]
+        assert {shortest_digits(v) for v in by_length} == set(range(1, 18))
+        values = np.concatenate([twos, -twos, tiny, -tiny, special, bounds, -bounds,
+                                 near_2_53, 2.0 ** 52 + np.arange(-20, 21) / 2,
+                                 by_length, np.negative(by_length)])
+        values = np.concatenate([values, np.zeros(-len(values) % 16)])
+        assert_rows_match_repr(tmp_path, values.reshape(-1, 16))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                          min_side=4, max_side=40),
+                             elements=st.floats()))
+    def test_rows_match_repr_on_any_floats(self, tmp_path_factory, values):
+        assert_rows_match_repr(tmp_path_factory.mktemp("rows"), values)
+
+    def test_import_builds_no_format_table(self):
+        # the float tables are built on the first write, not by the CLI import
+        code = ("import toruslandau.cli\n"
+                "from toruslandau import gridio\n"
+                "print(gridio._tables.cache_info().currsize)\n")
+        src = str(Path(gridio.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "0"
+
+    def test_row_writer_memory_bounded(self, tmp_path):
+        # formatted a block of rows at a time: the peak stays below twice the
+        # grid itself (per-value strings or whole-grid index arrays are many times it)
+        values = np.random.default_rng(5).standard_normal((384, 384))
+        field = GridField(TorusGeometry.square(2), "v", values)
+        gridio.write_csv(field, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            gridio.write_csv(field, tmp_path / "v.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * values.nbytes
 
     def test_matrix_format(self, tmp_path, geo2):
         field = GridField(geo2, "demo", np.ones((4, 4)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslandau import numdiff
-from toruslandau.errors import GeometryMismatch, IndexMismatch
+from toruslandau.errors import GeometryMismatch
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, default_resolution, ground_section,
                                 inner_product, periodic_grid, raise_section)
@@ -16,8 +16,7 @@ from toruslandau.lll_basis import (BoundaryPhases, ThetaBasisFunction, _is_grid,
                                    double_shift_factors, eval_fourier,
                                    eval_fourier_stack, eval_gaussian,
                                    fourier_cutoff, ground_basis, normalize,
-                                   normalized_basis, theta_basis,
-                                   verify_recurrence)
+                                   normalized_basis, theta_basis)
 from toruslandau.translations import reduce_to_fundamental
 
 # Frozen reference: sum_n exp(-pi n^2), from the brute-force oracle below.
@@ -179,21 +178,6 @@ class TestBoundaryConditions:
             s2 = np.max(np.abs(lhs2))
             assert np.max(np.abs(lhs1 - base * f1)) < 1e-12 * s1
             assert np.max(np.abs(lhs2 - base * f2)) < 1e-12 * s2
-
-
-class TestRecurrence:
-    def test_unit_flux(self):
-        assert verify_recurrence(TorusGeometry.square(1), 0, 3)
-
-    def test_four_flux(self):
-        assert verify_recurrence(TorusGeometry.square(4), 1, 5)
-
-    def test_rectangular_torus(self):
-        assert verify_recurrence(TorusGeometry.with_aspect(4, 2.0), 3, 11)
-
-    def test_wrong_class_raises(self):
-        with pytest.raises(IndexMismatch):
-            verify_recurrence(TorusGeometry.square(4), 1, 6)
 
 
 class TestNormalize:

@@ -12,7 +12,6 @@ from toruslandau import tolerances, verify
 from toruslandau.cocycle import cocycle_constant, uniform_mesh
 from toruslandau.errors import NonIntegralFlux, NotAPeriod, NotConstant
 from toruslandau.geometry import TorusGeometry, dirac_quantize
-from toruslandau.lll_basis import verify_recurrence
 from toruslandau.translations import (bundle_shift_phase, lattice_indices,
                                       wintner_check)
 
@@ -36,7 +35,6 @@ VERDICTS = [
      lambda: _completes(lambda: dirac_quantize(GEO3.L1, GEO3.L2), NonIntegralFlux)),
     ("geometry_area_rel", "TorusGeometry",
      lambda: _completes(lambda: TorusGeometry(GEO3.L1, GEO3.L2, 3), NonIntegralFlux)),
-    ("recurrence_rel", "verify_recurrence", lambda: verify_recurrence(GEO3, 1, 7)),
     ("wintner_abs", "wintner_check",
      lambda: wintner_check(3, GEO3.L1 / 3, 1j * GEO3.L2 / 3).consistent),
     ("wintner_abs", "criterion 7", lambda: verify.check_wintner(n_max=3).passed),

@@ -320,6 +320,20 @@ class TestSamplingOnce:
         call(geo3)
         assert len(calls) == count
 
+    def test_report_builds_one_quadrature(self, monkeypatch, geo3):
+        # the report's grid is the one its translation matrix integrates on
+        built = []
+        init = Quadrature.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Quadrature, "__init__", counted)
+        report = translation_report(geo3, geo3.L1 / 3, nx=48)
+        assert len(built) == 1
+        assert report["grid"] == [48, 48]
+
 
 def reference_projection(quad, a, basis, vals):
     """The projection one section at a time, every T_a s_nu from translate_section."""

@@ -8,15 +8,15 @@ sqrt(hbar/(m*omega)), omega = e*B/(2*m*c); energy hbar*omega), where the
 torus satisfies L1*L2 = N*pi.
 """
 
-from .errors import (GeometryMismatch, IndexMismatch, NonIntegralFlux,
-                     NotAPeriod, NotConstant, TorusLandauError, ZeroNorm)
+from .errors import (GeometryMismatch, NonIntegralFlux, NotAPeriod,
+                     NotConstant, TorusLandauError, ZeroNorm)
 from .geometry import (PhysicalConfig, TorusGeometry, dirac_quantize,
                        parse_config, resolve_geometry, to_natural)
 from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
                         boundary_residual, double_shift_factors,
-                        eval_fourier, eval_fourier_stack, eval_gaussian,
-                        ground_basis, normalize, normalized_basis,
-                        theta_basis)
+                        duality_residual, eval_fourier, eval_fourier_stack,
+                        eval_gaussian, ground_basis, normalize,
+                        normalized_basis, theta_basis)
 from .levels import (DensityMap, GridField, PolynomialSection,
                      apply_hamiltonian, as_section, dbar_section,
                      density_map, gram_matrix,

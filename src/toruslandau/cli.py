@@ -24,10 +24,10 @@ import numpy as np
 from . import __version__, gridio, tolerances, verify
 from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
-from .lll_basis import (BoundaryPhases, boundary_factors, eval_fourier,
-                        eval_gaussian, normalize, theta_basis)
+from .lll_basis import (BoundaryPhases, boundary_residual, duality_residual,
+                        eval_fourier, normalize, theta_basis)
 from .levels import GridField, Quadrature, density_map
-from .cocycle import _flux_result, _identity_parts, _identity_sides, uniform_mesh
+from .cocycle import total_flux, uniform_mesh
 from .translations import translation_report
 
 
@@ -126,15 +126,8 @@ def cmd_basis(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     zs = rng.random(500) * geo.L1 + 1j * rng.random(500) * geo.L2
-    f, g = eval_fourier(psi, zs), eval_gaussian(psi, zs)
-    duality = float(np.max(np.abs(f - g)) /
-                    max(np.max(np.abs(f)), np.max(np.abs(g))))
-    # the twisted-periodicity residuals of boundary_residual, from the held samples
-    expect1, expect2 = (vals * f for f in boundary_factors(geo, z))
-    r1 = psi(z + geo.L1) - expect1
-    r2 = psi(z + 1j * geo.L2) - expect2
-    resid = float(max(np.abs(r1).max() / np.abs(expect1).max(),
-                      np.abs(r2).max() / np.abs(expect2).max()))
+    duality = duality_residual(psi, zs)
+    resid = boundary_residual(psi, z, base=vals)
     checks = {
         "duality_max_rel": duality,
         "duality_ok": duality < tolerances.get("poisson_duality_rel"),
@@ -239,34 +232,30 @@ def cmd_cocycle(args) -> int:
     mesh = uniform_mesh(args.mesh_n, L1, L2, b)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # one pass over the mesh serves the identity, the sum and the table
-    parts = _identity_parts(mesh)
-    constant = parts[1]
-    lhs, rhs = _identity_sides(parts)
-    worst = float(np.max(np.abs(lhs - rhs) / (np.abs(lhs) + 1e-300)))
-    result = _flux_result(mesh, constant)
+    result = total_flux(mesh)
     report = {
         "mesh_n": args.mesh_n, "L1": L1, "L2": L2, "B": b,
         "flux": result.flux, "sum_cocycles": result.sum_cocycles,
         "flux_quanta": result.flux_quanta,
         "theorem_holds": result.theorem_holds,
         "weil_integral": result.weil_integral,
-        "worst_triangle_identity_rel": worst,
+        "worst_triangle_identity_rel": result.worst_identity_rel,
     }
     if args.per_triangle:
-        report["cocycles"] = constant.tolist()
+        report["cocycles"] = result.cocycles.tolist()
     path = out / "cocycle_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     params = {"mesh_n": args.mesh_n, "flux": flux, "L1": L1, "L2": L2}
-    identity_ok = worst < tolerances.get("triangle_identity_rel")
     _write_manifest(out, "cocycle", params, [path], {
-        "triangle_identity": identity_ok,
+        "triangle_identity": result.identity_holds,
+        "edge_cancellation": result.edges_cancel,
         "cocycle_sum": result.theorem_holds,
         "weil_integral": result.weil_integral,
     })
     print(f"sum c = {result.sum_cocycles:.12g}, flux = {result.flux:.12g}, "
           f"Weil integral: {result.weil_integral}")
-    return 0 if (identity_ok and result.theorem_holds) else 1
+    ok = result.identity_holds and result.edges_cancel and result.theorem_holds
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:

@@ -25,10 +25,6 @@ class NonIntegralFlux(TorusLandauError):
         super().__init__(message)
 
 
-class IndexMismatch(TorusLandauError):
-    """Fourier index does not belong to the requested residue class."""
-
-
 class GeometryMismatch(TorusLandauError):
     """Operands live on different tori."""
 

@@ -43,6 +43,10 @@ its one-section case: every section of the levels module, and every
 z-derivative (the `order` argument), is sampled through it.  eval_gaussian,
 always pointwise, is the independent reference that the tests and the
 Poisson-duality check compare it with.
+
+duality_residual and boundary_residual are the one measure each of the two
+representations' disagreement and of the twisted periodicity: acceptance
+criteria 3 and 4 and the `basis` command all report these values.
 """
 
 from __future__ import annotations
@@ -360,11 +364,7 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
     geo = psi.geometry
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
     nu = psi.nu
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("evaluation point must be finite")
+    arr = _points(z)
 
     x_extent = max(float(np.max(np.abs(arr.real))), L1)
     w = gaussian_cutoff(geo, x_extent)
@@ -392,7 +392,15 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
         poly = _eval_poly(_prefactor_coeffs(order, -1.0), dEdz)
 
     out = psi.norm_const * _peak_split_sum(re, ph, poly)
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def duality_residual(psi: ThetaBasisFunction, z) -> float:
+    """Largest |Fourier - Gaussian| of psi at the points z, relative to the
+    larger of the two representations' largest magnitudes there."""
+    f, g = eval_fourier(psi, z), eval_gaussian(psi, z)
+    scale = max(float(np.max(np.abs(f))), float(np.max(np.abs(g))))
+    return float(np.max(np.abs(f - g))) / scale
 
 
 def boundary_factors(geometry: TorusGeometry, z, phases: BoundaryPhases = TRIVIAL_PHASES):
@@ -408,20 +416,27 @@ def boundary_factors(geometry: TorusGeometry, z, phases: BoundaryPhases = TRIVIA
     return f1, f2
 
 
-def boundary_residual(section, z, phases: BoundaryPhases = TRIVIAL_PHASES):
-    """Residuals of the twisted periodicity conditions at z.
+def boundary_residual(section, z, phases: BoundaryPhases = TRIVIAL_PHASES,
+                      base=None) -> float:
+    """Relative residual of the twisted periodicity conditions at z.
 
-    Returns (r1, r2) with r1 = s(z+L1) - s(z)*F1 and r2 = s(z+iL2) - s(z)*F2.
-    Both vanish (to truncation rounding) for the constructed basis with
-    trivial phases; `section` is anything callable with a .geometry.
+    For each condition, max |s(z+P) - s(z) F| over the points, divided by the
+    largest of |s(z+P)| and |s(z) F| there (P = L1 or i L2, F from
+    boundary_factors); returns the larger of the two.  It is at rounding
+    level for the constructed basis with trivial phases.  `section` is
+    anything callable with a .geometry; `base` takes samples s(z) already
+    held, so that they are not evaluated again.
     """
     z = np.asarray(z, dtype=complex)
     geo = section.geometry
-    f1, f2 = boundary_factors(geo, z, phases)
-    base = section(z)
-    r1 = section(z + geo.L1) - base * f1
-    r2 = section(z + 1j * geo.L2) - base * f2
-    return r1, r2
+    if base is None:
+        base = section(z)
+    worst = 0.0
+    for shift, factor in zip((geo.L1, 1j * geo.L2), boundary_factors(geo, z, phases)):
+        shifted, expected = section(z + shift), base * factor
+        scale = max(float(np.max(np.abs(shifted))), float(np.max(np.abs(expected))))
+        worst = max(worst, float(np.max(np.abs(shifted - expected))) / scale)
+    return worst
 
 
 def double_shift_factors(geometry: TorusGeometry, z,

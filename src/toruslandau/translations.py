@@ -46,8 +46,8 @@ import numpy as np
 from . import tolerances
 from .errors import NotAPeriod
 from .geometry import TorusGeometry
-from .levels import (PolynomialSection, Quadrature, apply_hamiltonian,
-                     as_section, _grid_shape, _sampled_level)
+from .levels import (Quadrature, apply_hamiltonian, as_section, _grid_shape,
+                     _sampled_level)
 from . import numdiff
 
 
@@ -152,8 +152,7 @@ class TranslationMatrix:
 
 
 def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
-                       nx: int | None = None, ny: int | None = None,
-                       basis: list[PolynomialSection] | None = None) -> TranslationMatrix:
+                       nx: int | None = None, ny: int | None = None) -> TranslationMatrix:
     """Project T_a onto a Landau level by quadrature.
 
     The projection defect per nu is the quadrature norm of the pointwise
@@ -162,11 +161,7 @@ def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
     """
     a = _displacement(a)
     quad = Quadrature(geometry, nx, ny)
-    if basis is None:
-        basis, vals = _sampled_level(quad, level)
-    else:
-        vals = quad.sample(basis)
-    return _project(quad, a, level, basis, vals)
+    return _project(quad, a, level, *_sampled_level(quad, level))
 
 
 def _grid_shift(quad: Quadrature, a: complex):

@@ -3,7 +3,11 @@
 Every check returns a CheckResult with the measured worst-case numbers; the
 pass/fail thresholds come from the central tolerance table.  The pytest
 acceptance module and the CLI `verify` command both run these functions, so
-there is a single source of truth for what the package promises.
+there is a single source of truth for what the package promises.  Criteria 3,
+4 and 9 measure through lll_basis.duality_residual,
+lll_basis.boundary_residual and cocycle.total_flux, the same functions the
+`basis` and `cocycle` commands report.  The scope of each check that no
+caller varies (sample points, grid, levels, meshes) is a module constant.
 """
 
 from __future__ import annotations
@@ -16,18 +20,23 @@ import numpy as np
 from . import tolerances
 from .errors import NonIntegralFlux
 from .geometry import TorusGeometry, dirac_quantize
-from .lll_basis import (BoundaryPhases, boundary_factors, double_shift_factors,
-                        eval_fourier, eval_gaussian, normalized_basis)
+from .lll_basis import (BoundaryPhases, boundary_residual, double_shift_factors,
+                        duality_residual, normalized_basis)
 from .levels import (Quadrature, density_map, default_resolution, gram_matrix,
                      ground_section, local_extrema, log_linear_fit,
                      periodic_grid, raise_section, rayleigh_quotient,
                      apply_hamiltonian)
 from .translations import (commutator_matrix_residual, translation_matrix,
                            wintner_check)
-from .cocycle import (edge_cancellation_total, total_flux, triangle_identity,
-                      uniform_mesh)
+from .cocycle import total_flux, uniform_mesh
 
 DEFAULT_SEED = 20260810
+
+_DUALITY_POINTS = 1000               # criterion 3: random points per (N, nu)
+_BOUNDARY_GRID = 32                  # criterion 4: samples per side
+_DENSITY_LEVELS = (0, 1)             # criterion 5: Landau levels mapped
+_MESH_SIZES = (4, 8, 16)             # criterion 9: uniform meshes of 2 n^2 triangles
+_MESH_FLUX_QUANTA = (1.0, 3.0, 1.5)  # criterion 9: flux / 2 pi on the unit torus
 
 
 @dataclass
@@ -100,28 +109,25 @@ def check_ground_dimension(n_max: int = 10) -> CheckResult:
 # --------------------------------------------------------------------------
 # criterion 3: Poisson duality of the two representations
 
-def check_poisson_duality(n_max: int = 10, n_points: int = 1000,
-                          seed: int = DEFAULT_SEED) -> CheckResult:
+def check_poisson_duality(n_max: int = 10, seed: int = DEFAULT_SEED) -> CheckResult:
     tol = tolerances.get("poisson_duality_rel")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
-        zs = rng.random(n_points) * geo.L1 + 1j * rng.random(n_points) * geo.L2
+        zs = (rng.random(_DUALITY_POINTS) * geo.L1
+              + 1j * rng.random(_DUALITY_POINTS) * geo.L2)
         for psi in normalized_basis(geo):
-            f = eval_fourier(psi, zs)
-            g = eval_gaussian(psi, zs)
-            scale = max(float(np.max(np.abs(f))), float(np.max(np.abs(g))))
-            worst = max(worst, float(np.max(np.abs(f - g))) / scale)
+            worst = max(worst, duality_residual(psi, zs))
     return CheckResult("Poisson duality", worst < tol,
-                       f"max rel disagreement {worst:.2e} over {n_points} pts/(N,nu), "
+                       f"max rel disagreement {worst:.2e} over {_DUALITY_POINTS} pts/(N,nu), "
                        f"N<={n_max} (tol {tol:g})", {"worst": worst})
 
 
 # --------------------------------------------------------------------------
 # criterion 4: boundary conditions and the double-shift consistency
 
-def check_boundary(n_max: int = 10, grid: int = 32,
+def check_boundary(n_max: int = 10,
                    fault_phases: BoundaryPhases | None = None) -> CheckResult:
     tol = tolerances.get("boundary_residual_rel")
     tol_shift = tolerances.get("double_shift_abs")
@@ -130,18 +136,10 @@ def check_boundary(n_max: int = 10, grid: int = 32,
     worst_shift = 0.0
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
-        z = periodic_grid(geo, grid, grid)
-        f1, f2 = boundary_factors(geo, z, phases)
+        z = periodic_grid(geo, _BOUNDARY_GRID, _BOUNDARY_GRID)
         basis = normalized_basis(geo)
         for psi in basis:
-            base = psi(z)
-            up1 = psi(z + geo.L1)
-            up2 = psi(z + 1j * geo.L2)
-            scale1 = float(np.max(np.maximum(np.abs(up1), np.abs(base * f1))))
-            scale2 = float(np.max(np.maximum(np.abs(up2), np.abs(base * f2))))
-            worst = max(worst,
-                        float(np.max(np.abs(up1 - base * f1))) / scale1,
-                        float(np.max(np.abs(up2 - base * f2))) / scale2)
+            worst = max(worst, boundary_residual(psi, z, phases))
         # two orders of the double shift agree, and each carries (-1)^N
         zpt = 0.3 + 0.4j
         via_xy, via_yx, sym = double_shift_factors(geo, zpt)
@@ -177,18 +175,17 @@ def _lattice_points_near_extrema(dev: np.ndarray, n_flux: int) -> bool:
     return True
 
 
-def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10),
-                            levels=(0, 1)) -> CheckResult:
+def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10)) -> CheckResult:
     tol_shift = tolerances.get("density_shift_abs")
     tol_mean = tolerances.get("density_mean_abs")
     tol_fit = tolerances.get("decay_fit_rel")
     problems = []
-    d_table = {level: [] for level in levels}
+    d_table = {level: [] for level in _DENSITY_LEVELS}
 
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
         nx = density_grid(geo)
-        for level in levels:
+        for level in _DENSITY_LEVELS:
             dm = density_map(geo, level, nx, nx)
             d_table[level].append(dm.relative_deviation)
             trace = dm.mean * geo.area
@@ -206,7 +203,7 @@ def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10),
                 problems.append(f"N={n} L{level}: extrema off lattice")
 
     fits = {}
-    for level in levels:
+    for level in _DENSITY_LEVELS:
         ds = np.array(d_table[level])
         if np.any(np.diff(ds) >= 0):
             problems.append(f"L{level}: d(N) not strictly decreasing")
@@ -223,7 +220,7 @@ def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10),
         "extrema on (n1 L1 + i n2 L2)/N, Z_NxZ_N invariant; " +
         (fit_detail or f"d(N) fit skipped: needs N_max >= 2, got {n_max}"))
     return CheckResult("symmetry breaking structure", not problems, detail,
-                       {"d": {lv: list(map(float, d_table[lv])) for lv in levels},
+                       {"d": {lv: list(map(float, d_table[lv])) for lv in _DENSITY_LEVELS},
                         "fits": fits})
 
 
@@ -320,34 +317,27 @@ def check_energy_ladder(n_max: int = 6) -> CheckResult:
 # --------------------------------------------------------------------------
 # criterion 9: mesh cocycle theorem
 
-def check_cocycle_theorem(mesh_sizes=(4, 8, 16),
-                          flux_quanta=(1.0, 3.0, 1.5)) -> CheckResult:
-    tol_id = tolerances.get("triangle_identity_rel")
-    floor_id = tolerances.get("triangle_identity_abs")
+def check_cocycle_theorem() -> CheckResult:
     tol_sum = tolerances.get("cocycle_sum_rel")
     tol_edge = tolerances.get("edge_cancellation_abs")
     problems = []
-    for quanta in flux_quanta:
+    for quanta in _MESH_FLUX_QUANTA:
         b = 2 * math.pi * quanta   # on the unit torus, flux = B
-        for n in mesh_sizes:
-            mesh = uniform_mesh(n, 1.0, 1.0, b)
-            lhs, rhs = triangle_identity(mesh)
-            bad = np.flatnonzero(np.abs(lhs - rhs) > tol_id * np.abs(lhs) + floor_id)
-            if bad.size:
-                problems.append(f"flux {quanta} n={n}: triangle {bad[0]} identity")
-            cancellation = edge_cancellation_total(mesh)
-            if cancellation > tol_edge:
-                problems.append(f"flux {quanta} n={n}: vertex and edge pieces "
-                                f"sum to {cancellation:.1e}")
-            result = total_flux(mesh)
+        for n in _MESH_SIZES:
+            result = total_flux(uniform_mesh(n, 1.0, 1.0, b))
+            where = f"flux {quanta} n={n}"
+            if not result.identity_holds:
+                problems.append(f"{where}: triangle identity off by "
+                                f"{result.worst_identity_rel:.1e} relative")
+            if not result.edges_cancel:
+                problems.append(f"{where}: vertex and edge pieces "
+                                f"sum to {result.edge_cancellation:.1e}")
             if not result.theorem_holds:
-                problems.append(f"flux {quanta} n={n}: sum {result.sum_cocycles} "
-                                f"!= {result.flux}")
+                problems.append(f"{where}: sum {result.sum_cocycles} != {result.flux}")
             if result.weil_integral != float(quanta).is_integer():
-                problems.append(f"flux {quanta} n={n}: Weil verdict "
-                                f"{result.weil_integral}")
+                problems.append(f"{where}: Weil verdict {result.weil_integral}")
     detail = "; ".join(problems) if problems else (
-        f"meshes 2x{{{','.join(str(n)+'^2' for n in mesh_sizes)}}}: identity holds, "
+        f"meshes 2x{{{','.join(str(n)+'^2' for n in _MESH_SIZES)}}}: identity holds, "
         f"edge pieces cancel within {tol_edge:g}, sum c = flux within {tol_sum:g}, "
         f"Weil verdicts correct")
     return CheckResult("mesh flux theorem", not problems, detail)

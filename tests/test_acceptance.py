@@ -29,21 +29,23 @@ def test_criterion_02_ground_state_dimension():
 def test_criterion_03_poisson_duality():
     # Fourier vs Gaussian representations at 1000 random points per (N, nu),
     # N<=10, within 1e-12 of the sample scale
-    report(verify.check_poisson_duality(n_max=10, n_points=1000))
+    assert verify._DUALITY_POINTS == 1000
+    report(verify.check_poisson_duality(n_max=10))
 
 
 def test_criterion_04_boundary_conditions():
     # twisted-periodicity residuals < 1e-12 relative on a 32x32 grid, and the
     # double-shift consistency with its (-1)^N factor
-    report(verify.check_boundary(n_max=10, grid=32))
+    assert verify._BOUNDARY_GRID == 32
+    report(verify.check_boundary(n_max=10))
 
 
 def test_criterion_05_symmetry_breaking_structure():
     # deviation maps for N = 1, 3, 6, 10 at levels 0 and 1: extrema on the
     # (n1 L1 + i n2 L2)/N lattice, Z_N x Z_N invariance to 1e-10, and d(N)
     # strictly decreasing with a log-linear fit residual < 10%
-    report(verify.check_symmetry_breaking(n_max=10, figure_ns=(1, 3, 6, 10),
-                                          levels=(0, 1)))
+    assert verify._DENSITY_LEVELS == (0, 1)
+    report(verify.check_symmetry_breaking(n_max=10, figure_ns=(1, 3, 6, 10)))
 
 
 def test_criterion_06_translation_algebra():
@@ -68,8 +70,9 @@ def test_criterion_08_energy_ladder():
 def test_criterion_09_mesh_flux_theorem():
     # per-triangle identity on 2*4^2, 2*8^2, 2*16^2 meshes; sum of cocycle
     # constants = flux within 1e-9; Weil verdicts for flux 2pi, 6pi, 3pi
-    report(verify.check_cocycle_theorem(mesh_sizes=(4, 8, 16),
-                                        flux_quanta=(1.0, 3.0, 1.5)))
+    assert verify._MESH_SIZES == (4, 8, 16)
+    assert verify._MESH_FLUX_QUANTA == (1.0, 3.0, 1.5)
+    report(verify.check_cocycle_theorem())
 
 
 def test_criterion_10_quadrature_convergence():

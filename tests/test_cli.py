@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 from pathlib import Path
@@ -5,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toruslandau import cocycle, lll_basis
+from toruslandau import cli, cocycle, lll_basis, tolerances, verify
 from toruslandau.cli import main
 from toruslandau.cocycle import (cocycle_constant, total_flux, triangle_identity,
                                  uniform_mesh)
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import periodic_grid
-from toruslandau.lll_basis import boundary_factors, normalize, theta_basis
+from toruslandau.lll_basis import (boundary_residual, duality_residual, normalize,
+                                   theta_basis)
 
 
 def run(args):
@@ -39,19 +41,19 @@ class TestBasisCommand:
         assert report["duality_max_rel"] < 1e-12
         assert report["boundary_residual_rel"] < 1e-12
 
-    def test_boundary_residual_is_relative_to_expected_value(self, tmp_path):
-        run(["basis", "--N", "3", "--nu", "1", "--grid", "32",
+    def test_report_matches_shared_residuals(self, tmp_path):
+        # the report carries criteria 3 and 4's own measures, on the same
+        # section, the same 500 seeded points and the same grid
+        run(["basis", "--N", "3", "--nu", "1", "--grid", "32", "--seed", "7",
              "--out-dir", str(tmp_path)])
         report = json.loads((tmp_path / "basis_N3_nu1_report.json").read_text())
         geo = TorusGeometry.square(3)
         psi = normalize(theta_basis(geo, 1))
-        z = periodic_grid(geo, 32, 32)
-        f1, f2 = boundary_factors(geo, z)
-        expect1, expect2 = psi(z) * f1, psi(z) * f2
-        direct = max(
-            np.abs(psi(z + geo.L1) - expect1).max() / np.abs(expect1).max(),
-            np.abs(psi(z + 1j * geo.L2) - expect2).max() / np.abs(expect2).max())
-        assert report["boundary_residual_rel"] == float(direct)
+        rng = np.random.default_rng(7)
+        zs = rng.random(500) * geo.L1 + 1j * rng.random(500) * geo.L2
+        assert report["duality_max_rel"] == duality_residual(psi, zs)
+        assert report["boundary_residual_rel"] == boundary_residual(
+            psi, periodic_grid(geo, 32, 32))
 
     def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
         # the normalization grid, the 32^2 grid and its L1 and iL2 shifts
@@ -207,6 +209,34 @@ class TestCocycleCommand:
         assert report["worst_triangle_identity_rel"] == worst
         assert report["sum_cocycles"] == total_flux(mesh).sum_cocycles
 
+    @pytest.mark.parametrize("flux", ["2pi", "3pi"])
+    def test_report_reads_total_flux(self, tmp_path, flux):
+        run(["cocycle", "--mesh-n", "8", "--flux", flux, "--per-triangle",
+             "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / "cocycle_report.json").read_text())
+        result = total_flux(uniform_mesh(8, 1.0, 1.0, report["B"]))
+        assert report["flux"] == result.flux
+        assert report["sum_cocycles"] == result.sum_cocycles
+        assert report["flux_quanta"] == result.flux_quanta
+        assert report["theorem_holds"] == result.theorem_holds
+        assert report["weil_integral"] == result.weil_integral
+        assert report["worst_triangle_identity_rel"] == result.worst_identity_rel
+        assert report["cocycles"] == result.cocycles.tolist()
+        checks = read_manifest(tmp_path)["checks"]
+        assert checks["triangle_identity"] == result.identity_holds
+        assert checks["edge_cancellation"] == result.edges_cancel
+
+    @pytest.mark.parametrize("key", ["triangle_identity_rel", "triangle_identity_abs",
+                                     "edge_cancellation_abs", "cocycle_sum_rel"])
+    def test_command_and_criterion_9_share_verdicts(self, tmp_path, monkeypatch, key):
+        # a negative bound can never be met: both consumers of the one
+        # record must fail
+        assert verify.check_cocycle_theorem().passed
+        assert run(["cocycle", "--out-dir", str(tmp_path / "before")]) == 0
+        monkeypatch.setitem(tolerances.TOLERANCES, key, (-1.0, "never met"))
+        assert not verify.check_cocycle_theorem().passed
+        assert run(["cocycle", "--out-dir", str(tmp_path / "after")]) == 1
+
     def test_mesh_cocycles_built_once(self, tmp_path, monkeypatch):
         calls = []
         original = cocycle._cocycles
@@ -245,7 +275,8 @@ class TestVerifyCommand:
         code = run(["verify", "--n-max", "2", "--debug-flip-x-sign"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL" in out and "boundary" in out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL  boundary conditions")
 
 
 class TestTopLevel:
@@ -276,3 +307,13 @@ class TestTopLevel:
                     "--out-dir", str(out)])
         assert code == 0
         assert (out / "basis_N2_nu0_re.csv").exists()
+
+
+def test_cli_imports_no_private_name():
+    # the CLI reaches the package through its public names only (dunders
+    # such as __version__ are public)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or node.module.startswith("toruslandau"))
+             for alias in node.names]
+    assert not [n for n in names if n.startswith("_") and not n.endswith("__")]

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslandau import tolerances, verify
-from toruslandau.cocycle import (Triangulation, _identity_parts,
-                                 chart_potential, chi,
-                                 cocycle_constant, edge_cancellation_total,
-                                 mesh_from_json, mesh_to_json, total_flux,
-                                 triangle_identity, uniform_mesh)
+from toruslandau import cocycle, tolerances, verify
+from toruslandau.cocycle import (Triangulation, chart_potential, chi,
+                                 cocycle_constant, mesh_from_json, mesh_to_json,
+                                 total_flux, triangle_identity, uniform_mesh)
 from toruslandau.errors import NotConstant
 
 # the two triangles of a grid square for either diagonal, as corner offsets
@@ -273,8 +271,9 @@ class TestJitteredMeshes:
         lhs, rhs = triangle_identity(mesh)
         tol_id = tolerances.get("triangle_identity_rel")
         assert np.all(np.abs(lhs - rhs) <= tol_id * np.abs(lhs) + 1e-14)
-        assert total_flux(mesh).theorem_holds
-        assert edge_cancellation_total(mesh) <= tolerances.get("edge_cancellation_abs")
+        result = total_flux(mesh)
+        assert result.theorem_holds and result.identity_holds and result.edges_cancel
+        assert result.edge_cancellation <= tolerances.get("edge_cancellation_abs")
 
     def test_jitter_crosses_the_seam(self):
         # vertices pushed below 0 get canonical positions near L and wraps
@@ -320,7 +319,7 @@ class TestCocycleConstant:
     @pytest.mark.parametrize("quanta", [1.0, 1.5])
     def test_equals_cocycle_term_of_identity(self, quanta):
         mesh = uniform_mesh(4, 1.0, 1.3, 2 * math.pi * quanta)
-        np.testing.assert_array_equal(cocycle_constant(mesh), _identity_parts(mesh)[1])
+        np.testing.assert_array_equal(cocycle_constant(mesh), total_flux(mesh).cocycles)
 
     def test_inconstant_cocycle_detected(self, monkeypatch):
         # a chart transition that is not affine makes c differ between the
@@ -393,6 +392,19 @@ class TestTotalFlux:
         assert result.sum_cocycles == pytest.approx(0.0, abs=1e-14)
         assert result.flux == 0.0
         assert result.theorem_holds and result.weil_integral
+        # both sides of every identity vanish: no 0/0 in the relative worst
+        assert result.identity_holds and result.worst_identity_rel == 0.0
+
+    @pytest.mark.parametrize("quanta", [1.0, 1.5])
+    def test_identity_fields_match_triangle_identity(self, quanta):
+        mesh = uniform_mesh(8, 1.0, 1.3, 2 * math.pi * quanta)
+        lhs, rhs = triangle_identity(mesh)
+        result = total_flux(mesh)
+        gap = np.abs(lhs - rhs)
+        assert result.worst_identity_rel == np.max(gap / np.abs(lhs))
+        tol = tolerances.get("triangle_identity_rel")
+        assert result.identity_holds == bool(np.all(
+            gap <= tol * np.abs(lhs) + tolerances.get("triangle_identity_abs")))
 
     def test_nonintegral_flux_still_satisfies_theorem(self):
         mesh = uniform_mesh(8, 1.0, 1.0, 3 * math.pi)
@@ -413,10 +425,13 @@ class TestTotalFlux:
 
     def test_edge_terms_cancel_over_mesh(self):
         mesh = uniform_mesh(8, 1.0, 1.0, 4 * math.pi)
-        assert edge_cancellation_total(mesh) < 1e-10
+        assert total_flux(mesh).edge_cancellation < 1e-10
 
     @pytest.mark.parametrize("key, field", [("cocycle_sum_rel", "theorem_holds"),
-                                            ("weil_integrality_rel", "weil_integral")])
+                                            ("weil_integrality_rel", "weil_integral"),
+                                            ("triangle_identity_rel", "identity_holds"),
+                                            ("triangle_identity_abs", "identity_holds"),
+                                            ("edge_cancellation_abs", "edges_cancel")])
     def test_thresholds_read_from_table(self, monkeypatch, key, field):
         # a negative threshold can never be met: the verdict follows the table
         mesh = uniform_mesh(4, 1.0, 1.0, 4 * math.pi)
@@ -425,10 +440,24 @@ class TestTotalFlux:
         assert not getattr(total_flux(mesh), field)
 
     def test_criterion_9_reads_edge_cancellation_threshold(self, monkeypatch):
-        assert verify.check_cocycle_theorem(mesh_sizes=(4,), flux_quanta=(1.0,)).passed
+        assert verify.check_cocycle_theorem().passed
         monkeypatch.setitem(tolerances.TOLERANCES, "edge_cancellation_abs", (-1.0, "never met"))
-        result = verify.check_cocycle_theorem(mesh_sizes=(4,), flux_quanta=(1.0,))
+        result = verify.check_cocycle_theorem()
         assert not result.passed and "vertex and edge pieces" in result.detail
+
+    def test_criterion_9_passes_over_each_mesh_once(self, monkeypatch):
+        # total_flux reads the identity, the cancellation and the sum from
+        # one _cocycles pass per mesh
+        calls = []
+        original = cocycle._cocycles
+
+        def counted(tri):
+            calls.append(1)
+            return original(tri)
+
+        monkeypatch.setattr(cocycle, "_cocycles", counted)
+        assert verify.check_cocycle_theorem().passed
+        assert len(calls) == len(verify._MESH_SIZES) * len(verify._MESH_FLUX_QUANTA) == 9
 
     def test_triangle_identity_memory_bounded(self):
         # peak traced memory stays a fixed multiple of the mesh's own arrays

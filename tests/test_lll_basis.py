@@ -13,10 +13,10 @@ from toruslandau.levels import (Quadrature, default_resolution, ground_section,
                                 inner_product, periodic_grid, raise_section)
 from toruslandau.lll_basis import (BoundaryPhases, ThetaBasisFunction, _is_grid,
                                    boundary_factors, boundary_residual,
-                                   double_shift_factors, eval_fourier,
-                                   eval_fourier_stack, eval_gaussian,
-                                   fourier_cutoff, ground_basis, normalize,
-                                   normalized_basis, theta_basis)
+                                   double_shift_factors, duality_residual,
+                                   eval_fourier, eval_fourier_stack,
+                                   eval_gaussian, fourier_cutoff, ground_basis,
+                                   normalize, normalized_basis, theta_basis)
 from toruslandau.translations import reduce_to_fundamental
 
 # Frozen reference: sum_n exp(-pi n^2), from the brute-force oracle below.
@@ -81,9 +81,12 @@ class TestFourierValues:
         assert eval_fourier(psi, grid).shape == (3, 4)
 
     def test_nonfinite_rejected(self):
+        # both series validate points the same way, with the same message
         psi = theta_basis(TorusGeometry.square(1), 0)
-        with pytest.raises(ValueError):
-            eval_fourier(psi, complex("inf"))
+        for evaluate in (eval_fourier, eval_gaussian):
+            for z in (complex("inf"), [0.1, complex("nan")]):
+                with pytest.raises(ValueError, match="evaluation point must be finite"):
+                    evaluate(psi, z)
 
     def test_cutoff_tail_negligible(self):
         # widening the window beyond the rule must not move the value
@@ -100,6 +103,16 @@ class TestFourierValues:
 
 
 class TestGaussianRepresentation:
+    def test_duality_residual_is_max_over_larger_scale(self):
+        geo = TorusGeometry.square(4)
+        psi = normalize(theta_basis(geo, 3))
+        rng = np.random.default_rng(5)
+        z = rng.random(300) * geo.L1 + 1j * rng.random(300) * geo.L2
+        f, g = eval_fourier(psi, z), eval_gaussian(psi, z)
+        scale = max(np.max(np.abs(f)), np.max(np.abs(g)))
+        assert duality_residual(psi, z) == np.max(np.abs(f - g)) / scale
+        assert duality_residual(psi, z) < 1e-12
+
     def test_matches_fourier_at_reference_point(self):
         geo = TorusGeometry.square(1)
         psi = theta_basis(geo, 0)
@@ -138,18 +151,30 @@ class TestBoundaryConditions:
         geo = TorusGeometry.square(2)
         z = 0.3 + 0.4j
         for psi in ground_basis(geo):
-            r1, r2 = boundary_residual(psi, z)
-            scale = abs(psi(z + geo.L1))
-            assert abs(r1) < 1e-12 * scale
-            assert abs(r2) < 1e-12 * scale
+            assert boundary_residual(psi, z) < 1e-12
 
     def test_flipped_phase_breaks_x_condition(self):
+        # a sign flip makes s(z+P) = -s(z) F: the difference is twice the
+        # scale, whichever condition carries the flip
         geo = TorusGeometry.square(2)
         psi = theta_basis(geo, 0)
         z = 0.3 + 0.4j
-        r1, r2 = boundary_residual(psi, z, BoundaryPhases(math.pi, 0.0))
-        assert abs(r1) > 0.1 * abs(psi(z + geo.L1))   # deliberate failure
-        assert abs(r2) < 1e-12 * abs(psi(z + 1j * geo.L2))
+        assert boundary_residual(psi, z, BoundaryPhases(math.pi, 0.0)) == pytest.approx(2.0)
+        assert boundary_residual(psi, z, BoundaryPhases(0.0, math.pi)) == pytest.approx(2.0)
+
+    def test_residual_scale_is_pointwise_max_of_both_sides(self):
+        geo = TorusGeometry.square(3)
+        psi = normalize(theta_basis(geo, 1))
+        z = periodic_grid(geo, 16, 16)
+        f1, f2 = boundary_factors(geo, z)
+        direct = 0.0
+        for shifted, expected in ((psi(z + geo.L1), psi(z) * f1),
+                                  (psi(z + 1j * geo.L2), psi(z) * f2)):
+            scale = np.max(np.maximum(np.abs(shifted), np.abs(expected)))
+            direct = max(direct, float(np.max(np.abs(shifted - expected))) / scale)
+        assert boundary_residual(psi, z) == direct
+        # held samples stand in for s(z) and give the same number
+        assert boundary_residual(psi, z, base=psi(z)) == direct
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_double_shift_consistency(self, n):

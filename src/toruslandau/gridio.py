@@ -1,32 +1,33 @@
-"""Serialization of grid fields: CSV, bare matrix, and a JSON sidecar.
+"""Serialization of grid fields: CSV, bare matrix, and JSON.
 
 All writers keep dict keys sorted and print every float as Python's repr
-does, so identical inputs produce byte-identical files.
+does, so identical inputs produce byte-identical files: the CSV and matrix
+writers emit exactly "\n".join(sep.join(map(repr, row)) for row in
+values.tolist()) + "\n" for every float64 (signed zeros, subnormals, inf
+and nan included), the JSON grid writer json.dumps(payload, sort_keys=True)
++ "\n".  A block of values is formatted at a time in numpy:
 
-The CSV and matrix writers emit exactly the bytes of
-
-    "\n".join(sep.join(map(repr, row)) for row in values.tolist()) + "\n"
-
-for every float64, signed zeros, subnormals, inf and nan included, but
-format a block of values at a time in numpy rather than one repr per value:
-
-  digits   Schubfach (R. Giulietti, "The Schubfach way to render doubles",
-           2020) finds, from the raw bits and in fixed-width integer
-           arithmetic, the shortest decimal that reads back as the double
-           and, of two such, the closer (ties to even), which is repr's
-           choice.  It takes one 126-bit power of ten g(k) from a 617-entry
-           table and three 64 x 128-bit products in 32-bit limbs, for the
-           value and its two rounding bounds.  Integers below 2^53 are their
-           own digits.  Trailing zeros are then stripped.
-  text     A template per (sign, digit count, point position or exponent
-           form) lists which byte of a per-value pool (the 17 digits, the
-           exponent text, '-', '.', '0', 'e', the separator) goes where;
-           one gather per block lays out the text.
-  blocks   Whole rows of about _BLOCK values, each block written to the
-           open file once formatted, so memory follows the block, not the
-           grid.
-  tables   g(k) and the templates are built on the first write, not at
-           import.
+  digits   Dragonbox (J. Jeon 2020) finds from the raw bits the shortest
+           decimal that reads back as the double and, of two such, the
+           closer (ties to even): repr's choice.  One 64 x 128-bit product
+           u G(k) in 32-bit limbs gives the upper end z of the rounding
+           interval in units of 10^-k, and a table its width.  Most values
+           are settled by z mod 1000 against the width, or by rounding at a
+           hundredth of it.  The few on an interval end or a possible tie
+           subtract G(k) 2^beta from the product, once and twice, for the
+           lower end and the value itself.  Powers of two, whose interval is
+           shorter below, take their digits from a table.  Trailing zeros
+           are divided out in steps of 16, 8, 4, 2 and 1 digits.
+  text     Each value is a row of four 8-byte words: its prefix ('-', '0.'
+           and the zeros of 0.000ddd) and 17 digits from a table of 4-digit
+           groups, the decimal point let in by masks chosen by point
+           position and digit count, then the exponent and the separator.
+           The unused bytes are NUL, deleted from the block's text in one
+           pass.  JSON's separators and its NaN and Infinity are substituted
+           in the finished text.
+  blocks   Whole rows of about _BLOCK values, each written to the open file
+           once formatted, so memory follows the block.  The tables are
+           built on the first write, not at import.
 """
 
 from __future__ import annotations
@@ -40,218 +41,212 @@ import numpy as np
 from .levels import GridField
 
 _BLOCK = 4096                 # values formatted per block (whole rows)
-
-# binary64: a finite nonzero double is c 2^q with c < 2^53
-_Q_MIN = -1074                # q of the subnormals
-_C_MIN = 1 << 52              # the hidden bit
-_C_TINY = 3                   # subnormal c below this are scaled by 10 first
-_K_MIN, _K_MAX = -324, 292    # range of the decimal exponent k of g(k)
-_MASK63 = (1 << 63) - 1
-_MASK32 = (1 << 32) - 1
-_POW10 = np.array([10 ** i for i in range(1, 18)], dtype=np.uint64)
-
-# text pool of one value: 17 right-aligned digits, then these columns
-_DIGITS, _MINUS, _POINT, _ZERO, _E = 17, 17, 18, 19, 20
-_EXP_SIGN, _EXP_DIGITS, _TERM = 21, 22, 25      # exponent sign, 3 digits, separator
-_I, _N, _F, _A, _NUL = 26, 27, 28, 29, 30         # NUL pads templates, deleted after
-_POOL_WIDTH = 31
-_FIXED = 20                   # point positions -3..16 print without exponent
-_LAYOUTS = _FIXED + 2         # then exponent forms with 2 and 3 exponent digits
-_INF = 2 * 17 * _LAYOUTS      # keys of inf, -inf and nan follow the number keys
+_M32 = (1 << 32) - 1
+_K_MIN, _K_MAX = -292, 326    # decimal exponents k of the powers of ten G(k)
+_ROWS = np.array([[0], [2048]])   # the rows g1 and g0 of by_exp
+_LEAD = 6                     # row byte of the leading digit; a prefix ends there
+_MASKS = np.arange(0, 9 * 22 * 18, 22 * 18)[:, None]   # the rows of masks
+_LOG10_2, _LOG2_10 = (661971961083, 41), (913124641741, 38)
+_word = functools.partial(int.from_bytes, byteorder="little")   # 8 bytes of text
 
 
-def _flog10pow2(e):
-    """floor(log10(2^e)), exact for |e| < 5000; ints or int64 arrays."""
-    return (e * 661971961083) >> 41
-
-
-def _flog10_three_quarters_pow2(e):
-    """floor(log10(3/4 2^e)), exact for |e| < 5000."""
-    return (e * 661971961083 - 274743187321) >> 41
-
-
-def _flog2pow10(e):
-    """floor(log2(10^e)), exact for |e| < 1200."""
-    return (e * 913124641741) >> 38
-
-
-def _template(neg: int, n: int, layout: int) -> list[int]:
-    """Pool columns spelling one number: sign, n digits, point or exponent."""
-    digits = list(range(_DIGITS - n, _DIGITS))
-    cols = [_MINUS] if neg else []
-    if layout < _FIXED:
-        point = layout - 3          # digits before the decimal point
-        if point <= 0:
-            cols += [_ZERO, _POINT] + [_ZERO] * -point + digits
-        elif point < n:
-            cols += digits[:point] + [_POINT] + digits[point:]
-        else:
-            cols += digits + [_ZERO] * (point - n) + [_POINT, _ZERO]
-    else:
-        exp_digits = 2 if layout == _FIXED else 3
-        cols += digits[:1] + ([_POINT] + digits[1:] if n > 1 else [])
-        cols += [_E, _EXP_SIGN] + list(range(_EXP_DIGITS + 3 - exp_digits, _EXP_DIGITS + 3))
-    return cols + [_TERM]
+def _flog(e, mul: int, shift: int, sub: int = 0):
+    """floor(e log10 2) with (mul, shift) = _LOG10_2, floor(log10(3/4 2^e))
+    with sub = 274743187321 as well, exact for |e| <= 1200, and floor(e log2
+    10) with _LOG2_10, exact for |e| <= 400 (Dragonbox's constants)."""
+    return (e * mul - sub) >> shift
 
 
 @functools.cache
 def _tables():
-    """(g1, g0, templates, exponent text), built once.
+    """Constants of the digits and text stages, built once.
 
-    g(k) = floor(10^-k 2^-r) + 1 with r = floor(log2(10^-k)) - 125, a
-    126-bit upper bound on 10^-k scaled to [2^125, 2^126), kept as two
-    contiguous arrays of its high and low 63 bits.
+    G(k) = ceil(10^k 2^(127 - floor(log2 10^k))) = g1 2^64 + g0 is
+    Dragonbox's power of ten.  by_exp has a column per biased exponent
+    (2047, inf and nan, repeats 2046) and, for k = 2 - floor(log10 2^q),
+    rows of: g1 and g0; the shift beta + 1 and the offset making u = (2c +
+    1) 2^beta from the fraction bits; the width delta; the exponent 2 - k
+    (mod 2^64); and the digits and exponent of 2^52 2^q by the
+    shorter-interval rule.
     """
-    g1, g0 = [], []
+    g = []
     for k in range(_K_MIN, _K_MAX + 1):
-        r = _flog2pow10(-k) - 125
-        num, den = (10 ** -k, 1) if k <= 0 else (1, 10 ** k)
-        if r < 0:
-            num <<= -r
-        else:
-            den <<= r
-        g = num // den + 1
-        g1.append(g >> 63)
-        g0.append(g & _MASK63)
-    keys = [_template(neg, n, layout) for neg in (0, 1)
-            for n in range(1, 18) for layout in range(_LAYOUTS)]
-    keys += [[_I, _N, _F, _TERM], [_MINUS, _I, _N, _F, _TERM], [_N, _A, _N, _TERM]]
-    width = max(map(len, keys))
-    templates = np.array([cols + [_NUL] * (width - len(cols)) for cols in keys])
-    # printed exponents run from -324 (5e-324) to 308 (1.8e+308)
-    exponents = np.array([[ord("-" if e < 0 else "+")] + [ord(d) for d in f"{abs(e):03d}"]
-                          for e in range(_K_MIN, 309)], dtype=np.uint8)
-    return (np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64),
-            templates, exponents)
+        r = 127 - _flog(k, *_LOG2_10)
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        g += divmod(-(-(num << max(r, 0)) // (den << max(-r, 0))), 2 ** 64)
+    g1, g0 = np.array(g, dtype=np.uint64).reshape(-1, 2).T
+    q = np.clip(np.arange(2048), 1, 2046) - 1075
+    k = 2 - _flog(q, *_LOG10_2)
+    beta = (q + _flog(k, *_LOG2_10)).astype(np.uint64)
+    hi, lo = g1[k - _K_MIN], g0[k - _K_MIN]
+    # the power of two: its interval reaches only a quarter unit below
+    mk = _flog(q, *_LOG10_2, 274743187321)
+    top = g1[-mk - _K_MIN]
+    shift = (11 - q - _flog(-mk, *_LOG2_10)).astype(np.uint64)
+    low = ((top - (top >> 54)) >> shift) + ((q < 2) | (q > 3))
+    high = ((top + (top >> 53)) >> shift) // 10
+    near = ((top >> (shift - 1)) + 1) >> 1
+    near += np.where((near & 1 == 1) & (q == -77), -1, near < low).astype(np.uint64)
+    fits = high * 10 >= low
+    by_exp = np.array([hi, lo, beta + 1, ((np.arange(2048) > 0).astype(np.uint64) << 53 | 1)
+                       << beta, hi >> (63 - beta), (2 - k).astype(np.uint64),
+                       np.where(fits, high, near), (mk + fits).astype(np.uint64)])
+    # per (point position clipped to -4..17, digit count): bytes kept before
+    # the point, bytes moved one on after it, the point, and the prefixes
+    masks, prefixes = [], []
+    for p in range(-4, 18):
+        for n in range(18):
+            exp = not -3 <= p <= 16
+            j, m = (p, p + 1 if p >= n else n) if 0 < p <= 16 else (int(exp and n > 1), max(n, 1))
+            lead = b"0." + b"0" * -p if -3 <= p <= 0 else b""
+            before = b"\xff" * (_LEAD + (j or m))
+            after = bytes(_LEAD + j + 1) + b"\xff" * (m - j) if j else b""
+            point = bytes(_LEAD + j) + b"." if j else b""
+            masks.append([_word(w.ljust(24, b"\0")[8 * i:8 * i + 8])
+                          for w in (before, after, point) for i in range(3)])
+            prefixes += [_word((sign + lead).rjust(_LEAD, b"\0")) for sign in (b"", b"-")]
+    # by point position -400..399: the first key, and the exponent text
+    starts = (np.clip(np.arange(-400, 400), -4, 17) + 4) * 18
+    suffixes = [0 if -3 <= p <= 16 else _word(b"e%+03d" % (p - 1)) for p in range(-400, 400)]
+    digits = np.arange(10 ** 4)      # the text of 0000..9999, one word each, and its zeros
+    quads = sum((digits // 10 ** (3 - i) % 10 + 48).astype(np.uint64) << 8 * i for i in range(4))
+    zeros = sum((digits % 10 ** p == 0).astype(np.uint8) for p in range(1, 5))
+    x = np.arange(2048) - 1023      # float exponent of an integer f: f has the
+    counts = np.where(x >= 0, _flog(x, *_LOG10_2) + 1, 1)   # digits of 2^x or one more
+    powers = np.array([10 ** i for i in range(20)] + [2 ** 64 - 1], dtype=np.uint64)
+    tens = powers.take(np.where((x >= 0) & (counts < 20), counts, 20))
+    specials = np.array([_word(w) for w in (b"inf", b"-inf", b"nan")], dtype=np.uint64)
+    return (by_exp, np.array(masks, dtype=np.uint64).T.copy(), np.array(prefixes, dtype=np.uint64),
+            starts, np.array(suffixes, dtype=np.uint64), quads, zeros, powers, counts, tens,
+            specials)
 
 
-def _mulhi(a1, a0, b1, b0):
-    """floor(a b / 2^64) for a = a1 2^32 + a0 < 2^63 and b = b1 2^32 + b0 < 2^59.
+def _mulhi(a, b1, b0):
+    """floor(a b / 2^64) for uint64 a and b = b1 2^32 + b0, limbs below 2^32."""
+    a1, a0 = a >> 32, a & _M32
+    mixed = a1 * b0
+    cross = (a0 * b0 >> 32) + (mixed & _M32) + a0 * b1
+    return a1 * b1 + (mixed >> 32) + (cross >> 32)
 
-    With a1 < 2^31 and b1 < 2^27 the two middle products sum below 2^64.
+
+def _minus(a2, a1, a0, d2, d1, d0):
+    """(a2, a1, a0) - (d2, d1, d0) for three-word integers, modulo 2^192."""
+    borrow = a0 < d0
+    return a2 - d2 - ((a1 < d1) | (a1 == d1) & borrow), a1 - d1 - borrow, a0 - d0
+
+
+def _shortest(frac, bq):
+    """Shortest, closest decimal f 10^e of the doubles with these fraction
+    bits and biased exponents; f may end in zeros.
+
+    Dragonbox, ties to even.  z = u G(k) 2^-128 is the interval's upper end
+    in units of 10^-k, with its fraction in the middle word; the width delta
+    is in [100, 1000).  The multiple of 1000 below z is the answer when in
+    the interval, r = z mod 1000 < delta (an integral z is out for odd c),
+    else the multiple of 100 closest to the value.  At r == delta the lower
+    end x decides, at an estimate on a multiple of 100 (one over, or a tie)
+    the value y: their products are u G(k) less G(k) 2^beta once and twice.
+    Results for zero, inf and nan mean nothing.
     """
-    cross = a1 * b0 + a0 * b1
-    low = (cross & _MASK32) + ((a0 * b0) >> 32)
-    return a1 * b1 + (cross >> 32) + (low >> 32)
-
-
-def _rop(g1, g0, cp):
-    """g cp / 2^127 rounded to odd, g = g1 2^63 + g0 (Schubfach's r_o').
-
-    Follows the Java reference step for step; cp < 2^59.
-    """
-    cp1, cp0 = cp >> 32, cp & _MASK32
-    z = ((g1 * cp) >> 1) + _mulhi(g0 >> 32, g0 & _MASK32, cp1, cp0)
-    vbp = _mulhi(g1 >> 32, g1 & _MASK32, cp1, cp0) + (z >> 63)
-    return vbp | (((z & _MASK63) + _MASK63) >> 63)
-
-
-def _shortest(c, q, g1, g0):
-    """Shortest, closest decimal f 10^e of the doubles c 2^q.
-
-    Schubfach on uint64 arrays.  Unlike Java's Double.toString, which needs
-    two digits, one digit is allowed, so the shorter candidate is tried for
-    every s; the subnormals scaled by 10 then take the exponent k - 1 on
-    both branches.  The results for zero, inf and nan mean nothing; the
-    caller discards them.
-    """
-    tiny = c < _C_TINY
-    c = np.where(tiny, c * 10, c)
-    out = c & 1                     # odd c: the interval excludes its ends
-    cb = c << 2
-    regular = (c != _C_MIN) | (q == _Q_MIN)
-    cbl = cb - np.where(regular, np.uint64(2), np.uint64(1))
-    k = np.where(regular, _flog10pow2(q), _flog10_three_quarters_pow2(q))
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g1, g0 = g1[k - _K_MIN], g0[k - _K_MIN]
-    vb, vbl, vbr = _rop(g1, g0, np.stack([cb, cbl, cb + 2]) << h)
-    vbl += out
-    vbr -= out
-    s = vb >> 2
-    sp10 = s // 10 * 10
-    upin = vbl <= sp10 << 2
-    wpin = sp10 + 10 << 2 <= vbr
-    uin = vbl <= s << 2
-    win = s + 1 << 2 <= vbr
-    mid = s << 2 | 2
-    closer = (vb < mid) | ((vb == mid) & (s & 1 == 0))
-    f = np.where(upin != wpin, np.where(upin, sp10, sp10 + 10),
-                 np.where(np.where(uin != win, uin, closer), s, s + 1))
-    return f, k - tiny
+    by_exp = _tables()[0]
+    i = bq.view(np.int64)
+    g = by_exp[:2].ravel().take(i + _ROWS)
+    shift, u0, delta, e = (row.take(i) for row in by_exp[2:6])
+    u = (frac << shift) + u0
+    hi, mid_hi = _mulhi(u, g >> 32, g & _M32)
+    low = u * g[0]
+    mid = low + mid_hi
+    z = hi + (mid < low)
+    s = z // 1000
+    r = z - s * 1000
+    wide = r < delta
+    dist = r - (delta >> 1) + 50
+    step = dist // 100
+    f = s * 10 + step
+    lanes = np.flatnonzero((r == 0) | (r == delta) | (step * 100 == dist) | (frac == 0))
+    if lanes.size:
+        (g1, g0), beta = g[:, lanes], shift[lanes] - 1
+        d = g1 >> (64 - beta), g1 << beta | g0 >> (64 - beta), g0 << beta   # G 2^beta
+        y = _minus(z[lanes], mid[lanes], u[lanes] * g0, *d)
+        x = _minus(*y, *d)
+        rl, sl, dl, odd = r[lanes], s[lanes], delta[lanes], frac[lanes] & 1 == 1
+        out = (rl == 0) & (mid[lanes] == 0) & odd
+        rl = np.where(out, 1000, rl)
+        dist = rl - (dl >> 1) + 50
+        near = (sl - out) * 10 + dist // 100
+        near -= (dist // 100 * 100 == dist) & (
+            ((y[0] & 1) != (dist ^ 50) & 1) | (y[1] == 0) & (near & 1 == 1))
+        f[lanes] = near
+        wide[lanes] = (rl < dl) | (rl == dl) & ((x[0] & 1 == 1) | (x[1] == 0) & ~odd)
+    f = np.where(wide, s, f)
+    e = e.view(np.int64) + wide
+    lanes = lanes[(frac[lanes] == 0) & (bq[lanes] > 1)]
+    f[lanes], e[lanes] = by_exp[6:, i[lanes]]
+    return f, e
 
 
 def _format(values: np.ndarray, term: np.ndarray) -> bytes:
-    """repr of each float64 in values, each followed by its term byte."""
-    g1, g0, templates, exponents = _tables()
+    """repr of each float64 in values, each followed by its term byte,
+    given as the word term << 40."""
+    _, masks, prefixes, starts, suffixes, quads, zeros, powers, counts, tens, specials = _tables()
     bits = values.view(np.uint64)
-    neg = (bits >> 63).astype(np.intp)
-    bq = ((bits >> 52) & 0x7FF).astype(np.int64)
-    c = bits & (_C_MIN - 1)
-    nan = (bq == 0x7FF) & (c != 0)
-    c = np.where(bq > 0, c | _C_MIN, c)
-    q = np.maximum(bq, 1) - 1075
-    # _shortest runs on every value; integers below 2^53 (zero too) take
-    # their own digits instead, and inf and nan have keys of their own
-    shift = np.clip(-q, 0, 63).astype(np.uint64)
-    whole = c >> shift
-    exact = ((q <= 0) & (q > -53) & (whole << shift == c)) | (c == 0)
-    f, e = _shortest(c, q, g1, g0)
-    f = np.where(exact, whole, f)
-    e = np.where(exact, 0, e)
-    while True:
-        tens = f // 10
-        strip = (tens * 10 == f) & (f != 0)
-        if not strip.any():
-            break
-        f = np.where(strip, tens, f)
-        e += strip
-    n = np.searchsorted(_POW10, f, side="right") + 1
-    point = n + e
-    layout = np.where((point > -4) & (point <= 16), point + 3,
-                      np.where(np.abs(point - 1) < 100, _FIXED, _FIXED + 1))
-    key = (neg * 17 + n - 1) * _LAYOUTS + layout
-    key = np.where(bq == 0x7FF, np.where(nan, _INF + 2, _INF + neg), key)
-
-    # the pool is column-major: row j holds byte j of every value's pool;
-    # the digits come as a 9-digit and an 8-digit half in uint32
-    size = len(values)
-    pool = np.empty((_POOL_WIDTH, size), dtype=np.uint8)
+    bq = bits >> 52 & 0x7FF
+    frac = bits & ((1 << 52) - 1)
+    neg = (bits >> 63).view(np.int64)
+    f, e = _shortest(frac, bq)
+    keep = (bits << 1 != 0) & (bq != 0x7FF)   # zero is 0 10^0; inf and nan come last
+    f *= keep
+    e *= keep
+    x = (f.astype(np.float64).view(np.uint64) >> 52).view(np.int64)
+    n = counts.take(x) + (f >= tens.take(x))
+    point = n + e + 400     # digits before the point, offset for starts and suffixes
+    # the prefix, then the 17 digits from byte _LEAD on, in three words; the
+    # trailing zeros of the four groups of four are not significant digits
+    f *= powers.take(17 - n)
     high = f // 10 ** 8
-    halves = np.stack([high, f - high * 10 ** 8]).astype(np.uint32)
-    for i in range(8):
-        tens = halves // 10
-        pool[8 - i:17 - i:8] = halves - tens * 10
-        halves = tens
-    pool[0] = halves[0]
-    pool[:_DIGITS] += ord("0")
-    pool[_MINUS:_EXP_SIGN] = np.frombuffer(b"-.0e", dtype=np.uint8)[:, None]
-    pool[_EXP_SIGN:_TERM] = exponents.take(
-        np.clip(point - 1 - _K_MIN, 0, len(exponents) - 1), axis=0).T
-    pool[_TERM] = term
-    pool[_I:] = np.frombuffer(b"infa\0", dtype=np.uint8)[:, None]
-    index = (templates * size).take(key, axis=0)
-    index += np.arange(size)[:, None]
-    return pool.ravel().take(index).tobytes().translate(None, b"\0")
+    lead = high // 10 ** 8
+    fours = np.stack([high - lead * 10 ** 8, f - high * 10 ** 8])
+    upper = fours // 10 ** 4
+    lower = fours - upper * 10 ** 4
+    (q1, q3), (q2, q4) = quads.take(upper), quads.take(lower)
+    (z1, z3), (z2, z4) = zeros.take(upper), zeros.take(lower)
+    n = 17 - (z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * z1)))
+    key = starts.take(point) + n
+    b0 = prefixes.take(2 * key + neg) | (lead + 48) << 48 | q1 << 56
+    b1 = q1 >> 8 | q2 << 24 | q3 << 56
+    b2 = q3 >> 8 | q4 << 24
+    # the bytes before the point stay, those after it move on by one
+    lo0, lo1, lo2, hi0, hi1, hi2, dot0, dot1, dot2 = masks.ravel().take(key + _MASKS)
+    row = np.empty((len(values), 4), dtype=np.uint64)
+    row[:, 0] = b0 & lo0 | b0 << 8 & hi0 | dot0
+    row[:, 1] = b1 & lo1 | (b1 << 8 | b0 >> 56) & hi1 | dot1
+    row[:, 2] = b2 & lo2 | (b2 << 8 | b1 >> 56) & hi2 | dot2
+    row[:, 3] = suffixes.take(point) | term
+    lanes = np.flatnonzero(bq == 0x7FF)
+    row[lanes, :3] = 0
+    row[lanes, 0] = specials.take(np.where(frac[lanes] != 0, 2, neg[lanes]))
+    return row.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
-def _require_real(field: GridField):
+def _blocks(field: GridField, sep: str):
+    """The text of the values, one line per y-row, a block of rows at a time."""
     if np.iscomplexobj(field.values):
         raise ValueError(
             "serialize complex fields as two real ones (values.real / values.imag)")
+    values = np.asarray(field.values, dtype=float)
+    rows = max(1, _BLOCK // field.nx)
+    term = np.full((rows, field.nx), ord(sep) << 40, dtype=np.uint64)
+    term[:, -1] = ord("\n") << 40
+    return (_format(np.ascontiguousarray(values[start:start + rows]).ravel(),
+                    term[:field.ny - start].ravel()) for start in range(0, field.ny, rows))
 
 
 def _write_rows(field: GridField, path, sep: str) -> Path:
     """One line per y-row, the repr of each value, separated by sep."""
-    _require_real(field)
-    path = Path(path)
-    values = np.asarray(field.values, dtype=float)
-    rows = max(1, _BLOCK // field.nx)
-    term = np.full((rows, field.nx), ord(sep), dtype=np.uint8)
-    term[:, -1] = ord("\n")
+    blocks, path = _blocks(field, sep), Path(path)
     with path.open("wb") as fh:
-        for start in range(0, field.ny, rows):
-            block = np.ascontiguousarray(values[start:start + rows]).ravel()
-            fh.write(_format(block, term.ravel()[:len(block)]))
+        for text in blocks:
+            fh.write(text)
     return path
 
 
@@ -273,22 +268,25 @@ def _header(field: GridField) -> dict:
 
 
 def write_json_grid(field: GridField, path) -> Path:
-    """Whole grid as one JSON document: metadata plus the value rows."""
-    _require_real(field)
-    path = Path(path)
-    payload = {**_header(field), "values": np.asarray(field.values, dtype=float).tolist()}
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    """Whole grid as one JSON document: metadata, then ("values" sorts last)
+    the value rows, each a CSV line turned into a JSON list."""
+    blocks, path = _blocks(field, ","), Path(path)
+    with path.open("wb") as fh:
+        text = (json.dumps(_header(field), sort_keys=True)[:-1] + ', "values": [[').encode()
+        for block in blocks:
+            fh.write(text)
+            text = block.replace(b",", b", ").replace(b"\n", b"], [")
+            if b"n" in text:   # no digit, point, sign or exponent has an n
+                text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
+        fh.write(text[:-4] + b"]]}\n")
     return path
 
 
 def write_sidecar(field: GridField, path, extra: dict | None = None) -> Path:
     """JSON sidecar with geometry, resolution and field statistics."""
     vals = field.values
-    stats = {
-        "min": float(np.min(vals.real)),
-        "max": float(np.max(vals.real)),
-        "mean": float(np.mean(vals.real)),
-    }
+    stats = {"min": float(np.min(vals.real)), "max": float(np.max(vals.real)),
+             "mean": float(np.mean(vals.real))}
     if np.iscomplexobj(vals):
         stats["max_abs"] = float(np.max(np.abs(vals)))
     payload = {**_header(field), "statistics": stats}

@@ -461,16 +461,29 @@ def double_shift_factors(geometry: TorusGeometry, z,
 def normalize(psi: ThetaBasisFunction, nx: int | None = None,
               ny: int | None = None) -> ThetaBasisFunction:
     """Copy of psi with norm_const fixed so the quadrature norm is 1."""
-    from .levels import inner_product  # deferred: levels builds on this module
-
-    ip = inner_product(psi, psi, nx, ny)
-    scale = math.sqrt(float(np.real(ip)))
-    if not scale > 0:
-        raise ZeroNorm("cannot normalize a section with vanishing norm")
-    return dataclasses.replace(psi, norm_const=psi.norm_const / scale)
+    return _normalized([psi], nx, ny)[0]
 
 
 def normalized_basis(geometry: TorusGeometry, nx: int | None = None,
                      ny: int | None = None) -> list[ThetaBasisFunction]:
     """The N ground states, each normalized by quadrature."""
-    return [normalize(psi, nx, ny) for psi in ground_basis(geometry)]
+    return _normalized(ground_basis(geometry), nx, ny)
+
+
+def _normalized(psis, nx: int | None, ny: int | None) -> list[ThetaBasisFunction]:
+    """Copies of psis (one torus) with unit quadrature norms.
+
+    One stacked grid pass samples them all, and each norm is the gram of a
+    one-sample slice, so a section's norm_const does not depend on the
+    sections sampled with it.
+    """
+    from .levels import Quadrature  # deferred: levels builds on this module
+
+    quad = Quadrature(psis[0].geometry, nx, ny)
+    out = []
+    for psi, v in zip(psis, quad.sample(psis)[:, None]):
+        scale = math.sqrt(float(np.real(quad.gram(v, v)[0, 0])))
+        if not scale > 0:
+            raise ZeroNorm("cannot normalize a section with vanishing norm")
+        out.append(dataclasses.replace(psi, norm_const=psi.norm_const / scale))
+    return out

@@ -1,7 +1,10 @@
+import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +361,8 @@ class TestDensityMap:
 
 def assert_rows_match_repr(tmp_path, values):
     """write_csv and write_matrix emit the bytes of the repr oracle,
-    "\n".join(sep.join(map(repr, row)) for row in values.tolist()) + "\n"."""
+    "\n".join(sep.join(map(repr, row)) for row in values.tolist()) + "\n",
+    and write_json_grid those of json.dumps(payload, sort_keys=True) + "\n"."""
     field = GridField(TorusGeometry.square(2), "v", values)
     rows = [list(map(repr, row)) for row in values.tolist()]
     for write, sep in ((gridio.write_csv, ","), (gridio.write_matrix, " ")):
@@ -369,11 +373,68 @@ def assert_rows_match_repr(tmp_path, values):
                         want.replace(b"\n", sep.encode()).split(sep.encode()))
             bad = next(((g, w) for g, w in pairs if g != w), "lengths differ")
             pytest.fail(f"{write.__name__}: wrote/repr {bad}")
+    payload = {**gridio._header(field), "values": values.tolist()}
+    got = gridio.write_json_grid(field, tmp_path / "v.json").read_bytes()
+    want = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    if got != want:
+        pairs = zip(got.split(b", "), want.split(b", "))
+        bad = next(((g, w) for g, w in pairs if g != w), "lengths differ")
+        pytest.fail(f"write_json_grid: wrote/json.dumps {bad}")
 
 
 def shortest_digits(v: float) -> int:
     """Significant digits of repr(v)."""
     return len(repr(v).split("e")[0].lstrip("-").replace(".", "").strip("0"))
+
+
+DIGIT_BRANCHES = {"power", "end_odd", "end_even", "lower_int_odd", "lower_int_even",
+                  "lower_in", "lower_out", "over", "tie", "hundred"}
+
+
+def digit_branches(v: float) -> set:
+    """The cases of the writers' shortest-digits search (Dragonbox) that the
+    finite double v > 0 = c 2^q meets, decided in exact rationals.
+
+    In units of 10^-k, k = 2 - floor(q log10 2), the rounding interval runs
+    from x to z, has width delta in [100, 1000), and the value is y.
+    'power': c = 2^52, whose interval is shorter below.  'end_odd' and
+    'end_even': z is an integer on a multiple of 1000, out of the interval
+    of an odd c.  When floor(z) mod 1000 == floor(delta) x decides:
+    'lower_int_odd' and 'lower_int_even' (x an integer), 'lower_in' and
+    'lower_out'.  When the answer is at a hundredth and its estimate lands
+    on a multiple of 100: 'over' (one too high), 'tie' (y is an integer)
+    or 'hundred'.
+    """
+    bits = int(np.float64(v).view(np.uint64))
+    exponent, frac = bits >> 52, bits & (2 ** 52 - 1)
+    if frac == 0 and exponent > 1:
+        return {"power"}
+    c, q = frac | (exponent > 0) << 52, max(exponent, 1) - 1075
+    unit = Fraction(2) ** (q - 1) * Fraction(10) ** (2 - math.floor(q * math.log10(2)))
+    x, y, z, delta = (2 * c - 1) * unit, 2 * c * unit, (2 * c + 1) * unit, 2 * unit
+    r, width = math.floor(z) % 1000, math.floor(delta)
+    cases = set()
+    if r == 0 and z == math.floor(z):
+        if c % 2 == 0:
+            return {"end_even"}
+        cases.add("end_odd")
+        r = 1000
+    elif r == width:
+        if x == math.floor(x):
+            if c % 2 == 0:
+                return {"lower_int_even"}
+            cases.add("lower_int_odd")
+        elif math.floor(x) % 2:
+            return {"lower_in"}
+        else:
+            cases.add("lower_out")
+    elif r < width:
+        return cases
+    dist = r - width // 2 + 50
+    if dist % 100 == 0:
+        cases.add("over" if math.floor(y) % 2 != (dist ^ 50) % 2
+                  else "tie" if y == math.floor(y) else "hundred")
+    return cases
 
 
 class TestGridFieldAndSerialization:
@@ -437,9 +498,23 @@ class TestGridFieldAndSerialization:
         by_length = [float(f"{rng.integers(10 ** (d - 1), 10 ** d)}e{e}")
                      for d in range(1, 18) for e in range(-320, 290, 7)]
         assert {shortest_digits(v) for v in by_length} == set(range(1, 18))
+        # the doubles either side of decimals m 10^j halfway between two
+        # doubles (m 5^j odd in (2^53, 2^54)): an interval end on the decimal
+        midpoints = [float(m * 10 ** j + side * 2 ** j) for j in range(17, 24)
+                     for m in [m for m in range(2 ** 53 // 5 ** j | 1, 2 ** 54 // 5 ** j, 2)
+                               if m % 5][:8] for side in (-1, 1)]
+        # odd quarters of 16 integer digits: 17-digit ties
+        quarters = (2 * np.arange(2 ** 51 + 10 ** 14, 2 ** 51 + 10 ** 14 + 40) + 1) / 4
+        # and a spread of magnitudes, for the rarer ends and hundredths
+        scatter = np.random.default_rng(6)
+        sample = scatter.random(2000) * 10.0 ** scatter.integers(-30, 30, 2000)
+        reached = [digit_branches(v) for part in (twos, midpoints, quarters, sample)
+                   for v in part]
+        assert set().union(*reached) == DIGIT_BRANCHES
         values = np.concatenate([twos, -twos, tiny, -tiny, special, bounds, -bounds,
                                  near_2_53, 2.0 ** 52 + np.arange(-20, 21) / 2,
-                                 by_length, np.negative(by_length)])
+                                 by_length, np.negative(by_length), midpoints,
+                                 np.negative(midpoints), quarters, -quarters, sample, -sample])
         values = np.concatenate([values, np.zeros(-len(values) % 16)])
         assert_rows_match_repr(tmp_path, values.reshape(-1, 16))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslandau import numdiff
+from toruslandau import numdiff, tolerances, verify
 from toruslandau.errors import GeometryMismatch
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, default_resolution, ground_section,
@@ -144,6 +144,71 @@ class TestGaussianRepresentation:
         z = 0.4 + 0.3j
         assert eval_fourier(scaled, z) == pytest.approx(2.5 * eval_fourier(psi, z))
         assert eval_gaussian(scaled, z) == pytest.approx(2.5 * eval_gaussian(psi, z))
+
+
+def mp_fourier_sums(geo: TorusGeometry, zs) -> np.ndarray:
+    """e^{z^2/2} sum_{n = nu (mod N)} exp(-pi n^2 L2/(N L1) + 2 pi i n z/L1)
+    at each z (columns) for every nu (rows), summed in 50-digit mpmath.
+
+    A reference for either series: it takes the package's constants, pi as
+    np.pi and the sides as the doubles L1 and L2, and leaves out only the
+    terms below e^-120 of the largest at each point.  Each residue class is
+    one Horner sum in w^N, w = e^{2 pi i z/L1}.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n_flux = geo.N
+    out = np.empty((n_flux, len(zs)), dtype=complex)
+    with mpmath.workdps(50):
+        pi, L1, L2 = mpmath.mpf(np.pi), mpmath.mpf(geo.L1), mpmath.mpf(geo.L2)
+        a = pi * L2 / (n_flux * L1)
+        reach = math.sqrt(120 / float(a))
+        top = int(n_flux * np.max(np.abs(zs.imag)) / geo.L2 + reach) + 2 * n_flux
+        coeff = {n: mpmath.exp(-a * n * n) for n in range(-top, top + 1)}
+        for j, z in enumerate(zs):
+            peak = -n_flux * z.imag / geo.L2          # n of the largest term
+            z = mpmath.mpc(z.real, z.imag)
+            w = mpmath.exp(2j * pi * z / L1)
+            step, gauge = w ** n_flux, mpmath.exp(z * z / 2)
+            for nu in range(n_flux):
+                lo = math.floor((peak - reach - nu) / n_flux)
+                acc = mpmath.mpc(0)
+                for m in range(math.ceil((peak + reach - nu) / n_flux), lo - 1, -1):
+                    acc = acc * step + coeff[nu + n_flux * m]
+                out[nu, j] = complex(gauge * w ** (nu + n_flux * lo) * acc)
+    return out
+
+
+class TestDualityOracle:
+    def test_oracle_matches_frozen_gauss_sum(self):
+        # at z = 0 on the unit-flux square, psi_0 is sum_n exp(-pi n^2)
+        geo = TorusGeometry.square(1)
+        assert mp_fourier_sums(geo, np.zeros(1, dtype=complex))[0, 0] == \
+            pytest.approx(GAUSS_SUM, rel=1e-15)
+
+    def test_each_series_within_a_tenth_of_the_tolerance(self):
+        # criterion 3's points (its seed and draw order) and its scale, the
+        # largest magnitude over all of them.  The oracle is summed at one in
+        # 50 of them and at each section's three largest, where a relative
+        # error shows in full.  At N <= 10 each series is within
+        # poisson_duality_rel / 10 of it, so neither can hide the other's
+        # error in the criterion
+        tol = tolerances.get("poisson_duality_rel") / 10
+        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        for n in range(1, 11):
+            geo = TorusGeometry.square(n)
+            zs = (rng.random(verify._DUALITY_POINTS) * geo.L1
+                  + 1j * rng.random(verify._DUALITY_POINTS) * geo.L2)
+            basis = normalized_basis(geo)
+            series = {psi.nu: (eval_fourier(psi, zs), eval_gaussian(psi, zs)) for psi in basis}
+            largest = [np.argsort(np.abs(f))[-3:] for f, _ in series.values()]
+            picks = np.unique(np.concatenate([np.arange(0, len(zs), 50), *largest]))
+            ref = mp_fourier_sums(geo, zs[picks])
+            for psi in basis:
+                exact = psi.norm_const * ref[psi.nu]
+                scale = max(np.max(np.abs(values)) for values in series[psi.nu])
+                for name, values in zip(("fourier", "gaussian"), series[psi.nu]):
+                    err = np.max(np.abs(values[picks] - exact)) / scale
+                    assert err < tol, (n, psi.nu, name, err)
 
 
 class TestBoundaryConditions:

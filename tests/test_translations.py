@@ -304,9 +304,10 @@ class TestSamplingOnce:
         (lambda g: translation_matrix(g, g.L1 / 3, nx=48), 1),
         (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=48), 2),
         (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3, nx=48), 1),
+        (lambda g: normalized_basis(g), 1),
     ], ids=["density_L0", "density_L1", "lattice_L0", "half_lattice_L1",
             "commutator_L0", "rolled_lattice_L0", "rolled_half_lattice_L1",
-            "rolled_commutator_L0"])
+            "rolled_commutator_L0", "normalized_basis"])
     def test_grid_evaluations_at_n3(self, monkeypatch, geo3, call, count):
         # the default grid at N = 3 is 64 wide, so a = L1/3 is off its lattice
         calls = []
@@ -319,6 +320,17 @@ class TestSamplingOnce:
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         call(geo3)
         assert len(calls) == count
+
+    @pytest.mark.parametrize("n, ratio, grid", [(3, 1.0, None), (6, 0.25, None),
+                                                (5, 4.0, (48, 80)), (12, 1.0, None)])
+    def test_stacked_norms_match_normalize(self, n, ratio, grid):
+        # each norm is the gram of a one-sample slice of the stacked pass,
+        # the same product normalize takes of a one-section pass
+        geo = TorusGeometry.with_aspect(n, ratio)
+        grid = grid or (None, None)
+        stacked = normalized_basis(geo, *grid)
+        one_by_one = [lll_basis.normalize(psi, *grid) for psi in lll_basis.ground_basis(geo)]
+        assert [psi.norm_const for psi in stacked] == [psi.norm_const for psi in one_by_one]
 
     def test_report_builds_one_quadrature(self, monkeypatch, geo3):
         # the report's grid is the one its translation matrix integrates on

@@ -69,11 +69,18 @@ def _tables():
     (mod 2^64); and the digits and exponent of 2^52 2^q by the
     shorter-interval rule.
     """
-    g = []
+    # ten = 10^|k|: for k < 0, G(k) is 2^r / ten rounded up; for k >= 0 it
+    # is ten shifted, rounding up when shifted down
+    g, ten = [], 10 ** -_K_MIN
     for k in range(_K_MIN, _K_MAX + 1):
         r = 127 - _flog(k, *_LOG2_10)
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        g += divmod(-(-(num << max(r, 0)) // (den << max(-r, 0))), 2 ** 64)
+        if k < 0:
+            x = -(-(1 << r) // ten)
+            ten //= 10
+        else:
+            x = ten << r if r >= 0 else -(-ten >> -r)
+            ten *= 10
+        g += x >> 64, x & 0xFFFFFFFFFFFFFFFF
     g1, g0 = np.array(g, dtype=np.uint64).reshape(-1, 2).T
     q = np.clip(np.arange(2048), 1, 2046) - 1075
     k = 2 - _flog(q, *_LOG10_2)
@@ -91,20 +98,23 @@ def _tables():
     by_exp = np.array([hi, lo, beta + 1, ((np.arange(2048) > 0).astype(np.uint64) << 53 | 1)
                        << beta, hi >> (63 - beta), (2 - k).astype(np.uint64),
                        np.where(fits, high, near), (mk + fits).astype(np.uint64)])
-    # per (point position clipped to -4..17, digit count): bytes kept before
-    # the point, bytes moved one on after it, the point, and the prefixes
-    masks, prefixes = [], []
-    for p in range(-4, 18):
-        for n in range(18):
-            exp = not -3 <= p <= 16
-            j, m = (p, p + 1 if p >= n else n) if 0 < p <= 16 else (int(exp and n > 1), max(n, 1))
-            lead = b"0." + b"0" * -p if -3 <= p <= 0 else b""
-            before = b"\xff" * (_LEAD + (j or m))
-            after = bytes(_LEAD + j + 1) + b"\xff" * (m - j) if j else b""
-            point = bytes(_LEAD + j) + b"." if j else b""
-            masks.append([_word(w.ljust(24, b"\0")[8 * i:8 * i + 8])
-                          for w in (before, after, point) for i in range(3)])
-            prefixes += [_word((sign + lead).rjust(_LEAD, b"\0")) for sign in (b"", b"-")]
+    # per (point position p clipped to -4..17, digit count n), 24 bytes
+    # each: those kept before the point (up to it at j, else all m digits),
+    # those moved one on after it, and the point; a point inside the digits
+    # sits after digit p, an exponent's after the first of several
+    p, n, b = np.arange(-4, 18)[:, None, None], np.arange(18)[:, None], np.arange(24)
+    inside = (0 < p) & (p <= 16)
+    j = np.where(inside, p, ((p < -3) | (p > 16)) & (n > 1))
+    m = np.where(inside & (p >= n), p + 1, np.maximum(n, 1))
+    text = np.stack([b < _LEAD + np.where(j > 0, j, m),
+                     (j > 0) & (b > _LEAD + j) & (b <= _LEAD + m),
+                     (j > 0) & (b == _LEAD + j)], axis=2) * np.array([[0xFF], [0xFF], [ord(".")]],
+                                                                   dtype=np.uint8)
+    masks = text.view("<u8").astype(np.uint64).reshape(-1, 9).T.copy()
+    # and the prefixes, a sign and the '0.' and zeros of 0.000ddd
+    leads = (b"0." + b"0" * -p if -3 <= p <= 0 else b"" for p in range(-4, 18))
+    prefixes = np.repeat(np.array([[_word((sign + lead).rjust(_LEAD, b"\0")) for sign in (b"", b"-")]
+                                   for lead in leads], dtype=np.uint64), 18, axis=0).ravel()
     # by point position -400..399: the first key, and the exponent text
     starts = (np.clip(np.arange(-400, 400), -4, 17) + 4) * 18
     suffixes = [0 if -3 <= p <= 16 else _word(b"e%+03d" % (p - 1)) for p in range(-400, 400)]
@@ -116,7 +126,7 @@ def _tables():
     powers = np.array([10 ** i for i in range(20)] + [2 ** 64 - 1], dtype=np.uint64)
     tens = powers.take(np.where((x >= 0) & (counts < 20), counts, 20))
     specials = np.array([_word(w) for w in (b"inf", b"-inf", b"nan")], dtype=np.uint64)
-    return (by_exp, np.array(masks, dtype=np.uint64).T.copy(), np.array(prefixes, dtype=np.uint64),
+    return (by_exp, masks, prefixes,
             starts, np.array(suffixes, dtype=np.uint64), quads, zeros, powers, counts, tens,
             specials)
 

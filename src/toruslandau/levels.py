@@ -22,7 +22,9 @@ H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
 
 A level basis is sampled on the quadrature grid once, to normalize it, one
 stacked grid pass per derivative order of its terms; the density map and the
-translation matrices reuse those samples.
+translation matrices reuse those samples.  rayleigh_quotients likewise
+samples a list of sections and their dbar images in one pass per order, and
+rayleigh_quotient is its one-section case.
 """
 
 from __future__ import annotations
@@ -86,14 +88,7 @@ class Quadrature:
         """
         if all(isinstance(s, ThetaBasisFunction) for s in sections):
             return eval_fourier_stack(sections, self.z)
-        sections = [as_section(s) for s in sections]
-        out = np.zeros((len(sections), self.ny, self.nx), dtype=complex)
-        keys = ((psi, k) for s in sections for _, psi, k, _ in s.terms)
-        for samples in _term_stacks(keys, self.z):
-            for s, acc in zip(sections, out):
-                s._add_terms(self.z, samples, acc)
-            del samples  # free this stack before the next one is taken
-        return out
+        return _sample_sections(sections, self.z)
 
     def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Matrix of inner products <u_i|v_j> of two sample stacks.
@@ -153,11 +148,7 @@ class PolynomialSection:
 
     def __call__(self, z):
         """Values at z; each distinct (psi, k) is evaluated once."""
-        z = np.asarray(z, dtype=complex)
-        samples = {}
-        for stack in _term_stacks(((psi, k) for _, psi, k, _ in self.terms), z):
-            samples.update(stack)
-        return self._add_terms(z, samples, np.zeros(z.shape, dtype=complex))
+        return _sample_sections([self], np.asarray(z, dtype=complex))[0]
 
     def _add_terms(self, z, samples, acc):
         """Add into acc, in term order, the terms whose psi^(k) at z is in samples."""
@@ -183,16 +174,36 @@ class PolynomialSection:
         return self + other * (-1.0)
 
 
+def _sample_sections(sections, z) -> np.ndarray:
+    """Values of each section at the points z, shape (len(sections),) + z.shape.
+
+    The distinct (psi, k) of all the sections are sampled once, one stacked
+    pass per derivative order, and each stack is added into the sections
+    before the next is taken, so a section's values do not depend on the
+    sections sampled with it.
+    """
+    sections = [as_section(s) for s in sections]
+    out = np.zeros((len(sections),) + z.shape, dtype=complex)
+    keys = ((psi, k) for s in sections for _, psi, k, _ in s.terms)
+    for samples in _term_stacks(keys, z):
+        for i, s in enumerate(sections):
+            s._add_terms(z, samples, out[i, ...])
+        del samples  # free this stack before the next one is taken
+    return out
+
+
 def _term_stacks(keys, z):
     """Yield {(psi, k): psi^(k)(z)} for the distinct (psi, k) of keys.
 
-    One dict per geometry and derivative order, in order of first use: its
-    ground states are evaluated as one stack, on a tensor grid one grid pass.
+    One dict per geometry and derivative order, the highest order first (the
+    term order of a raised section), so the order in which a section's terms
+    are added does not depend on the other keys.  Its ground states are
+    evaluated as one stack, on a tensor grid one grid pass.
     """
     groups = {}
     for psi, k in dict.fromkeys(keys):
         groups.setdefault((psi.geometry, k), []).append(psi)
-    for (_, k), psis in groups.items():
+    for (_, k), psis in sorted(groups.items(), key=lambda group: -group[0][1]):
         yield dict(zip(((psi, k) for psi in psis), eval_fourier_stack(psis, z, k)))
 
 
@@ -283,17 +294,29 @@ def gram_matrix(basis, nx: int | None = None, ny: int | None = None) -> np.ndarr
     return (g + g.conj().T) / 2
 
 
-def rayleigh_quotient(s, nx: int | None = None, ny: int | None = None) -> float:
-    """<s|H|s>/<s|s> through the positive form 2 * integral e^{-|z|^2} |dbar s|^2.
+def rayleigh_quotients(sections, nx: int | None = None,
+                       ny: int | None = None) -> list[float]:
+    """<s|H|s>/<s|s> of each section, through the positive form
+    2 * integral e^{-|z|^2} |dbar s|^2.
 
-    Zero exactly on the holomorphic ground level; 2k on level k.
+    Zero exactly on the holomorphic ground level; 2k on level k.  The
+    sections share one torus; they and their dbar_sections are sampled in
+    one quad.sample.  ZeroNorm if any section has a vanishing norm.
     """
-    s = as_section(s)
-    quad = Quadrature(s.geometry, nx, ny)
-    den, num = quad.norms(quad.sample([s, dbar_section(s)])) ** 2
-    if not den > 0:
+    sections = [as_section(s) for s in sections]
+    for s in sections[1:]:
+        _check_same_geometry(sections[0], s)
+    quad = Quadrature(sections[0].geometry, nx, ny)
+    norms = quad.norms(quad.sample(sections + [dbar_section(s) for s in sections])) ** 2
+    den, num = np.split(norms, 2)
+    if not np.all(den > 0):
         raise ZeroNorm("section has vanishing quadrature norm")
-    return float(2 * num / den)
+    return [float(2 * b / a) for a, b in zip(den, num)]
+
+
+def rayleigh_quotient(s, nx: int | None = None, ny: int | None = None) -> float:
+    """<s|H|s>/<s|s> of one section: the one-section case of rayleigh_quotients."""
+    return rayleigh_quotients([s], nx, ny)[0]
 
 
 # ---------------------------------------------------------------------------

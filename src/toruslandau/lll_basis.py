@@ -36,7 +36,7 @@ hundred.  The Fourier series has two paths:
              and shared, and each section keeps its own row peaks, so its
              samples are bit-identical to those of a one-section call.
   pointwise  any other z: every term's full exponent per point, with each
-             point's own peak factored out.
+             point's own peak factored out, a block of points at a time.
 
 eval_fourier_stack is the one evaluator of the package, and eval_fourier
 its one-section case: every section of the levels module, and every
@@ -67,8 +67,9 @@ _TWO_PI = 2 * np.pi
 # the largest kept term anywhere in the evaluation domain.
 _TAIL_MARGIN = 40.0
 
-# The grid path works on blocks of about this many points, so its
-# long-double temporaries stay a few MB whatever the grid size.
+# The grid path works on blocks of about this many points, and the pointwise
+# paths on blocks of about this many (point, term) pairs, so their
+# long-double temporaries stay a few MB whatever the number of points.
 _BLOCK_POINTS = 1 << 16
 
 
@@ -298,28 +299,50 @@ def _points(z) -> np.ndarray:
     return arr
 
 
+def _by_points(arr, n_terms: int, evaluate) -> np.ndarray:
+    """evaluate(points) over arr, a block of about _BLOCK_POINTS point-term
+    pairs at a time, reshaped to arr.
+
+    evaluate maps a 1-D block of points to one value per point, through
+    elementwise operations and reductions per point only, so the values do
+    not depend on the blocking and the (points x terms) temporaries stay a
+    few MB.
+    """
+    flat = arr.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(1, _BLOCK_POINTS // n_terms)
+    for start in range(0, flat.size, step):
+        out[start:start + step] = evaluate(flat[start:start + step])
+    return out.reshape(arr.shape)
+
+
 def _fourier_points(psi: ThetaBasisFunction, arr, order: int):
-    """eval_fourier at arbitrary points: every term's full exponent per point."""
+    """eval_fourier at arbitrary points: every term's full exponent per point.
+
+    The term window is chosen from all the points, then the points are
+    summed a block at a time (_by_points).
+    """
     geo = psi.geometry
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
     ns = _fourier_indices(psi, arr.imag)
-
-    x = arr.real.astype(_LD)[..., None]
-    y = arr.imag.astype(_LD)[..., None]
     nl = ns.astype(_LD)
     L1l, L2l, pil = _LD(L1), _LD(L2), _LD(np.pi)
+    coeffs = _prefactor_coeffs(order, 1.0)
 
-    # exponent E_n = z^2/2 - pi n^2 L2/(N L1) + 2 pi i n z / L1
-    re = (x * x - y * y) / 2 - pil * nl * nl * L2l / (n_flux * L1l) \
-        - _LD(_TWO_PI) * nl * y / L1l
-    ph = x * y + _LD(_TWO_PI) * nl * x / L1l
+    def block(points):
+        x = points.real.astype(_LD)[:, None]
+        y = points.imag.astype(_LD)[:, None]
+        # exponent E_n = z^2/2 - pi n^2 L2/(N L1) + 2 pi i n z / L1
+        re = (x * x - y * y) / 2 - pil * nl * nl * L2l / (n_flux * L1l) \
+            - _LD(_TWO_PI) * nl * y / L1l
+        ph = x * y + _LD(_TWO_PI) * nl * x / L1l
+        poly = None
+        if order > 0:
+            w = points[:, None] + 2j * np.pi * ns / L1   # dE/dz per term
+            poly = _eval_poly(coeffs, w)
+        return psi.norm_const * _peak_split_sum(re, ph, poly)
 
-    poly = None
-    if order > 0:
-        w = arr[..., None] + 2j * np.pi * ns / L1   # dE/dz per term
-        poly = _eval_poly(_prefactor_coeffs(order, 1.0), w)
-
-    return psi.norm_const * _peak_split_sum(re, ph, poly)
+    return _by_points(arr, len(ns), block)
 
 
 def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
@@ -359,7 +382,9 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
 
     Includes the Poisson conversion constant sqrt(pi)/L2 * e^{-nu^2 L2^2/N^2}
     so the result matches eval_fourier identically (up to rounding), with an
-    independently truncated Gaussian tail below 1e-16 relative.
+    independently truncated Gaussian tail below 1e-16 relative.  The window
+    is chosen from all the points, then the points are summed a block at a
+    time (_by_points).
     """
     geo = psi.geometry
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
@@ -370,28 +395,29 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
     w = gaussian_cutoff(geo, x_extent)
     ns = np.arange(-w, w + 1)
 
-    x = arr.real.astype(_LD)[..., None]
-    y = arr.imag.astype(_LD)[..., None]
     nl = ns.astype(_LD)
     L1l, L2l, pil = _LD(L1), _LD(L2), _LD(np.pi)
     nul, nf = _LD(nu), _LD(n_flux)
-
     ln_const = np.log(pil) / 2 - np.log(L2l) - nul * nul * L2l * L2l / (nf * nf)
-    u = x + nl * L1l / nf          # Re of the shifted argument
-    v = y + nul * L2l / nf         # Im of the shifted argument
+    coeffs = _prefactor_coeffs(order, -1.0)
 
-    # exponent: z^2/2 + 2 pi i nu z/L1 + ln_const - (u + i v)^2
-    re = (x * x - y * y) / 2 - _LD(_TWO_PI) * nul * y / L1l + ln_const - (u * u - v * v)
-    ph = x * y + _LD(_TWO_PI) * nul * x / L1l - 2 * u * v
+    def block(points):
+        x = points.real.astype(_LD)[:, None]
+        y = points.imag.astype(_LD)[:, None]
+        u = x + nl * L1l / nf          # Re of the shifted argument
+        v = y + nul * L2l / nf         # Im of the shifted argument
+        # exponent: z^2/2 + 2 pi i nu z/L1 + ln_const - (u + i v)^2
+        re = (x * x - y * y) / 2 - _LD(_TWO_PI) * nul * y / L1l + ln_const - (u * u - v * v)
+        ph = x * y + _LD(_TWO_PI) * nul * x / L1l - 2 * u * v
+        poly = None
+        if order > 0:
+            # dE/dz = z + 2 pi i nu/L1 - 2(z + n L1/N + i nu L2/N); slope -1
+            dEdz = -points[:, None] + 2j * np.pi * nu / L1 \
+                - 2 * (ns * L1 / n_flux + 1j * nu * L2 / n_flux)
+            poly = _eval_poly(coeffs, dEdz)
+        return psi.norm_const * _peak_split_sum(re, ph, poly)
 
-    poly = None
-    if order > 0:
-        # dE/dz = z + 2 pi i nu/L1 - 2(z + n L1/N + i nu L2/N); slope -1
-        dEdz = -arr[..., None] + 2j * np.pi * nu / L1 \
-            - 2 * (ns * L1 / n_flux + 1j * nu * L2 / n_flux)
-        poly = _eval_poly(_prefactor_coeffs(order, -1.0), dEdz)
-
-    out = psi.norm_const * _peak_split_sum(re, ph, poly)
+    out = _by_points(arr, len(ns), block)
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

@@ -20,14 +20,20 @@ continuous a, b).
 
 A level matrix projects T_a s_nu onto the sampled level basis by quadrature.
 When a is a node of the quadrature grid's own lattice (L1/nx)Z + i(L2/ny)Z,
-which on the default grids holds every lattice and half-lattice point, z - a
-is again a grid point up to whole periods.  T_a s_nu on the grid is then the
-held samples of s_nu, index-rolled, times one factor exp(conj(a) z - |a|^2/2
-+ E) shared by the whole level, with E the boundary exponent of the integer
-wrap counts; no section is evaluated again.  Any other a falls back to
-translate_section, one section at a time.  Either way the shifted sections
-are projected a block of nu at a time, one matrix product for the entries
-and one for the residual, so the temporaries stay a fraction of the samples.
+z - a is again a grid point up to whole periods.  That holds for every
+lattice and half-lattice point on a grid whose sides are multiples of 2N,
+such as verify.density_grid or the default max(64, 16N) grid at every N
+but 3, where it is 64 wide.  T_a s_nu on the grid is then the
+held samples of s_nu, index-rolled, times one factor exp(conj(a) z -
+|a|^2/2 + E) shared by the whole level, with E the boundary exponent of the
+integer wrap counts; no section is evaluated again.  Any other a falls back
+to translate_sections, a chunk of at least _BLOCK_POINTS grid points of the
+level at a time (all of it on a small grid), sampled in one stacked grid
+pass per derivative order.  Either way the shifted sections are projected
+a block of nu at a time, one matrix product for the entries and one for the
+residual, so the temporaries stay a fraction of the samples.
+translation_matrices projects one sampled level for several displacements,
+and translation_matrix is its one-displacement case.
 
 The formal infinitesimal generators i z - i(d/dz + dbar) and
 -i z - i(d/dz - dbar) are documentation only: they do not map sections to
@@ -44,10 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import NotAPeriod
+from .errors import GeometryMismatch, NotAPeriod
 from .geometry import TorusGeometry
 from .levels import (Quadrature, apply_hamiltonian, as_section, _grid_shape,
-                     _sampled_level)
+                     _sampled_level, _sample_sections)
+from .lll_basis import _BLOCK_POINTS
 from . import numdiff
 
 
@@ -108,18 +115,31 @@ def _wrap_exponent(geometry: TorusGeometry, w0, n1, n2):
         + 1j * (n1 * n2 * geometry.N) * math.pi
 
 
-def translate_section(a, s, z):
-    """(T_a s)(z) = exp(conj(a) z - |a|^2/2) s(z - a), values at z.
+def translate_sections(a, sections, z) -> np.ndarray:
+    """(T_a s)(z) = exp(conj(a) z - |a|^2/2) s(z - a) for each s of sections.
 
-    z may be anywhere; z - a is brought back into the fundamental domain by
-    the boundary conditions with the factor kept in log space.
+    Returns shape (len(sections),) + z.shape.  z may be anywhere; z - a is
+    brought back into the fundamental domain by the boundary conditions with
+    the factor kept in log space.  The sections share one torus: one
+    reduction and one factor serve them all, and they are sampled at the
+    reduced points in one stacked pass per derivative order.  A section's
+    values do not depend on the sections translated with it.
     """
     a = _displacement(a)
-    s = as_section(s)
+    sections = [as_section(s) for s in sections]
     z = np.asarray(z, dtype=complex)
-    w0, exponent = reduce_to_fundamental(s.geometry, z - a)
-    pref = np.conj(a) * z - abs(a) ** 2 / 2
-    return np.exp(pref + exponent) * s(w0)
+    geometry = sections[0].geometry
+    if any(s.geometry != geometry for s in sections):
+        raise GeometryMismatch("translated sections live on different tori")
+    w0, exponent = reduce_to_fundamental(geometry, z - a)
+    factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
+    out = _sample_sections(sections, w0)
+    return np.multiply(factor, out, out=out)
+
+
+def translate_section(a, s, z):
+    """(T_a s)(z) at z: the one-section case of translate_sections."""
+    return translate_sections(a, [s], z)[0]
 
 
 @dataclass(frozen=True)
@@ -151,17 +171,27 @@ class TranslationMatrix:
         return float(np.max(self.projection_defects))
 
 
+def translation_matrices(geometry: TorusGeometry, displacements, level: int = 0,
+                         nx: int | None = None,
+                         ny: int | None = None) -> list[TranslationMatrix]:
+    """Project T_a onto a Landau level by quadrature, for each a of displacements.
+
+    The level is sampled once on one quadrature and every matrix is projected
+    from those samples.  The projection defect per nu is the quadrature norm
+    of the pointwise residual T_a s_nu - sum_mu t_{nu mu} s_mu, which stays
+    at rounding level for lattice a and is O(1) at half-lattice
+    displacements.
+    """
+    displacements = [_displacement(a) for a in displacements]
+    quad = Quadrature(geometry, nx, ny)
+    basis, vals = _sampled_level(quad, level)
+    return [_project(quad, a, level, basis, vals) for a in displacements]
+
+
 def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
                        nx: int | None = None, ny: int | None = None) -> TranslationMatrix:
-    """Project T_a onto a Landau level by quadrature.
-
-    The projection defect per nu is the quadrature norm of the pointwise
-    residual T_a s_nu - sum_mu t_{nu mu} s_mu, which stays at rounding level
-    for lattice a and is O(1) at half-lattice displacements.
-    """
-    a = _displacement(a)
-    quad = Quadrature(geometry, nx, ny)
-    return _project(quad, a, level, *_sampled_level(quad, level))
+    """T_a on a Landau level: the one-displacement case of translation_matrices."""
+    return translation_matrices(geometry, [a], level, nx, ny)[0]
 
 
 def _grid_shift(quad: Quadrature, a: complex):
@@ -192,27 +222,32 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     """translation_matrix on a basis already sampled on quad (vals).
 
     On the grid lattice, T_a s_nu is the held samples index-rolled times one
-    factor; elsewhere each T_a s_nu is evaluated with translate_section.  The
+    factor.  Elsewhere translate_sections evaluates the T_a s_nu a chunk of
+    whole blocks at a time, at least _BLOCK_POINTS grid points, so on a
+    small grid the whole level is one pass per derivative order.  The
     shifted sections are projected a block of nu at a time: one product for
     the entries and one for the residual, conjugating only the block.
     """
     n = len(basis)
     shift = _grid_shift(quad, a)
-    if shift is not None:
-        factor = _roll_factor(quad, a, *shift)
     flat = vals.reshape(n, -1)
     weight = quad.weight.ravel()
     entries = np.empty((n, n), dtype=complex)
     defects = np.empty(n)
     # an eighth of the level at a time: the two block temporaries stay
-    # within a quarter of the size of the samples
+    # within a quarter of the size of the samples.  The block also fixes the
+    # shape of the BLAS products, and so how the entries round.
     step = max(1, n // 8)
+    if shift is None:
+        chunk = step * -(-_BLOCK_POINTS // (step * flat.shape[1]))
+    else:
+        factor = _roll_factor(quad, a, *shift)
     for start in range(0, n, step):
         block = slice(start, start + step)
         if shift is None:
-            shifted = np.empty_like(vals[block])
-            for k, s in enumerate(basis[block]):
-                shifted[k] = translate_section(a, s, quad.z)
+            if start % chunk == 0:
+                translated = translate_sections(a, basis[start:start + chunk], quad.z)
+            shifted = translated[start % chunk:start % chunk + step]
         else:
             shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))
             shifted *= factor
@@ -245,12 +280,11 @@ def commutator_matrix_residual(geometry: TorusGeometry, a, b, level: int = 0,
     """
     a = _displacement(a)
     b = _displacement(b)
-    quad = Quadrature(geometry, nx, ny)
-    basis, vals = _sampled_level(quad, level)
-    mats = {c: _project(quad, c, level, basis, vals).entries for c in (a, b, -a, -b)}
-    product = mats[-b] @ mats[-a] @ mats[b] @ mats[a]
+    t_a, t_b, t_ma, t_mb = (t.entries for t in translation_matrices(
+        geometry, (a, b, -a, -b), level, nx, ny))
+    product = t_mb @ t_ma @ t_b @ t_a
     phase = commutator_phase(a, b)
-    return phase, float(np.max(np.abs(product - phase * np.eye(len(basis)))))
+    return phase, float(np.max(np.abs(product - phase * np.eye(len(product)))))
 
 
 def bundle_shift_phase(a, ell, geometry: TorusGeometry) -> complex:

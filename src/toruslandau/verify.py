@@ -24,9 +24,9 @@ from .lll_basis import (BoundaryPhases, boundary_residual, double_shift_factors,
                         duality_residual, normalized_basis)
 from .levels import (Quadrature, density_map, default_resolution, gram_matrix,
                      ground_section, local_extrema, log_linear_fit,
-                     periodic_grid, raise_section, rayleigh_quotient,
+                     periodic_grid, raise_section, rayleigh_quotients,
                      apply_hamiltonian)
-from .translations import (commutator_matrix_residual, translation_matrix,
+from .translations import (commutator_matrix_residual, translation_matrices,
                            wintner_check)
 from .cocycle import total_flux, uniform_mesh
 
@@ -237,8 +237,12 @@ def check_translation_algebra(n_max: int = 6) -> CheckResult:
     half_defects = {}
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
-        a_lat = (geo.L1 + 1j * geo.L2) / n
-        tm = translation_matrix(geo, a_lat)
+        # the lattice point and the half-lattice midpoints (x-edge, y-edge
+        # and cell-center types; the Z_N copies are equivalent by the
+        # unitarity verified here), projected from one sampled level
+        tm, *halves = translation_matrices(
+            geo, [(geo.L1 + 1j * geo.L2) / n, geo.L1 / (2 * n),
+                  1j * geo.L2 / (2 * n), (geo.L1 + 1j * geo.L2) / (2 * n)])
         if tm.unitarity_defect > tol_u:
             problems.append(f"N={n}: unitarity {tm.unitarity_defect:.1e}")
         if tm.max_projection_defect > tol_proj:
@@ -249,12 +253,8 @@ def check_translation_algebra(n_max: int = 6) -> CheckResult:
             problems.append(f"N={n}: commutator residual {resid:.1e}")
         if abs(phase - np.exp(2j * np.pi / n)) > tol_phase:
             problems.append(f"N={n}: phase {phase} != exp(2 pi i/N)")
-        # half-lattice midpoints (x-edge, y-edge and cell-center types; the
-        # Z_N copies are equivalent by the unitarity just verified)
         mins = []
-        for a_half in (geo.L1 / (2 * n), 1j * geo.L2 / (2 * n),
-                       (geo.L1 + 1j * geo.L2) / (2 * n)):
-            th = translation_matrix(geo, a_half)
+        for th in halves:
             mins.append(float(np.min(th.projection_defects)))
             if mins[-1] <= tol_half:
                 problems.append(f"N={n}: half-lattice defect {mins[-1]:.1e}")
@@ -297,16 +297,16 @@ def check_energy_ladder(n_max: int = 6) -> CheckResult:
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
         quad = Quadrature(geo)
-        for psi in normalized_basis(geo):
-            s0 = ground_section(psi)
-            rq0 = rayleigh_quotient(s0)
+        basis = normalized_basis(geo)
+        s0s = [ground_section(psi) for psi in basis]
+        s1s = [raise_section(s0) for s0 in s0s]
+        rqs = rayleigh_quotients(s0s + s1s)
+        norms = quad.norms(quad.sample([apply_hamiltonian(s1) - 2.0 * s1 for s1 in s1s] + s1s))
+        for psi, rq0, rq1, num, den in zip(basis, rqs[:n], rqs[n:], norms[:n], norms[n:]):
             if abs(rq0) > tol0:
                 problems.append(f"N={n} nu={psi.nu}: level-0 RQ {rq0:.1e}")
-            s1 = raise_section(s0)
-            rq1 = rayleigh_quotient(s1)
             if abs(rq1 - 2.0) > tol1:
                 problems.append(f"N={n} nu={psi.nu}: level-1 RQ {rq1}")
-            num, den = quad.norms(quad.sample([apply_hamiltonian(s1) - 2.0 * s1, s1]))
             if num / den > tol_eig:
                 problems.append(f"N={n} nu={psi.nu}: eigen residual {num/den:.1e}")
     detail = "; ".join(problems) if problems else (

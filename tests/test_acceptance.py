@@ -5,9 +5,15 @@ pytest -s, or in the captured output on failure) and asserts the criterion
 at its tolerance from the central table.
 """
 
+import numpy as np
 import pytest
 
-from toruslandau import verify
+from toruslandau import tolerances, verify
+from toruslandau.geometry import TorusGeometry
+from toruslandau.levels import (Quadrature, apply_hamiltonian, ground_section,
+                                raise_section, rayleigh_quotient)
+from toruslandau.lll_basis import normalized_basis
+from toruslandau.translations import translation_matrix
 
 
 def report(result):
@@ -101,3 +107,43 @@ def test_all_criteria_pass_at_n_max_1():
     assert len(results) == 10
     assert "d(N) fit skipped" in results[4].detail
     assert results[4].data["fits"] == {} and len(results[4].data["d"][0]) == 1
+
+
+def test_criterion_06_half_lattice_defects_match_per_call():
+    # the shared level sampling gives exactly the defects of one
+    # translation_matrix call per displacement (N = 3 is off the grid lattice)
+    defects = verify.check_translation_algebra(n_max=3).data["half_lattice_defects"]
+    for n in (1, 2, 3):
+        geo = TorusGeometry.square(n)
+        assert defects[n] == [
+            float(np.min(translation_matrix(geo, a).projection_defects))
+            for a in (geo.L1 / (2 * n), 1j * geo.L2 / (2 * n),
+                      (geo.L1 + 1j * geo.L2) / (2 * n))]
+
+
+@pytest.mark.parametrize("never_met", [False, True])
+def test_criterion_08_verdict_matches_per_call(monkeypatch, never_met):
+    # the per-section calls the criterion made before sampling each N once;
+    # with every bound unmeetable, each measured value is in the detail
+    if never_met:
+        for key in ("rayleigh_ground_abs", "energy_level1_abs", "eigen_residual_rel"):
+            monkeypatch.setitem(tolerances.TOLERANCES, key, (-1.0, "never met"))
+    problems = []
+    for n in (1, 2, 3):
+        quad = Quadrature(TorusGeometry.square(n))
+        for psi in normalized_basis(quad.geometry):
+            s0 = ground_section(psi)
+            rq0 = rayleigh_quotient(s0)
+            if abs(rq0) > tolerances.get("rayleigh_ground_abs"):
+                problems.append(f"N={n} nu={psi.nu}: level-0 RQ {rq0:.1e}")
+            s1 = raise_section(s0)
+            rq1 = rayleigh_quotient(s1)
+            if abs(rq1 - 2.0) > tolerances.get("energy_level1_abs"):
+                problems.append(f"N={n} nu={psi.nu}: level-1 RQ {rq1}")
+            num, den = quad.norms(quad.sample([apply_hamiltonian(s1) - 2.0 * s1, s1]))
+            if num / den > tolerances.get("eigen_residual_rel"):
+                problems.append(f"N={n} nu={psi.nu}: eigen residual {num/den:.1e}")
+    result = verify.check_energy_ladder(n_max=3)
+    assert result.passed == (not problems) == (not never_met)
+    if never_met:
+        assert result.detail == "; ".join(problems)

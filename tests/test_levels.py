@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
                                 ground_section, hermitian_density,
                                 inner_product, level_basis, local_extrema,
                                 log_linear_fit, periodic_grid, raise_section,
-                                rayleigh_quotient)
+                                rayleigh_quotient, rayleigh_quotients)
 from toruslandau.lll_basis import (boundary_factors, eval_fourier,
                                    eval_gaussian, ground_basis,
                                    normalized_basis, theta_basis)
@@ -257,6 +258,20 @@ class TestRayleighQuotient:
         zero = PolynomialSection(geo2, ())
         with pytest.raises(ZeroNorm):
             rayleigh_quotient(zero)
+        with pytest.raises(ZeroNorm):
+            rayleigh_quotients([ground_section(normalized_basis(geo2)[0]), zero])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_equals_one_by_one(self, n):
+        # levels 0, 1 and 2 and a mixture, sampled in one pass: each quotient
+        # is exactly the one-section value
+        basis = normalized_basis(TorusGeometry.square(n))
+        s0s = [ground_section(psi) for psi in basis]
+        s1s = [raise_section(s) for s in s0s]
+        sections = s0s + s1s + [raise_section(s1s[-1]), 0.5 * s0s[0] + 2j * s1s[-1]]
+        assert rayleigh_quotients(sections) == [rayleigh_quotient(s) for s in sections]
+        assert rayleigh_quotients(sections, 48, 40) == [
+            rayleigh_quotient(s, 48, 40) for s in sections]
 
 
 def lattice_near_extremum(dev, n):
@@ -535,6 +550,16 @@ class TestGridFieldAndSerialization:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "0"
+
+    def test_format_tables_unchanged(self):
+        # sha256 over the dtype, shape and bytes of every table, as the
+        # per-entry Python loops built them before the numpy construction
+        digest = hashlib.sha256()
+        for table in gridio._tables.__wrapped__():
+            digest.update(repr((table.dtype.str, table.shape)).encode())
+            digest.update(table.tobytes())
+        assert digest.hexdigest() == \
+            "017ef54ff6926facd7099603acb161c62463356b90f6e8d9ba69b80ed9efdfcb"
 
     def test_row_writer_memory_bounded(self, tmp_path):
         # formatted a block of rows at a time: the peak stays below twice the

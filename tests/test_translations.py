@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toruslandau import lll_basis, tolerances, translations
-from toruslandau.errors import NotAPeriod
+from toruslandau.errors import GeometryMismatch, NotAPeriod
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, _sampled_level, default_resolution,
                                 density_map, gram_matrix, ground_section,
@@ -17,7 +17,8 @@ from toruslandau.translations import (bundle_shift_phase,
                                       hamiltonian_commutation_residual,
                                       is_lattice, lattice_indices,
                                       reduce_to_fundamental,
-                                      translate_section, translation_matrix,
+                                      translate_section, translate_sections,
+                                      translation_matrices, translation_matrix,
                                       translation_report, wintner_check)
 
 
@@ -292,15 +293,15 @@ class TestOffSquareTorus:
 
 class TestSamplingOnce:
     """A level is one grid pass per derivative order, and on the grid lattice
-    a translation adds none; elsewhere each translated section adds one pass
-    per order."""
+    a translation adds none; elsewhere a translation adds one pass per order
+    for each chunk of the level, and at N = 3 the whole level is one chunk."""
 
     @pytest.mark.parametrize("call, count", [
         (lambda g: density_map(g, 0), 1),
         (lambda g: density_map(g, 1), 2),
-        (lambda g: translation_matrix(g, g.L1 / 3), 1 + 3),
-        (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2 + 3 * 2),
-        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3), 1 + 4 * 3),
+        (lambda g: translation_matrix(g, g.L1 / 3), 1 + 1),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2 + 2),
+        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3), 1 + 4),
         (lambda g: translation_matrix(g, g.L1 / 3, nx=48), 1),
         (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=48), 2),
         (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3, nx=48), 1),
@@ -347,6 +348,59 @@ class TestSamplingOnce:
         assert report["grid"] == [48, 48]
 
 
+class TestBatches:
+    """The batch entry points give exactly the one-element values."""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_translation_matrices_equal_one_by_one(self, n, level):
+        # on-grid and off-grid displacements of the default grid (64 wide at
+        # N = 3, where L1/3 and L1/6 are off it; 96 wide at N = 6)
+        geo = TorusGeometry.square(n)
+        nodes = default_resolution(geo)
+        displacements = [geo.L1 / 3, 8 * geo.L1 / nodes + 1j * geo.L2 / 2,
+                         0.37 + 0.21j, (geo.L1 + 1j * geo.L2) / (2 * n),
+                         -geo.L1 / n]
+        kinds = [translations._grid_shift(Quadrature(geo), a) is None
+                 for a in displacements]
+        assert any(kinds) and not all(kinds)
+        batch = translation_matrices(geo, displacements, level)
+        for a, tm in zip(displacements, batch):
+            one = translation_matrix(geo, a, level)
+            assert tm.a == one.a and tm.level == one.level == level
+            assert np.array_equal(tm.entries, one.entries)
+            assert np.array_equal(tm.projection_defects, one.projection_defects)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_translate_sections_equal_stack(self, geo3, level):
+        sections = level_basis(geo3, level)
+        rng = np.random.default_rng(4)
+        scattered = rng.random(50) * 3 * geo3.L1 - 1j * rng.random(50) * geo3.L2
+        for z in (Quadrature(geo3).z, scattered):
+            for a in (geo3.L1 / 3, 0.37 + 0.21j):
+                batch = translate_sections(a, sections, z)
+                assert batch.shape == (geo3.N,) + z.shape
+                assert np.array_equal(
+                    batch, np.stack([translate_section(a, s, z) for s in sections]))
+
+    def test_chunks_cover_a_large_level(self, monkeypatch):
+        # 192^2 points per section at N = 12: two sections fill a chunk
+        geo = TorusGeometry.square(12)
+        quad = Quadrature(geo)
+        basis, vals = _sampled_level(quad, 0)
+        calls = count_translations(monkeypatch)
+        tm = translations._project(quad, geo.L1 / 5, 0, basis, vals)
+        assert calls == [2] * 6
+        entries, defects = reference_projection(quad, geo.L1 / 5, basis, vals)
+        assert np.max(np.abs(tm.entries - entries)) <= 1e-13
+        assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
+
+    def test_translate_sections_geometry_mismatch(self, geo3):
+        mixed = [level_basis(geo3, 0)[0], level_basis(TorusGeometry.square(2), 0)[0]]
+        with pytest.raises(GeometryMismatch):
+            translate_sections(0.1, mixed, Quadrature(geo3).z)
+
+
 def reference_projection(quad, a, basis, vals):
     """The projection one section at a time, every T_a s_nu from translate_section."""
     n = len(basis)
@@ -359,16 +413,17 @@ def reference_projection(quad, a, basis, vals):
     return entries, defects
 
 
-def count_translate_section(monkeypatch):
-    calls = []
-    original = translations.translate_section
+def count_translations(monkeypatch):
+    """Record the number of sections of each translate_sections call."""
+    chunks = []
+    original = translations.translate_sections
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, sections, z):
+        chunks.append(len(sections))
+        return original(a, sections, z)
 
-    monkeypatch.setattr(translations, "translate_section", counted)
-    return calls
+    monkeypatch.setattr(translations, "translate_sections", counted)
+    return chunks
 
 
 class TestRolledProjection:
@@ -386,7 +441,7 @@ class TestRolledProjection:
         else:
             a = (geo.L1 + 1j * geo.L2) / (2 * n)
         basis, vals = _sampled_level(quad, 0)
-        calls = count_translate_section(monkeypatch)
+        calls = count_translations(monkeypatch)
         tm = translations._project(quad, a, 0, basis, vals)
         assert not calls
         entries, defects = reference_projection(quad, a, basis, vals)
@@ -400,7 +455,7 @@ class TestRolledProjection:
         quad = Quadrature(geo)
         basis, vals = _sampled_level(quad, 1)
         for a in ((geo.L1 + 1j * geo.L2) / 4, geo.L1 / 8):
-            calls = count_translate_section(monkeypatch)
+            calls = count_translations(monkeypatch)
             tm = translations._project(quad, a, 1, basis, vals)
             assert not calls
             entries, defects = reference_projection(quad, a, basis, vals)
@@ -409,13 +464,15 @@ class TestRolledProjection:
 
     @pytest.mark.parametrize("a", [0.37 + 0.21j, "lattice_off_grid"])
     def test_off_grid_uses_translate_section(self, monkeypatch, geo3, a):
-        # L1/3 is a lattice point, but not a node of the 64-wide default grid
+        # L1/3 is a lattice point, but not a node of the 64-wide default grid;
+        # the 64^2 grid holds fewer than _BLOCK_POINTS points per section, so
+        # the whole level is translated in one chunk
         a = geo3.L1 / 3 if a == "lattice_off_grid" else a
         quad = Quadrature(geo3)
         basis, vals = _sampled_level(quad, 0)
-        calls = count_translate_section(monkeypatch)
+        calls = count_translations(monkeypatch)
         tm = translations._project(quad, a, 0, basis, vals)
-        assert len(calls) == geo3.N
+        assert calls == [geo3.N]
         entries, defects = reference_projection(quad, a, basis, vals)
         assert np.max(np.abs(tm.entries - entries)) <= 1e-13
         assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13

@@ -19,19 +19,17 @@ from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
                         normalized_basis, theta_basis)
 from .levels import (DensityMap, GridField, PolynomialSection,
                      apply_hamiltonian, as_section, dbar_section,
-                     density_map, gram_matrix,
-                     ground_section, hermitian_density, inner_product,
+                     density_map, gram_matrix, ground_section, inner_product,
                      level_basis, raise_section, rayleigh_quotient,
                      rayleigh_quotients)
 from .translations import (TranslationMatrix,
                            bundle_shift_phase, commutator_matrix_residual,
                            commutator_phase, hamiltonian_commutation_residual,
-                           is_lattice, lattice_indices, translate_section,
+                           lattice_indices, translate_section,
                            translate_sections, translation_matrices,
                            translation_matrix, translation_report,
                            wintner_check)
 from .cocycle import (FluxResult, Triangulation, chi, cocycle_constant,
-                      mesh_from_json, mesh_to_json, total_flux,
-                      triangle_identity, uniform_mesh)
+                      total_flux, triangle_identity, uniform_mesh)
 
 __version__ = "0.1.0"

@@ -153,6 +153,9 @@ def cmd_basis(args) -> int:
 
 def cmd_density(args) -> int:
     n_list = [int(tok) for tok in (args.N or "1,3,6,10").split(",")]
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        # d(N) is judged in list order, so it must be the order of N
+        raise ValueError(f"--N must be strictly increasing, got {args.N}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -191,13 +194,22 @@ def cmd_density(args) -> int:
     return 0 if ok else 1
 
 
+def _parse_pair(text: str, form: str) -> tuple[float, float]:
+    """Two comma-separated floats; ValueError naming the flag's form if not."""
+    try:
+        x, y = (float(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected {form}, got {text!r}") from None
+    return x, y
+
+
 def _parse_displacement(args, geo) -> complex:
     if args.a_frac is not None:
-        f1, f2 = (float(t) for t in args.a_frac.split(","))
+        f1, f2 = _parse_pair(args.a_frac, "--a-frac F1,F2")
         return f1 * geo.L1 + 1j * f2 * geo.L2
     if args.a is None:
         raise ValueError("specify --a RE,IM or --a-frac F1,F2")
-    re, im = (float(t) for t in args.a.split(","))
+    re, im = _parse_pair(args.a, "--a RE,IM")
     return re + 1j * im
 
 

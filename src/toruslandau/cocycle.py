@@ -27,7 +27,6 @@ both read that one record.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -286,25 +285,3 @@ def uniform_mesh(n: int, L1: float, L2: float, B: float) -> Triangulation:
     wraps = corners[:, :, _NEXT] // n - corners // n
     return Triangulation(L1, L2, B, verts, ids.reshape(-1, 3), wraps.reshape(-1, 3, 2))
 
-
-def mesh_to_json(tri: Triangulation) -> str:
-    """Serialize a mesh (vertices, triangles, wrap offsets) to JSON."""
-    payload = {
-        "L1": tri.L1,
-        "L2": tri.L2,
-        "B": tri.B,
-        "vertices": tri.vertices.tolist(),
-        "triangles": tri.triangles.tolist(),
-        "wraps": tri.wraps.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def mesh_from_json(text: str) -> Triangulation:
-    data = json.loads(text)
-    return Triangulation(
-        L1=float(data["L1"]), L2=float(data["L2"]), B=float(data["B"]),
-        vertices=np.array(data["vertices"], dtype=float),
-        triangles=np.array(data["triangles"], dtype=int),
-        wraps=np.array(data["wraps"], dtype=int),
-    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import tolerances
 from .errors import NonIntegralFlux
 
-# CGS-Gaussian constants for the default carrier (electron)
+# CGS-Gaussian constants of the carrier, an electron
 E_CHARGE = 4.80320425e-10   # statC
 M_ELECTRON = 9.1093837015e-28  # g
 HBAR = 1.054571817e-27      # erg*s
@@ -24,33 +24,29 @@ C_LIGHT = 2.99792458e10     # cm/s
 
 @dataclass(frozen=True)
 class PhysicalConfig:
-    """Physical description of the system in CGS-Gaussian units.
+    """Physical description of an electron on the torus, CGS-Gaussian units.
 
     Args:
         B: magnetic field strength (gauss)
         L1_phys, L2_phys: torus sides (cm)
-        e, m, hbar, c: particle charge, mass and physical constants;
-            default to the electron values.
     """
 
     B: float
     L1_phys: float
     L2_phys: float
-    e: float = E_CHARGE
-    m: float = M_ELECTRON
-    hbar: float = HBAR
-    c: float = C_LIGHT
 
     def __post_init__(self):
-        for name in ("B", "L1_phys", "L2_phys", "e", "m", "hbar", "c"):
+        for name in ("B", "L1_phys", "L2_phys"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
     @property
     def length_unit(self) -> float:
-        """Natural length sqrt(hbar/(m*omega)) with omega = e*B/(2*m*c)."""
-        omega = self.e * self.B / (2 * self.m * self.c)
-        return math.sqrt(self.hbar / (self.m * omega))
+        """Natural length sqrt(hbar/(m*omega)) = sqrt(2 hbar c/(e B)),
+        with omega = e*B/(2*m*c); m cancels but stays in the formula, which
+        fixes how the result rounds."""
+        omega = E_CHARGE * self.B / (2 * M_ELECTRON * C_LIGHT)
+        return math.sqrt(HBAR / (M_ELECTRON * omega))
 
 
 @dataclass(frozen=True)

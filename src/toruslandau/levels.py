@@ -254,20 +254,6 @@ def _check_same_geometry(s1, s2):
         raise GeometryMismatch("operands live on different tori")
 
 
-def hermitian_density(s1, s2, z):
-    """Gauge-invariant density h(s1, s2)(z) = e^{-|z|^2} conj(s1(z)) s2(z).
-
-    Doubly periodic and smooth across the seams for any pair of sections
-    with matching boundary phases.
-    """
-    _check_same_geometry(s1, s2)
-    z = np.asarray(z, dtype=complex)
-    w = np.exp(-np.abs(z) ** 2)
-    v1 = as_section(s1)(z)
-    v2 = v1 if s1 is s2 else as_section(s2)(z)
-    return w * np.conj(v1) * v2
-
-
 def inner_product(s1, s2, nx: int | None = None, ny: int | None = None) -> complex:
     """<s1|s2> by the periodic trapezoid rule on an nx x ny grid.
 

@@ -84,10 +84,6 @@ class BoundaryPhases:
         object.__setattr__(self, "delta1", float(self.delta1) % _TWO_PI)
         object.__setattr__(self, "delta2", float(self.delta2) % _TWO_PI)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.delta1 == 0.0 and self.delta2 == 0.0
-
 
 TRIVIAL_PHASES = BoundaryPhases(0.0, 0.0)
 

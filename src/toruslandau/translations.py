@@ -34,6 +34,10 @@ a block of nu at a time, one matrix product for the entries and one for the
 residual, so the temporaries stay a fraction of the samples.
 translation_matrices projects one sampled level for several displacements,
 and translation_matrix is its one-displacement case.
+commutator_matrix_residual multiplies four such matrices, of a, b, -a and
+-b, and samples nothing itself, so a caller that projects other
+displacements of the same level adds the four to the same
+translation_matrices call.
 
 The formal infinitesimal generators i z - i(d/dz + dbar) and
 -i z - i(d/dz - dbar) are documentation only: they do not map sections to
@@ -82,10 +86,6 @@ def lattice_indices(a, geometry: TorusGeometry):
     f1 = a.real * geometry.N / geometry.L1
     f2 = a.imag * geometry.N / geometry.L2
     return (round(f1), round(f2)) if _near_integers(f1, f2) else None
-
-
-def is_lattice(a, geometry: TorusGeometry) -> bool:
-    return lattice_indices(a, geometry) is not None
 
 
 def reduce_to_fundamental(geometry: TorusGeometry, w):
@@ -156,10 +156,6 @@ class TranslationMatrix:
     level: int
     entries: np.ndarray
     projection_defects: np.ndarray
-
-    @property
-    def is_lattice(self) -> bool:
-        return is_lattice(self.a, self.geometry)
 
     @property
     def unitarity_defect(self) -> float:
@@ -269,21 +265,23 @@ def commutator_phase(a, b) -> complex:
     return complex(np.exp(np.conj(a) * b - a * np.conj(b)))
 
 
-def commutator_matrix_residual(geometry: TorusGeometry, a, b, level: int = 0,
-                               nx: int | None = None, ny: int | None = None):
-    """Check the commutator phase on the level matrices.
+def commutator_matrix_residual(t_a: TranslationMatrix, t_b: TranslationMatrix,
+                               t_ma: TranslationMatrix, t_mb: TranslationMatrix):
+    """Check the commutator phase on the level matrices of T_a, T_b, T_-a, T_-b.
 
-    Multiplies the four projected translation matrices in the operator order
-    T_a T_b T_-a T_-b (rightmost acting first; in the row convention of
-    TranslationMatrix the product is t(-b) t(-a) t(b) t(a)) and returns
+    The four matrices are projections onto one level of one torus, as one
+    translation_matrices call gives them; ValueError unless t_ma is at -a
+    and t_mb at -b.  Multiplies them in the operator order T_a T_b T_-a T_-b
+    (rightmost acting first; in the row convention of TranslationMatrix the
+    product is t(-b) t(-a) t(b) t(a)) and returns
     (phase, max |product - phase * I|).
     """
-    a = _displacement(a)
-    b = _displacement(b)
-    t_a, t_b, t_ma, t_mb = (t.entries for t in translation_matrices(
-        geometry, (a, b, -a, -b), level, nx, ny))
-    product = t_mb @ t_ma @ t_b @ t_a
-    phase = commutator_phase(a, b)
+    if t_ma.a != -t_a.a or t_mb.a != -t_b.a:
+        raise ValueError("commutator needs the matrices of T_a, T_b, T_-a and T_-b")
+    if len({(t.geometry, t.level) for t in (t_a, t_b, t_ma, t_mb)}) != 1:
+        raise ValueError("commutator matrices must share one torus and one level")
+    product = t_mb.entries @ t_ma.entries @ t_b.entries @ t_a.entries
+    phase = commutator_phase(t_a.a, t_b.a)
     return phase, float(np.max(np.abs(product - phase * np.eye(len(product)))))
 
 

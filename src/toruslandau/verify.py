@@ -237,18 +237,21 @@ def check_translation_algebra(n_max: int = 6) -> CheckResult:
     half_defects = {}
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
-        # the lattice point and the half-lattice midpoints (x-edge, y-edge
-        # and cell-center types; the Z_N copies are equivalent by the
-        # unitarity verified here), projected from one sampled level
-        tm, *halves = translation_matrices(
+        # the lattice point, the half-lattice midpoints (x-edge, y-edge and
+        # cell-center types; the Z_N copies are equivalent by the unitarity
+        # verified here) and the commutator's a, b, -a, -b, projected from
+        # one sampled level
+        a, b = geo.L1 / n, 1j * geo.L2 / n
+        tm, *matrices = translation_matrices(
             geo, [(geo.L1 + 1j * geo.L2) / n, geo.L1 / (2 * n),
-                  1j * geo.L2 / (2 * n), (geo.L1 + 1j * geo.L2) / (2 * n)])
+                  1j * geo.L2 / (2 * n), (geo.L1 + 1j * geo.L2) / (2 * n),
+                  a, b, -a, -b])
+        halves, commutator = matrices[:3], matrices[3:]
         if tm.unitarity_defect > tol_u:
             problems.append(f"N={n}: unitarity {tm.unitarity_defect:.1e}")
         if tm.max_projection_defect > tol_proj:
             problems.append(f"N={n}: lattice defect {tm.max_projection_defect:.1e}")
-        a, b = geo.L1 / n, 1j * geo.L2 / n
-        phase, resid = commutator_matrix_residual(geo, a, b)
+        phase, resid = commutator_matrix_residual(*commutator)
         if resid > tol_comm:
             problems.append(f"N={n}: commutator residual {resid:.1e}")
         if abs(phase - np.exp(2j * np.pi / n)) > tol_phase:
@@ -379,8 +382,14 @@ ALL_CHECKS = (
 
 def run_acceptance(n_max: int = 6, seed: int = DEFAULT_SEED,
                    fault_phases=None) -> list[CheckResult]:
-    """Run every check, capped at n_max flux quanta where applicable."""
-    results = [
+    """Run every check, capped at n_max flux quanta where applicable.
+
+    ValueError for n_max < 1, for which the N-ranged checks would pass
+    without checking anything.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    return [
         check_flux_gate(min(n_max, 10)),
         check_ground_dimension(min(n_max, 10)),
         check_poisson_duality(min(n_max, 10), seed=seed),
@@ -394,4 +403,3 @@ def run_acceptance(n_max: int = 6, seed: int = DEFAULT_SEED,
         check_cocycle_theorem(),
         check_quadrature_convergence(min(n_max, 10)),
     ]
-    return results

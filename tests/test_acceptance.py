@@ -8,7 +8,7 @@ at its tolerance from the central table.
 import numpy as np
 import pytest
 
-from toruslandau import tolerances, verify
+from toruslandau import lll_basis, tolerances, verify
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, apply_hamiltonian, ground_section,
                                 raise_section, rayleigh_quotient)
@@ -119,6 +119,28 @@ def test_criterion_06_half_lattice_defects_match_per_call():
             float(np.min(translation_matrix(geo, a).projection_defects))
             for a in (geo.L1 / (2 * n), 1j * geo.L2 / (2 * n),
                       (geo.L1 + 1j * geo.L2) / (2 * n))]
+
+
+def test_criterion_06_samples_each_level_once(monkeypatch):
+    # one translation_matrices call per N: one pass for the level at each N,
+    # plus one per displacement at N = 3, whose 64-wide grid misses them all
+    # (the lattice point, three midpoints and the commutator's four)
+    calls = []
+    grid = lll_basis._fourier_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
+    assert verify.check_translation_algebra(n_max=4).passed
+    assert len(calls) == 4 + 8
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_run_acceptance_rejects_empty_range(n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        verify.run_acceptance(n_max=n_max)
 
 
 @pytest.mark.parametrize("never_met", [False, True])

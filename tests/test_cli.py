@@ -135,6 +135,15 @@ class TestDensityCommand:
         for n in (1, 3, 6, 10):
             assert (tmp_path / f"density_N{n}_L0_deviation.csv").exists()
 
+    @pytest.mark.parametrize("n_list", ["3,1", "2,2"])
+    def test_n_list_must_increase(self, tmp_path, capsys, n_list):
+        # d(N) is judged in list order, so an unsorted list is a usage error
+        code = run(["density", "--N", n_list, "--grid", "48",
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--N must be strictly increasing" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_json_grid_format(self, tmp_path):
         code = run(["density", "--N", "2", "--grid", "48", "--format", "json",
                     "--out-dir", str(tmp_path)])
@@ -173,6 +182,18 @@ class TestTranslateCommand:
         code = run(["translate", "--N", "2", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "--a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, form", [
+        ("--a-frac", "0.3", "--a-frac F1,F2"),
+        ("--a-frac", "0.1,0.2,0.3", "--a-frac F1,F2"),
+        ("--a", "1.5", "--a RE,IM"),
+        ("--a", "x,1", "--a RE,IM")])
+    def test_malformed_displacement_names_its_flag(self, tmp_path, capsys,
+                                                   flag, value, form):
+        code = run(["translate", "--N", "3", flag, value,
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: expected {form}, got {value!r}\n"
 
 
 class TestCocycleCommand:
@@ -270,6 +291,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "10/10 checks passed" in out
         assert out.count("PASS") == 10
+
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_empty_range_is_a_usage_error(self, capsys, n_max):
+        code = run(["verify", "--n-max", n_max])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "n_max must be at least 1" in captured.err
+        assert "checks passed" not in captured.out
 
     def test_fault_injection_fails_boundary(self, capsys):
         code = run(["verify", "--n-max", "2", "--debug-flip-x-sign"])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from toruslandau import cocycle, tolerances, verify
 from toruslandau.cocycle import (Triangulation, chart_potential, chi,
-                                 cocycle_constant, mesh_from_json, mesh_to_json,
-                                 total_flux, triangle_identity, uniform_mesh)
+                                 cocycle_constant, total_flux, triangle_identity,
+                                 uniform_mesh)
 from toruslandau.errors import NotConstant
 
 # the two triangles of a grid square for either diagonal, as corner offsets
@@ -471,18 +471,3 @@ class TestTotalFlux:
             tracemalloc.stop()
         assert peak < 16 * own
 
-
-class TestMeshSerialization:
-    def test_round_trip(self):
-        mesh = uniform_mesh(4, 1.5, 2 * math.pi / 1.5, 3.0)
-        text = mesh_to_json(mesh)
-        back = mesh_from_json(text)
-        np.testing.assert_array_equal(back.vertices, mesh.vertices)
-        np.testing.assert_array_equal(back.triangles, mesh.triangles)
-        np.testing.assert_array_equal(back.wraps, mesh.wraps)
-        assert total_flux(back).sum_cocycles == pytest.approx(
-            total_flux(mesh).sum_cocycles)
-
-    def test_serialization_deterministic(self):
-        mesh = uniform_mesh(3, 1.0, 1.0, 1.0)
-        assert mesh_to_json(mesh) == mesh_to_json(mesh_from_json(mesh_to_json(mesh)))

@@ -345,10 +345,6 @@ class TestBoundaryPhases:
         assert p.delta1 == pytest.approx(0.5)
         assert p.delta2 == pytest.approx(2 * math.pi - 0.5)
 
-    def test_trivial(self):
-        assert BoundaryPhases().is_trivial
-        assert not BoundaryPhases(0.1, 0).is_trivial
-
 
 class TestThetaBasisValidation:
     def test_nu_range(self):

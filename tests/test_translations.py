@@ -15,7 +15,7 @@ from toruslandau.translations import (bundle_shift_phase,
                                       commutator_matrix_residual,
                                       commutator_phase,
                                       hamiltonian_commutation_residual,
-                                      is_lattice, lattice_indices,
+                                      lattice_indices,
                                       reduce_to_fundamental,
                                       translate_section, translate_sections,
                                       translation_matrices, translation_matrix,
@@ -104,10 +104,10 @@ class TestLatticeClassification:
 
     def test_off_lattice(self, geo3):
         assert lattice_indices(geo3.L1 / 6, geo3) is None
-        assert not is_lattice(0.1 + 0.2j, geo3)
+        assert lattice_indices(0.1 + 0.2j, geo3) is None
 
     def test_translation_type(self, geo3):
-        assert is_lattice((geo3.L1 + 1j * geo3.L2) / 3, geo3)
+        assert lattice_indices((geo3.L1 + 1j * geo3.L2) / 3, geo3) is not None
         with pytest.raises(ValueError):
             lattice_indices(complex("nan"), geo3)
 
@@ -117,7 +117,7 @@ class TestTranslationMatrix:
     def test_lattice_unitary_and_projects(self, n):
         geo = TorusGeometry.square(n)
         tm = translation_matrix(geo, (geo.L1 + 1j * geo.L2) / n)
-        assert tm.is_lattice
+        assert lattice_indices(tm.a, geo) is not None
         assert tm.unitarity_defect < 1e-10
         assert tm.max_projection_defect < 1e-10
 
@@ -125,7 +125,7 @@ class TestTranslationMatrix:
     def test_half_lattice_leaks(self, n):
         geo = TorusGeometry.square(n)
         tm = translation_matrix(geo, geo.L1 / (2 * n))
-        assert not tm.is_lattice
+        assert lattice_indices(tm.a, geo) is None
         assert float(np.min(tm.projection_defects)) > 1e-3
         # the restriction is a strict contraction, not unitary
         assert tm.unitarity_defect > 1e-3
@@ -164,10 +164,22 @@ class TestGroupAlgebra:
         assert commutator_phase(a, 0.0) == pytest.approx(1.0)
 
     def test_commutator_matrix_check(self, geo3):
-        phase, resid = commutator_matrix_residual(geo3, geo3.L1 / 3,
-                                                  1j * geo3.L2 / 3)
+        a, b = geo3.L1 / 3, 1j * geo3.L2 / 3
+        phase, resid = commutator_matrix_residual(
+            *translation_matrices(geo3, [a, b, -a, -b]))
         assert phase == pytest.approx(np.exp(2j * np.pi / 3), abs=1e-13)
         assert resid < 1e-9
+
+    def test_commutator_needs_the_inverse_displacements(self, geo3):
+        a, b = geo3.L1 / 3, 1j * geo3.L2 / 3
+        t_a, t_b, t_ma, t_mb = translation_matrices(geo3, [a, b, -a, -b])
+        for wrong in ((t_a, t_b, t_mb, t_ma), (t_a, t_b, t_a, t_mb),
+                      (t_a, t_b, t_ma, t_b)):
+            with pytest.raises(ValueError, match="T_-a"):
+                commutator_matrix_residual(*wrong)
+        level_one = translation_matrix(geo3, -b, level=1)
+        with pytest.raises(ValueError, match="one level"):
+            commutator_matrix_residual(t_a, t_b, t_ma, level_one)
 
     def test_lattice_subgroup_closure(self, geo3):
         # T_a T_b = exp((conj(a) b - a conj(b))/2) T_{a+b}
@@ -301,10 +313,12 @@ class TestSamplingOnce:
         (lambda g: density_map(g, 1), 2),
         (lambda g: translation_matrix(g, g.L1 / 3), 1 + 1),
         (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2 + 2),
-        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3), 1 + 4),
+        (lambda g: commutator_matrix_residual(*translation_matrices(
+            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3])), 1 + 4),
         (lambda g: translation_matrix(g, g.L1 / 3, nx=48), 1),
         (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=48), 2),
-        (lambda g: commutator_matrix_residual(g, g.L1 / 3, 1j * g.L2 / 3, nx=48), 1),
+        (lambda g: commutator_matrix_residual(*translation_matrices(
+            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], nx=48)), 1),
         (lambda g: normalized_basis(g), 1),
     ], ids=["density_L0", "density_L1", "lattice_L0", "half_lattice_L1",
             "commutator_L0", "rolled_lattice_L0", "rolled_half_lattice_L1",
@@ -448,7 +462,7 @@ class TestRolledProjection:
         assert np.max(np.abs(tm.entries - entries)) <= 1e-13
         assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
         if kind == "half":
-            assert not tm.is_lattice and tm.max_projection_defect > 1e-3
+            assert lattice_indices(a, geo) is None and tm.max_projection_defect > 1e-3
 
     def test_level_one_roll(self, monkeypatch):
         geo = TorusGeometry.with_aspect(4, 2.0)

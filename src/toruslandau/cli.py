@@ -14,7 +14,6 @@ and every emitted file; reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -48,11 +47,12 @@ def _add_geometry_args(parser, n_is_list=False):
                         help="key=value config file; flags override it")
 
 
-def _add_output_args(parser):
+def _add_output_args(parser, grid_files=True):
     parser.add_argument("--out-dir", type=str, default=".",
                         help="directory for emitted files")
-    parser.add_argument("--format", choices=("csv", "matrix", "json"),
-                        default="csv", help="grid file format")
+    if grid_files:
+        parser.add_argument("--format", choices=("csv", "matrix", "json"),
+                            default="csv", help="grid file format")
 
 
 def _geometry_options(args, n_value=None):
@@ -87,9 +87,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list,
         "outputs": sorted(str(p.name) for p in outputs),
         "checks": checks,
     }
-    path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    return gridio.write_json(manifest, out_dir / "run_manifest.json")
 
 
 def _parse_flux(text: str) -> float:
@@ -105,14 +103,11 @@ def _parse_flux(text: str) -> float:
 
 def cmd_basis(args) -> int:
     geo = resolve_geometry(_geometry_options(args))
-    if not 0 <= args.nu < geo.N:
-        print(f"error: --nu {args.nu} outside [0, {geo.N})", file=sys.stderr)
-        return 2
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     psi = normalize(theta_basis(geo, args.nu))
     nx = args.grid
     quad = Quadrature(geo, nx, nx)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     z = quad.z
     vals = eval_fourier(psi, z)
     weighted = quad.weight * np.abs(vals) ** 2
@@ -134,12 +129,10 @@ def cmd_basis(args) -> int:
         "boundary_residual_rel": resid,
         "boundary_ok": resid < tolerances.get("boundary_residual_rel"),
     }
-    report = out / f"{stem}_report.json"
-    report.write_text(json.dumps({
+    outputs.append(gridio.write_json({
         "geometry": {"L1": geo.L1, "L2": geo.L2, "N": geo.N},
         "nu": args.nu, "grid": nx, "norm_const": psi.norm_const, **checks,
-    }, sort_keys=True, indent=2) + "\n")
-    outputs.append(report)
+    }, out / f"{stem}_report.json"))
 
     params = {"N": geo.N, "nu": args.nu, "grid": nx, "seed": args.seed,
               "L1": geo.L1, "L2": geo.L2, "format": args.format}
@@ -152,21 +145,22 @@ def cmd_basis(args) -> int:
 
 
 def cmd_density(args) -> int:
-    n_list = [int(tok) for tok in (args.N or "1,3,6,10").split(",")]
+    n_list = _parse_numbers(args.N or "1,3,6,10", "--N N1,N2,...", int)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         # d(N) is judged in list order, so it must be the order of N
         raise ValueError(f"--N must be strictly increasing, got {args.N}")
+    if len(set(args.level)) < len(args.level):
+        raise ValueError(f"--level repeats a level: {' '.join(map(str, args.level))}")
+    geos = [resolve_geometry(_geometry_options(args, n_value=n)) for n in n_list]
+    maps = [[density_map(geo, level, args.grid) for geo in geos] for level in args.level]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     summary = {"levels": {}, "N": n_list}
     ok = True
-    for level in args.level:
+    for level, level_maps in zip(args.level, maps):
         rows = []
-        for n in n_list:
-            geo = resolve_geometry(_geometry_options(args, n_value=n))
-            nx = args.grid or verify.density_grid(geo)
-            dm = density_map(geo, level, nx, nx)
+        for n, dm in zip(n_list, level_maps):
             stem = out / f"density_N{n}_L{level}_deviation"
             outputs.append(_write_field(dm.deviation, stem, args.format))
             outputs.append(gridio.write_sidecar(
@@ -175,14 +169,12 @@ def cmd_density(args) -> int:
                        "max_deviation": dm.max_deviation,
                        "relative_deviation": dm.relative_deviation}))
             rows.append({"N": n, "d": dm.relative_deviation,
-                         "mean_rho": dm.mean, "grid": nx})
+                         "mean_rho": dm.mean, "grid": dm.rho.nx})
         ds = [r["d"] for r in rows]
         decreasing = all(b < a for a, b in zip(ds, ds[1:]))
         ok = ok and (decreasing or len(ds) < 2)
         summary["levels"][str(level)] = {"table": rows, "decreasing": decreasing}
-    spath = out / "density_summary.json"
-    spath.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    outputs.append(spath)
+    outputs.append(gridio.write_json(summary, out / "density_summary.json"))
     params = {"N": n_list, "level": args.level, "grid": args.grid,
               "format": args.format}
     _write_manifest(out, "density", params, outputs,
@@ -194,34 +186,36 @@ def cmd_density(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_pair(text: str, form: str) -> tuple[float, float]:
-    """Two comma-separated floats; ValueError naming the flag's form if not."""
+def _parse_numbers(text: str, form: str, kind=float, count=None) -> list:
+    """Comma-separated numbers of type kind, exactly count of them if count
+    is given; ValueError naming the flag's form if not."""
     try:
-        x, y = (float(t) for t in text.split(","))
+        values = [kind(t) for t in text.split(",")]
     except ValueError:
-        raise ValueError(f"expected {form}, got {text!r}") from None
-    return x, y
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ValueError(f"expected {form}, got {text!r}")
+    return values
 
 
 def _parse_displacement(args, geo) -> complex:
     if args.a_frac is not None:
-        f1, f2 = _parse_pair(args.a_frac, "--a-frac F1,F2")
+        f1, f2 = _parse_numbers(args.a_frac, "--a-frac F1,F2", count=2)
         return f1 * geo.L1 + 1j * f2 * geo.L2
     if args.a is None:
         raise ValueError("specify --a RE,IM or --a-frac F1,F2")
-    re, im = _parse_pair(args.a, "--a RE,IM")
+    re, im = _parse_numbers(args.a, "--a RE,IM", count=2)
     return re + 1j * im
 
 
 def cmd_translate(args) -> int:
     geo = resolve_geometry(_geometry_options(args))
     a = _parse_displacement(args, geo)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = translation_report(geo, a, level=args.level,
                                 nx=args.grid, ny=args.grid)
-    path = out / "translation_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = gridio.write_json(report, out / "translation_report.json")
     params = {"N": geo.N, "a": [a.real, a.imag], "level": args.level,
               "grid": args.grid}
     lattice_ok = (not report["lattice"]) or (
@@ -237,14 +231,12 @@ def cmd_translate(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
-    L1 = args.L1 if args.L1 is not None else 1.0
-    L2 = args.L2 if args.L2 is not None else 1.0
+    L1, L2 = args.L1, args.L2
     flux = _parse_flux(args.flux)
     b = flux / (L1 * L2)
-    mesh = uniform_mesh(args.mesh_n, L1, L2, b)
+    result = total_flux(uniform_mesh(args.mesh_n, L1, L2, b))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = total_flux(mesh)
     report = {
         "mesh_n": args.mesh_n, "L1": L1, "L2": L2, "B": b,
         "flux": result.flux, "sum_cocycles": result.sum_cocycles,
@@ -255,8 +247,7 @@ def cmd_cocycle(args) -> int:
     }
     if args.per_triangle:
         report["cocycles"] = result.cocycles.tolist()
-    path = out / "cocycle_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    path = gridio.write_json(report, out / "cocycle_report.json")
     params = {"mesh_n": args.mesh_n, "flux": flux, "L1": L1, "L2": L2}
     _write_manifest(out, "cocycle", params, [path], {
         "triangle_identity": result.identity_holds,
@@ -312,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="magnetic translation diagnostics")
     _add_geometry_args(p)
-    _add_output_args(p)
+    _add_output_args(p, grid_files=False)
     p.add_argument("--a", type=str, default=None,
                    help="displacement RE,IM in natural units")
     p.add_argument("--a-frac", type=str, default=None,
@@ -322,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("cocycle", help="triangulated flux identity")
-    _add_geometry_args(p)
-    _add_output_args(p)
+    p.add_argument("--L1", type=float, default=1.0, help="torus side L1")
+    p.add_argument("--L2", type=float, default=1.0, help="torus side L2")
+    _add_output_args(p, grid_files=False)
     p.add_argument("--mesh-n", type=int, default=8,
                    help="grid subdivisions per side (2 n^2 triangles)")
     p.add_argument("--flux", type=str, default="2pi",

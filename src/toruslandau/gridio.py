@@ -1,7 +1,9 @@
-"""Serialization of grid fields: CSV, bare matrix, and JSON.
+"""Serialization of grid fields (CSV, bare matrix, and JSON) and of reports.
 
 All writers keep dict keys sorted and print every float as Python's repr
-does, so identical inputs produce byte-identical files: the CSV and matrix
+does, so identical inputs produce byte-identical files.  write_json holds
+the one format of every JSON report, sidecar and manifest:
+json.dumps(payload, sort_keys=True, indent=2) + "\n".  The CSV and matrix
 writers emit exactly "\n".join(sep.join(map(repr, row)) for row in
 values.tolist()) + "\n" for every float64 (signed zeros, subnormals, inf
 and nan included), the JSON grid writer json.dumps(payload, sort_keys=True)
@@ -302,6 +304,11 @@ def write_sidecar(field: GridField, path, extra: dict | None = None) -> Path:
     payload = {**_header(field), "statistics": stats}
     if extra:
         payload.update(extra)
+    return write_json(payload, path)
+
+
+def write_json(payload: dict, path) -> Path:
+    """payload as indented JSON with sorted keys and a final newline."""
     path = Path(path)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path

@@ -254,15 +254,15 @@ def _check_same_geometry(s1, s2):
         raise GeometryMismatch("operands live on different tori")
 
 
-def inner_product(s1, s2, nx: int | None = None, ny: int | None = None) -> complex:
-    """<s1|s2> by the periodic trapezoid rule on an nx x ny grid.
+def inner_product(s1, s2) -> complex:
+    """<s1|s2> by the periodic trapezoid rule on the default grid.
 
     The integrand is smooth and doubly periodic, so doubling the grid
-    changes the result only at rounding level once resolved (default grid
-    max(64, 16N) is well past that point).
+    changes the result only at rounding level once resolved (the default
+    grid max(64, 16N) is well past that point).
     """
     _check_same_geometry(s1, s2)
-    quad = Quadrature(s1.geometry, nx, ny)
+    quad = Quadrature(s1.geometry)
     v1 = quad.sample([s1])
     v2 = v1 if s1 is s2 else quad.sample([s2])
     return complex(quad.gram(v1, v2)[0, 0])
@@ -280,8 +280,7 @@ def gram_matrix(basis, nx: int | None = None, ny: int | None = None) -> np.ndarr
     return (g + g.conj().T) / 2
 
 
-def rayleigh_quotients(sections, nx: int | None = None,
-                       ny: int | None = None) -> list[float]:
+def rayleigh_quotients(sections) -> list[float]:
     """<s|H|s>/<s|s> of each section, through the positive form
     2 * integral e^{-|z|^2} |dbar s|^2.
 
@@ -292,7 +291,7 @@ def rayleigh_quotients(sections, nx: int | None = None,
     sections = [as_section(s) for s in sections]
     for s in sections[1:]:
         _check_same_geometry(sections[0], s)
-    quad = Quadrature(sections[0].geometry, nx, ny)
+    quad = Quadrature(sections[0].geometry)
     norms = quad.norms(quad.sample(sections + [dbar_section(s) for s in sections])) ** 2
     den, num = np.split(norms, 2)
     if not np.all(den > 0):
@@ -300,9 +299,9 @@ def rayleigh_quotients(sections, nx: int | None = None,
     return [float(2 * b / a) for a, b in zip(den, num)]
 
 
-def rayleigh_quotient(s, nx: int | None = None, ny: int | None = None) -> float:
+def rayleigh_quotient(s) -> float:
     """<s|H|s>/<s|s> of one section: the one-section case of rayleigh_quotients."""
-    return rayleigh_quotients([s], nx, ny)[0]
+    return rayleigh_quotients([s])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +367,10 @@ def _sampled_level(quad: Quadrature, level: int):
     return [s * c for s, c in zip(sections, scales)], vals
 
 
-def level_basis(geometry: TorusGeometry, level: int,
-                nx: int | None = None, ny: int | None = None) -> list[PolynomialSection]:
-    """Quadrature-normalized basis of the requested Landau level (0 or 1)."""
-    return _sampled_level(Quadrature(geometry, nx, ny), level)[0]
+def level_basis(geometry: TorusGeometry, level: int) -> list[PolynomialSection]:
+    """Basis of the requested Landau level (0 or 1), normalized on the default
+    Quadrature."""
+    return _sampled_level(Quadrature(geometry), level)[0]
 
 
 def density_map(geometry: TorusGeometry, level: int = 0,
@@ -380,8 +379,13 @@ def density_map(geometry: TorusGeometry, level: int = 0,
 
     The Hermitian weight is included, making rho a genuine function on the
     torus.  Breaking of continuous translation symmetry shows up as bumps of
-    the deviation field on the lattice (n1 L1 + i n2 L2)/N.
+    the deviation field on the lattice (n1 L1 + i n2 L2)/N.  nx defaults to
+    default_resolution rounded up to a multiple of 2N, so that lattice points
+    and half-lattice midpoints land on grid nodes, and ny to nx.
     """
+    if nx is None:
+        step = 2 * geometry.N
+        nx = -(-default_resolution(geometry) // step) * step
     quad = Quadrature(geometry, nx, ny)
     rho = np.zeros(quad.z.shape, dtype=float)
     for v in _sampled_level(quad, level)[1]:

@@ -123,10 +123,11 @@ class ThetaBasisFunction:
     Fields:
         geometry: the torus
         nu: residue class in [0, N)
-        n_max: Fourier cutoff for the default evaluation domain (the
-            fundamental rectangle padded by one period each way); evaluation
-            at points outside that domain widens the window automatically
         norm_const: overall constant, 1.0 until normalize() fixes it
+
+    The Fourier window is sized at evaluation (fourier_cutoff), for the
+    fundamental rectangle padded by one period each way or the points'
+    largest |Im z|, whichever is wider.
 
     Instances are immutable; evaluation is pure and safe to share across
     threads.
@@ -134,14 +135,11 @@ class ThetaBasisFunction:
 
     geometry: TorusGeometry
     nu: int
-    n_max: int
     norm_const: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.nu < self.geometry.N:
             raise ValueError(f"nu={self.nu} outside [0, {self.geometry.N})")
-        if self.n_max < 1:
-            raise ValueError("n_max must be positive")
         if not self.norm_const > 0:
             raise ValueError("norm_const must be positive")
 
@@ -150,8 +148,8 @@ class ThetaBasisFunction:
 
 
 def theta_basis(geometry: TorusGeometry, nu: int) -> ThetaBasisFunction:
-    """Construct psi_nu with the cutoff sized for the padded fundamental domain."""
-    return ThetaBasisFunction(geometry, nu, fourier_cutoff(geometry, 2 * geometry.L2))
+    """Construct psi_nu (unnormalized)."""
+    return ThetaBasisFunction(geometry, nu)
 
 
 def ground_basis(geometry: TorusGeometry) -> list[ThetaBasisFunction]:
@@ -201,8 +199,7 @@ def _eval_poly(coeffs, v):
 def _fourier_indices(psi: ThetaBasisFunction, y) -> np.ndarray:
     """Indices n = nu (mod N) of the Fourier terms kept for points with Im z in y."""
     geo = psi.geometry
-    y_extent = max(float(np.max(np.abs(y))), 2 * geo.L2)
-    cutoff = max(psi.n_max, fourier_cutoff(geo, y_extent))
+    cutoff = fourier_cutoff(geo, max(float(np.max(np.abs(y))), 2 * geo.L2))
     ns = np.arange(-cutoff, cutoff + 1)
     return ns[(ns - psi.nu) % geo.N == 0]
 
@@ -461,39 +458,36 @@ def boundary_residual(section, z, phases: BoundaryPhases = TRIVIAL_PHASES,
     return worst
 
 
-def double_shift_factors(geometry: TorusGeometry, z,
-                         phases: BoundaryPhases = TRIVIAL_PHASES):
-    """Factors relating psi(z + L1 + i L2) to psi(z) along the two edge orders.
+def double_shift_factors(geometry: TorusGeometry, z):
+    """Factors relating psi(z + L1 + i L2) to psi(z) along the two edge orders,
+    for trivial boundary phases.
 
     Returns (via_x_then_y, via_y_then_x, symmetric) where `symmetric` is
-    exp{(L1 - i L2) z + |L1 + i L2|^2 / 2 + i(delta1+delta2)}.  Each path
-    equals symmetric times exp(-+ i L1 L2); consistency of the two paths is
-    exp(2 i L1 L2) = 1, which forces L1 L2 = N pi, and the per-path factor
-    relative to symmetric is exp(-+ i N pi) = (-1)^N.
+    exp{(L1 - i L2) z + |L1 + i L2|^2 / 2}.  Each path equals symmetric
+    times exp(-+ i L1 L2); consistency of the two paths is exp(2 i L1 L2) =
+    1, which forces L1 L2 = N pi, and the per-path factor relative to
+    symmetric is exp(-+ i N pi) = (-1)^N.
     """
     z = np.asarray(z, dtype=complex)[()]
     L1, L2 = geometry.L1, geometry.L2
-    dsum = phases.delta1 + phases.delta2
-    e_sym = (L1 - 1j * L2) * z + abs(L1 + 1j * L2) ** 2 / 2 + 1j * dsum
+    e_sym = (L1 - 1j * L2) * z + abs(L1 + 1j * L2) ** 2 / 2
     via_xy = np.exp(e_sym - 1j * L1 * L2)
     via_yx = np.exp(e_sym + 1j * L1 * L2)
     return via_xy, via_yx, np.exp(e_sym)
 
 
-def normalize(psi: ThetaBasisFunction, nx: int | None = None,
-              ny: int | None = None) -> ThetaBasisFunction:
+def normalize(psi: ThetaBasisFunction) -> ThetaBasisFunction:
     """Copy of psi with norm_const fixed so the quadrature norm is 1."""
-    return _normalized([psi], nx, ny)[0]
+    return _normalized([psi])[0]
 
 
-def normalized_basis(geometry: TorusGeometry, nx: int | None = None,
-                     ny: int | None = None) -> list[ThetaBasisFunction]:
+def normalized_basis(geometry: TorusGeometry) -> list[ThetaBasisFunction]:
     """The N ground states, each normalized by quadrature."""
-    return _normalized(ground_basis(geometry), nx, ny)
+    return _normalized(ground_basis(geometry))
 
 
-def _normalized(psis, nx: int | None, ny: int | None) -> list[ThetaBasisFunction]:
-    """Copies of psis (one torus) with unit quadrature norms.
+def _normalized(psis) -> list[ThetaBasisFunction]:
+    """Copies of psis (one torus) with unit norms on its default Quadrature.
 
     One stacked grid pass samples them all, and each norm is the gram of a
     one-sample slice, so a section's norm_const does not depend on the
@@ -501,7 +495,7 @@ def _normalized(psis, nx: int | None, ny: int | None) -> list[ThetaBasisFunction
     """
     from .levels import Quadrature  # deferred: levels builds on this module
 
-    quad = Quadrature(psis[0].geometry, nx, ny)
+    quad = Quadrature(psis[0].geometry)
     out = []
     for psi, v in zip(psis, quad.sample(psis)[:, None]):
         scale = math.sqrt(float(np.real(quad.gram(v, v)[0, 0])))

@@ -22,8 +22,8 @@ A level matrix projects T_a s_nu onto the sampled level basis by quadrature.
 When a is a node of the quadrature grid's own lattice (L1/nx)Z + i(L2/ny)Z,
 z - a is again a grid point up to whole periods.  That holds for every
 lattice and half-lattice point on a grid whose sides are multiples of 2N,
-such as verify.density_grid or the default max(64, 16N) grid at every N
-but 3, where it is 64 wide.  T_a s_nu on the grid is then the
+such as density_map's default grid, or the default max(64, 16N) Quadrature
+grid at every N but 3, where it is 64 wide.  T_a s_nu on the grid is then the
 held samples of s_nu, index-rolled, times one factor exp(conj(a) z -
 |a|^2/2 + E) shared by the whole level, with E the boundary exponent of the
 integer wrap counts; no section is evaluated again.  Any other a falls back

@@ -35,6 +35,7 @@ DEFAULT_SEED = 20260810
 _DUALITY_POINTS = 1000               # criterion 3: random points per (N, nu)
 _BOUNDARY_GRID = 32                  # criterion 4: samples per side
 _DENSITY_LEVELS = (0, 1)             # criterion 5: Landau levels mapped
+_FIGURE_NS = (1, 3, 6, 10)           # criterion 5: N whose extrema are located
 _MESH_SIZES = (4, 8, 16)             # criterion 9: uniform meshes of 2 n^2 triangles
 _MESH_FLUX_QUANTA = (1.0, 3.0, 1.5)  # criterion 9: flux / 2 pi on the unit torus
 
@@ -48,14 +49,6 @@ class CheckResult:
 
     def __str__(self):
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
-
-
-def density_grid(geometry: TorusGeometry) -> int:
-    """Density-map grid: default resolution rounded up to a multiple of 2N,
-    so lattice points and half-lattice midpoints land on grid nodes."""
-    base = default_resolution(geometry)
-    step = 2 * geometry.N
-    return ((base + step - 1) // step) * step
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +168,7 @@ def _lattice_points_near_extrema(dev: np.ndarray, n_flux: int) -> bool:
     return True
 
 
-def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10)) -> CheckResult:
+def check_symmetry_breaking(n_max: int = 10) -> CheckResult:
     tol_shift = tolerances.get("density_shift_abs")
     tol_mean = tolerances.get("density_mean_abs")
     tol_fit = tolerances.get("decay_fit_rel")
@@ -184,21 +177,20 @@ def check_symmetry_breaking(n_max: int = 10, figure_ns=(1, 3, 6, 10)) -> CheckRe
 
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
-        nx = density_grid(geo)
         for level in _DENSITY_LEVELS:
-            dm = density_map(geo, level, nx, nx)
+            dm = density_map(geo, level)
             d_table[level].append(dm.relative_deviation)
             trace = dm.mean * geo.area
             if abs(trace - n) > tol_mean * n:
                 problems.append(f"N={n} L{level}: mean*area={trace}")
-            step = nx // n
+            step = dm.rho.nx // n
             rho = dm.rho.values
             shift_err = max(
                 float(np.max(np.abs(np.roll(rho, step, axis=1) - rho))),
                 float(np.max(np.abs(np.roll(rho, step, axis=0) - rho))))
             if shift_err > tol_shift:
                 problems.append(f"N={n} L{level}: shift err {shift_err:.1e}")
-            if n in figure_ns and not _lattice_points_near_extrema(
+            if n in _FIGURE_NS and not _lattice_points_near_extrema(
                     dm.deviation.values, n):
                 problems.append(f"N={n} L{level}: extrema off lattice")
 
@@ -394,9 +386,7 @@ def run_acceptance(n_max: int = 6, seed: int = DEFAULT_SEED,
         check_ground_dimension(min(n_max, 10)),
         check_poisson_duality(min(n_max, 10), seed=seed),
         check_boundary(min(n_max, 10), fault_phases=fault_phases),
-        check_symmetry_breaking(min(n_max, 10),
-                                figure_ns=tuple(n for n in (1, 3, 6, 10)
-                                                if n <= n_max)),
+        check_symmetry_breaking(min(n_max, 10)),
         check_translation_algebra(min(n_max, 6)),
         check_wintner(min(n_max, 10)),
         check_energy_ladder(min(n_max, 6)),

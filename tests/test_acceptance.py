@@ -51,7 +51,8 @@ def test_criterion_05_symmetry_breaking_structure():
     # (n1 L1 + i n2 L2)/N lattice, Z_N x Z_N invariance to 1e-10, and d(N)
     # strictly decreasing with a log-linear fit residual < 10%
     assert verify._DENSITY_LEVELS == (0, 1)
-    report(verify.check_symmetry_breaking(n_max=10, figure_ns=(1, 3, 6, 10)))
+    assert verify._FIGURE_NS == (1, 3, 6, 10)
+    report(verify.check_symmetry_breaking(n_max=10))
 
 
 def test_criterion_06_translation_algebra():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toruslandau import cli, cocycle, lll_basis, tolerances, verify
+from toruslandau import cli, cocycle, gridio, lll_basis, tolerances, verify
 from toruslandau.cli import main
 from toruslandau.cocycle import (cocycle_constant, total_flux, triangle_identity,
                                  uniform_mesh)
@@ -144,6 +144,21 @@ class TestDensityCommand:
         assert "--N must be strictly increasing" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_repeated_level_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["density", "--N", "3", "--level", "0", "0", "--out-dir", str(out)])
+        assert code == 2
+        assert "--level repeats a level: 0 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_list", ["1,a", "1,,3"])
+    def test_malformed_n_list_names_its_flag(self, tmp_path, capsys, n_list):
+        out = tmp_path / "out"
+        code = run(["density", "--N", n_list, "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: expected --N N1,N2,..., got {n_list!r}\n"
+        assert not out.exists()
+
     def test_json_grid_format(self, tmp_path):
         code = run(["density", "--N", "2", "--grid", "48", "--format", "json",
                     "--out-dir", str(tmp_path)])
@@ -278,6 +293,14 @@ class TestCocycleCommand:
         assert run(args + ["--out-dir", str(b)]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_sides(self, tmp_path):
+        code = run(["cocycle", "--mesh-n", "4", "--L1", "2", "--L2", "0.5",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "cocycle_report.json").read_text())
+        assert (report["L1"], report["L2"], report["B"]) == (2.0, 0.5, 2 * math.pi)
+        assert report["theorem_holds"] and report["weil_integral"]
+
     def test_numeric_flux(self, tmp_path):
         code = run(["cocycle", "--mesh-n", "4", "--flux", "6.283185307179586",
                     "--out-dir", str(tmp_path)])
@@ -308,6 +331,42 @@ class TestVerifyCommand:
         assert len(failed) == 1 and failed[0].startswith("FAIL  boundary conditions")
 
 
+class TestUsageErrors:
+    """A usage error exits 2 before the output directory is created."""
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--N", "3", "--grid", "2"],
+        ["basis", "--N", "3", "--nu", "5"],
+        ["density", "--N", "3", "--grid", "2"],
+        ["translate", "--N", "3", "--a-frac", "0.5,0", "--grid", "2"],
+        ["translate", "--N", "3", "--a-frac", "0.5"],
+        ["cocycle", "--mesh-n", "2"]],
+        ids=["basis-grid", "basis-nu", "density-grid", "translate-grid",
+             "translate-displacement", "cocycle-mesh"])
+    def test_no_directory_on_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cocycle", "--N", "5"],
+        ["cocycle", "--units", "physical"],
+        ["cocycle", "--B", "3"],
+        ["cocycle", "--config", "torus.cfg"],
+        ["cocycle", "--format", "json"],
+        ["translate", "--N", "3", "--a-frac", "0.5,0", "--format", "json"]],
+        ids=["cocycle-N", "cocycle-units", "cocycle-B", "cocycle-config",
+             "cocycle-format", "translate-format"])
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_show_tolerances(self, capsys):
         assert run(["--show-tolerances"]) == 0
@@ -336,6 +395,25 @@ class TestTopLevel:
                     "--out-dir", str(out)])
         assert code == 0
         assert (out / "basis_N2_nu0_re.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--N", "2", "--grid", "16"],
+    ["density", "--N", "1,2", "--level", "0", "1", "--grid", "16"],
+    ["translate", "--N", "2", "--a-frac", "0.5,0"],
+    ["cocycle", "--mesh-n", "4"]], ids=lambda argv: argv[0])
+def test_every_json_report_goes_through_write_json(tmp_path, monkeypatch, argv):
+    # reports, sidecars, summaries and the manifest share one JSON writer
+    written = []
+    original = gridio.write_json
+
+    def recorded(payload, path):
+        written.append(Path(path).name)
+        return original(payload, path)
+
+    monkeypatch.setattr(gridio, "write_json", recorded)
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert sorted(written) == sorted(p.name for p in tmp_path.glob("*.json"))
 
 
 def test_cli_imports_no_private_name():

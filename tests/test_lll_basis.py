@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from toruslandau import lll_basis, numdiff, tolerances, verify
 from toruslandau.errors import GeometryMismatch
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import (Quadrature, default_resolution, ground_section,
-                                inner_product, periodic_grid, raise_section)
-from toruslandau.lll_basis import (BoundaryPhases, ThetaBasisFunction, _is_grid,
+from toruslandau.levels import (Quadrature, default_resolution, gram_matrix,
+                                ground_section, inner_product, periodic_grid,
+                                raise_section)
+from toruslandau.lll_basis import (BoundaryPhases, _is_grid,
                                    boundary_factors, boundary_residual,
                                    double_shift_factors, duality_residual,
                                    eval_fourier, eval_fourier_stack,
@@ -88,13 +90,15 @@ class TestFourierValues:
                 with pytest.raises(ValueError, match="evaluation point must be finite"):
                     evaluate(psi, z)
 
-    def test_cutoff_tail_negligible(self):
+    def test_cutoff_tail_negligible(self, monkeypatch):
         # widening the window beyond the rule must not move the value
         geo = TorusGeometry.square(3)
         psi = theta_basis(geo, 1)
-        wide = type(psi)(geo, 1, psi.n_max * 2, psi.norm_const)
         z = np.array([0.1 + 1.9j, geo.L1 - 0.3 + 0.7j])
-        a, b = eval_fourier(psi, z), eval_fourier(wide, z)
+        cutoff, a = fourier_cutoff(geo, 2 * geo.L2), eval_fourier(psi, z)
+        monkeypatch.setattr(lll_basis, "_TAIL_MARGIN", 2 * lll_basis._TAIL_MARGIN)
+        assert fourier_cutoff(geo, 2 * geo.L2) > cutoff
+        b = eval_fourier(psi, z)
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
 
     def test_cutoff_rule_scales_with_domain(self):
@@ -140,7 +144,7 @@ class TestGaussianRepresentation:
     def test_norm_const_scales_both_representations(self):
         geo = TorusGeometry.square(3)
         psi = theta_basis(geo, 2)
-        scaled = type(psi)(geo, 2, psi.n_max, 2.5)
+        scaled = dataclasses.replace(psi, norm_const=2.5)
         z = 0.4 + 0.3j
         assert eval_fourier(scaled, z) == pytest.approx(2.5 * eval_fourier(psi, z))
         assert eval_gaussian(scaled, z) == pytest.approx(2.5 * eval_gaussian(psi, z))
@@ -278,14 +282,14 @@ class TestNormalize:
 
     def test_matches_finer_quadrature(self):
         geo = TorusGeometry.square(1)
-        coarse = normalize(theta_basis(geo, 0))
-        fine = normalize(theta_basis(geo, 0), nx=256, ny=256)  # 4x default
-        assert coarse.norm_const == pytest.approx(fine.norm_const, rel=1e-12)
+        psi = normalize(theta_basis(geo, 0))
+        fine = gram_matrix([psi], 256, 256)[0, 0]   # 4x default
+        assert math.sqrt(fine.real) == pytest.approx(1.0, rel=1e-12)
 
     def test_forgets_input_scale(self):
         geo = TorusGeometry.square(3)
         psi = theta_basis(geo, 2)
-        scaled = type(psi)(geo, 2, psi.n_max, 7.0)
+        scaled = dataclasses.replace(psi, norm_const=7.0)
         assert normalize(scaled).norm_const == pytest.approx(
             normalize(psi).norm_const, rel=1e-12)
 
@@ -485,7 +489,7 @@ class TestStackedGridPath:
     def test_stack_equals_single_sections(self, n, ratio, shift):
         geo = TorusGeometry.with_aspect(n, ratio)
         z = periodic_grid(geo, 40, 36) + shift * geo.L1
-        psis = normalized_basis(geo, 32, 32)
+        psis = normalized_basis(geo)
         for order in (0, 1, 2):
             stack = eval_fourier_stack(psis, z, order)
             assert stack.shape == (n, 36, 40)
@@ -505,16 +509,6 @@ class TestStackedGridPath:
         vals = quad.sample(sections)
         for s, got in zip(sections, vals):
             np.testing.assert_array_equal(got, s(quad.z))
-
-    def test_sections_with_different_windows(self):
-        # a wider Fourier window for one section: each keeps its own terms
-        geo = TorusGeometry.square(6)
-        z = periodic_grid(geo, 24, 20)
-        wide = ThetaBasisFunction(geo, 4, 3 * fourier_cutoff(geo, 2 * geo.L2))
-        psis = [theta_basis(geo, 1), wide, theta_basis(geo, 4)]
-        stack = eval_fourier_stack(psis, z, 1)
-        for psi, got in zip(psis, stack):
-            np.testing.assert_array_equal(got, eval_fourier(psi, z, 1))
 
     def test_points_off_a_grid(self):
         geo = TorusGeometry.square(3)

@@ -24,8 +24,7 @@ from .levels import (DensityMap, GridField, PolynomialSection,
                      rayleigh_quotients)
 from .translations import (TranslationMatrix,
                            bundle_shift_phase, commutator_matrix_residual,
-                           commutator_phase, hamiltonian_commutation_residual,
-                           lattice_indices, translate_section,
+                           commutator_phase, lattice_indices, translate_section,
                            translate_sections, translation_matrices,
                            translation_matrix, translation_report,
                            wintner_check)

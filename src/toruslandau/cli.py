@@ -91,12 +91,17 @@ def _write_manifest(out_dir: Path, command: str, params: dict, outputs: list,
 
 
 def _parse_flux(text: str) -> float:
-    """Flux value, accepting plain floats or '<x>pi' shorthand."""
-    text = text.strip().lower()
-    if text.endswith("pi"):
-        head = text[:-2].strip("*")
-        return (float(head) if head else 1.0) * math.pi
-    return float(text)
+    """Flux value, plain or '<x>pi'; ValueError naming --flux unless finite."""
+    head, scale = text.strip().lower(), 1.0
+    if head.endswith("pi"):
+        head, scale = head[:-2].strip("*") or "1", math.pi
+    try:
+        value = float(head) * scale
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"--flux must be a finite number, e.g. 6.283 or 2pi, got {text!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -232,6 +237,9 @@ def cmd_translate(args) -> int:
 
 def cmd_cocycle(args) -> int:
     L1, L2 = args.L1, args.L2
+    for flag, side in (("--L1", L1), ("--L2", L2)):
+        if not (math.isfinite(side) and side > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {side}")
     flux = _parse_flux(args.flux)
     b = flux / (L1 * L2)
     result = total_flux(uniform_mesh(args.mesh_n, L1, L2, b))

@@ -39,8 +39,10 @@ from .lll_basis import ThetaBasisFunction, eval_fourier_stack, ground_basis
 
 
 def default_resolution(geometry: TorusGeometry) -> int:
-    """Default quadrature grid side: max(64, 16 N)."""
-    return max(64, 16 * geometry.N)
+    """Default grid side: max(64, 16 N) rounded up to a multiple of 2N, so
+    that every lattice point and half-lattice midpoint is a grid node."""
+    step = 2 * geometry.N
+    return -(-max(64, 16 * geometry.N) // step) * step
 
 
 def periodic_grid(geometry: TorusGeometry, nx: int, ny: int):
@@ -259,7 +261,7 @@ def inner_product(s1, s2) -> complex:
 
     The integrand is smooth and doubly periodic, so doubling the grid
     changes the result only at rounding level once resolved (the default
-    grid max(64, 16N) is well past that point).
+    grid, default_resolution, is well past that point).
     """
     _check_same_geometry(s1, s2)
     quad = Quadrature(s1.geometry)
@@ -380,12 +382,9 @@ def density_map(geometry: TorusGeometry, level: int = 0,
     The Hermitian weight is included, making rho a genuine function on the
     torus.  Breaking of continuous translation symmetry shows up as bumps of
     the deviation field on the lattice (n1 L1 + i n2 L2)/N.  nx defaults to
-    default_resolution rounded up to a multiple of 2N, so that lattice points
-    and half-lattice midpoints land on grid nodes, and ny to nx.
+    default_resolution, on which lattice points and half-lattice midpoints
+    are grid nodes, and ny to nx.
     """
-    if nx is None:
-        step = 2 * geometry.N
-        nx = -(-default_resolution(geometry) // step) * step
     quad = Quadrature(geometry, nx, ny)
     rho = np.zeros(quad.z.shape, dtype=float)
     for v in _sampled_level(quad, level)[1]:

@@ -28,7 +28,7 @@ TOLERANCES = {
     "wintner_witness_abs": (0.1, "minimum |phase - 1| for the half-lattice witness"),
     "rayleigh_ground_abs": (1e-12, "Rayleigh quotient on level 0"),
     "energy_level1_abs": (1e-8, "Rayleigh quotient vs 2 on level 1, hbar*omega units"),
-    "eigen_residual_rel": (1e-8, "||H s - 2 s|| / ||s|| for raised sections"),
+    "eigen_residual_rel": (1e-8, "||H s - E s||/||s|| on levels 0 and 1, H by finite differences"),
     "lift_closure_abs": (1e-9, "edge wraps of a triangle close its planar lift"),
     "mesh_area_rel": (1e-12, "triangle areas sum to L1*L2, relative"),
     "cocycle_constancy_rel": (1e-10, "triple chi sum spread, relative to max(1, |c|)"),

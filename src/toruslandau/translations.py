@@ -21,16 +21,15 @@ continuous a, b).
 A level matrix projects T_a s_nu onto the sampled level basis by quadrature.
 When a is a node of the quadrature grid's own lattice (L1/nx)Z + i(L2/ny)Z,
 z - a is again a grid point up to whole periods.  That holds for every
-lattice and half-lattice point on a grid whose sides are multiples of 2N,
-such as density_map's default grid, or the default max(64, 16N) Quadrature
-grid at every N but 3, where it is 64 wide.  T_a s_nu on the grid is then the
-held samples of s_nu, index-rolled, times one factor exp(conj(a) z -
+lattice and half-lattice point on a grid whose sides are multiples of 2N, as
+the default grid's are (default_resolution).  T_a s_nu on the grid is then
+the held samples of s_nu, index-rolled, times one factor exp(conj(a) z -
 |a|^2/2 + E) shared by the whole level, with E the boundary exponent of the
 integer wrap counts; no section is evaluated again.  Any other a falls back
 to translate_sections, a chunk of at least _BLOCK_POINTS grid points of the
 level at a time (all of it on a small grid), sampled in one stacked grid
-pass per derivative order.  Either way the shifted sections are projected
-a block of nu at a time, one matrix product for the entries and one for the
+pass per derivative order.  Either way the shifted sections are projected a
+block of nu at a time, one matrix product for the entries and one for the
 residual, so the temporaries stay a fraction of the samples.
 translation_matrices projects one sampled level for several displacements,
 and translation_matrix is its one-displacement case.
@@ -56,10 +55,9 @@ import numpy as np
 from . import tolerances
 from .errors import GeometryMismatch, NotAPeriod
 from .geometry import TorusGeometry
-from .levels import (Quadrature, apply_hamiltonian, as_section, _grid_shape,
-                     _sampled_level, _sample_sections)
+from .levels import (Quadrature, as_section, _grid_shape, _sampled_level,
+                     _sample_sections)
 from .lll_basis import _BLOCK_POINTS
-from . import numdiff
 
 
 def _displacement(a) -> complex:
@@ -319,38 +317,6 @@ def wintner_check(n_dim: int, a, b) -> WintnerResult:
     b = _displacement(b)
     phase = complex(np.exp(2j * n_dim * (np.conj(a) * b).imag))
     return WintnerResult(abs(phase - 1.0) <= tolerances.get("wintner_abs"), phase)
-
-
-def hamiltonian_commutation_residual(geometry: TorusGeometry, a, s,
-                                     n_probe: int = 8, h: float = 0.01) -> float:
-    """max |H(T_a s) - T_a(H s)| / max |H(T_a s)| on a probe grid.
-
-    H(T_a s) is built from pointwise samples of T_a s with finite
-    differences (H = -2 (Lap/4 - zbar dbar)), deliberately independent of
-    the termwise section calculus; T_a(H s) reuses the exact calculus.
-    The identity holds for any displacement, lattice or not.
-    """
-    a = _displacement(a)
-    s = as_section(s)
-    # probe points placed off the grid lines used elsewhere
-    xs = (np.arange(n_probe) + 0.37) * geometry.L1 / n_probe
-    ys = (np.arange(n_probe) + 0.21) * geometry.L2 / n_probe
-    z = xs[None, :] + 1j * ys[:, None]
-
-    def shifted(w):
-        return translate_section(a, s, w)
-
-    lap = numdiff.laplacian(shifted, z, h)
-    _, dbar = numdiff.wirtinger(shifted, z, h)
-    lhs = -2.0 * (lap / 4 - np.conj(z) * dbar)
-    rhs = translate_section(a, apply_hamiltonian(s), z)
-    # normalize by the section scale too: H annihilates the ground level, so
-    # both sides can be zero up to rounding while T_a s itself is O(1)
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))),
-                float(np.max(np.abs(shifted(z)))))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
 def translation_report(geometry: TorusGeometry, a, level: int = 0,

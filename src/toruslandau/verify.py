@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tolerances
+from . import numdiff, tolerances
 from .errors import NonIntegralFlux
 from .geometry import TorusGeometry, dirac_quantize
 from .lll_basis import (BoundaryPhases, boundary_residual, double_shift_factors,
                         duality_residual, normalized_basis)
-from .levels import (Quadrature, density_map, default_resolution, gram_matrix,
+from .levels import (density_map, default_resolution, gram_matrix,
                      ground_section, local_extrema, log_linear_fit,
-                     periodic_grid, raise_section, rayleigh_quotients,
-                     apply_hamiltonian)
-from .translations import (commutator_matrix_residual, translation_matrices,
-                           wintner_check)
+                     periodic_grid, raise_section, rayleigh_quotients)
+from .translations import (commutator_matrix_residual, translate_sections,
+                           translation_matrices, wintner_check)
 from .cocycle import total_flux, uniform_mesh
 
 DEFAULT_SEED = 20260810
@@ -36,6 +35,7 @@ _DUALITY_POINTS = 1000               # criterion 3: random points per (N, nu)
 _BOUNDARY_GRID = 32                  # criterion 4: samples per side
 _DENSITY_LEVELS = (0, 1)             # criterion 5: Landau levels mapped
 _FIGURE_NS = (1, 3, 6, 10)           # criterion 5: N whose extrema are located
+_LADDER_PROBE = (8, (0.37, 0.21))    # criterion 8: probe points per side, offsets in cells
 _MESH_SIZES = (4, 8, 16)             # criterion 9: uniform meshes of 2 n^2 triangles
 _MESH_FLUX_QUANTA = (1.0, 3.0, 1.5)  # criterion 9: flux / 2 pi on the unit torus
 
@@ -284,6 +284,28 @@ def check_wintner(n_max: int = 10) -> CheckResult:
 # --------------------------------------------------------------------------
 # criterion 8: energy ladder
 
+def _eigen_residuals(a, sections, energies) -> np.ndarray:
+    """||H f - E f|| / ||f|| for f = T_a s, each section s of energy E.
+
+    H f = -2 (Lap f/4 - zbar dbar f) by finite differences on the
+    _LADDER_PROBE grid, independent of the termwise section calculus; the
+    norms weight the probe points by exp(-|z|^2).
+    """
+    geo = sections[0].geometry
+    side, (off_x, off_y) = _LADDER_PROBE
+    xs = (np.arange(side) + off_x) * geo.L1 / side
+    ys = (np.arange(side) + off_y) * geo.L2 / side
+    vals, _, dbar, lap = numdiff.derivatives(
+        lambda z: translate_sections(a, sections, z), xs, ys)
+    z = xs[None, :] + 1j * ys[:, None]
+    h_vals = -2.0 * (lap / 4 - np.conj(z) * dbar)
+    weight = np.exp(-np.abs(z) ** 2)
+    energies = np.asarray(energies, dtype=float)[:, None, None]
+    num = np.sum(weight * np.abs(h_vals - energies * vals) ** 2, axis=(1, 2))
+    den = np.sum(weight * np.abs(vals) ** 2, axis=(1, 2))
+    return np.sqrt(num / den)
+
+
 def check_energy_ladder(n_max: int = 6) -> CheckResult:
     tol0 = tolerances.get("rayleigh_ground_abs")
     tol1 = tolerances.get("energy_level1_abs")
@@ -291,21 +313,24 @@ def check_energy_ladder(n_max: int = 6) -> CheckResult:
     problems = []
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
-        quad = Quadrature(geo)
         basis = normalized_basis(geo)
         s0s = [ground_section(psi) for psi in basis]
         s1s = [raise_section(s0) for s0 in s0s]
         rqs = rayleigh_quotients(s0s + s1s)
-        norms = quad.norms(quad.sample([apply_hamiltonian(s1) - 2.0 * s1 for s1 in s1s] + s1s))
-        for psi, rq0, rq1, num, den in zip(basis, rqs[:n], rqs[n:], norms[:n], norms[n:]):
+        # the half-lattice midpoint: T_a leaves the level's boundary law
+        eigs = _eigen_residuals((geo.L1 + 1j * geo.L2) / (2 * n), s0s + s1s,
+                                [0.0] * n + [2.0] * n)
+        for psi, rq0, rq1, r0, r1 in zip(basis, rqs[:n], rqs[n:], eigs[:n], eigs[n:]):
             if abs(rq0) > tol0:
                 problems.append(f"N={n} nu={psi.nu}: level-0 RQ {rq0:.1e}")
             if abs(rq1 - 2.0) > tol1:
                 problems.append(f"N={n} nu={psi.nu}: level-1 RQ {rq1}")
-            if num / den > tol_eig:
-                problems.append(f"N={n} nu={psi.nu}: eigen residual {num/den:.1e}")
+            for level, r in ((0, r0), (1, r1)):
+                if r > tol_eig:
+                    problems.append(f"N={n} nu={psi.nu}: level-{level} eigen residual {r:.1e}")
     detail = "; ".join(problems) if problems else (
-        f"N<={n_max}: E0 = 0 within {tol0:g}, E1 = 2 hbar*omega within {tol1:g}")
+        f"N<={n_max}: E0 = 0 within {tol0:g}, E1 = 2 hbar*omega within {tol1:g}; "
+        f"H T_a s = E T_a s within {tol_eig:g} at a = (L1 + i L2)/(2N)")
     return CheckResult("energy ladder", not problems, detail)
 
 

@@ -10,8 +10,7 @@ import pytest
 
 from toruslandau import lll_basis, tolerances, verify
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import (Quadrature, apply_hamiltonian, ground_section,
-                                raise_section, rayleigh_quotient)
+from toruslandau.levels import ground_section, raise_section, rayleigh_quotient
 from toruslandau.lll_basis import normalized_basis
 from toruslandau.translations import translation_matrix
 
@@ -69,8 +68,9 @@ def test_criterion_07_wintner_obstruction():
 
 
 def test_criterion_08_energy_ladder():
-    # Rayleigh quotient 0 within 1e-12 on level 0, 2 within 1e-8 on level 1,
-    # eigen-residual of H on raised sections below 1e-8
+    # Rayleigh quotient 0 within 1e-12 on level 0, 2 within 1e-8 on level 1;
+    # finite-difference |H f - E f| / |f| below 1e-8 on both levels
+    # translated by the half-lattice midpoint (L1 + i L2)/(2N)
     report(verify.check_energy_ladder(n_max=6))
 
 
@@ -112,7 +112,7 @@ def test_all_criteria_pass_at_n_max_1():
 
 def test_criterion_06_half_lattice_defects_match_per_call():
     # the shared level sampling gives exactly the defects of one
-    # translation_matrix call per displacement (N = 3 is off the grid lattice)
+    # translation_matrix call per displacement
     defects = verify.check_translation_algebra(n_max=3).data["half_lattice_defects"]
     for n in (1, 2, 3):
         geo = TorusGeometry.square(n)
@@ -122,20 +122,26 @@ def test_criterion_06_half_lattice_defects_match_per_call():
                       (geo.L1 + 1j * geo.L2) / (2 * n))]
 
 
-def test_criterion_06_samples_each_level_once(monkeypatch):
-    # one translation_matrices call per N: one pass for the level at each N,
-    # plus one per displacement at N = 3, whose 64-wide grid misses them all
-    # (the lattice point, three midpoints and the commutator's four)
-    calls = []
+def count_grid_passes(monkeypatch):
+    """Record the grid shape of each _fourier_grid pass."""
+    shapes = []
     grid = lll_basis._fourier_grid
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return grid(*args, **kwargs)
+    def counted(psis, z, order):
+        shapes.append(z.shape)
+        return grid(psis, z, order)
 
     monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
+    return shapes
+
+
+def test_criterion_06_samples_each_level_once(monkeypatch):
+    # one translation_matrices call per N: one pass for the level at each N;
+    # the default grid holds all eight displacements as nodes (the lattice
+    # point, three midpoints and the commutator's four), so none adds a pass
+    shapes = count_grid_passes(monkeypatch)
     assert verify.check_translation_algebra(n_max=4).passed
-    assert len(calls) == 4 + 8
+    assert len(shapes) == 4
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -146,15 +152,17 @@ def test_run_acceptance_rejects_empty_range(n_max):
 
 @pytest.mark.parametrize("never_met", [False, True])
 def test_criterion_08_verdict_matches_per_call(monkeypatch, never_met):
-    # the per-section calls the criterion made before sampling each N once;
-    # with every bound unmeetable, each measured value is in the detail
+    # one section at a time, the values the criterion takes from its
+    # batches; with every bound unmeetable, each measured value is in the
+    # detail
     if never_met:
         for key in ("rayleigh_ground_abs", "energy_level1_abs", "eigen_residual_rel"):
             monkeypatch.setitem(tolerances.TOLERANCES, key, (-1.0, "never met"))
     problems = []
     for n in (1, 2, 3):
-        quad = Quadrature(TorusGeometry.square(n))
-        for psi in normalized_basis(quad.geometry):
+        geo = TorusGeometry.square(n)
+        a = (geo.L1 + 1j * geo.L2) / (2 * n)
+        for psi in normalized_basis(geo):
             s0 = ground_section(psi)
             rq0 = rayleigh_quotient(s0)
             if abs(rq0) > tolerances.get("rayleigh_ground_abs"):
@@ -163,10 +171,53 @@ def test_criterion_08_verdict_matches_per_call(monkeypatch, never_met):
             rq1 = rayleigh_quotient(s1)
             if abs(rq1 - 2.0) > tolerances.get("energy_level1_abs"):
                 problems.append(f"N={n} nu={psi.nu}: level-1 RQ {rq1}")
-            num, den = quad.norms(quad.sample([apply_hamiltonian(s1) - 2.0 * s1, s1]))
-            if num / den > tolerances.get("eigen_residual_rel"):
-                problems.append(f"N={n} nu={psi.nu}: eigen residual {num/den:.1e}")
+            for level, s, energy in ((0, s0, 0.0), (1, s1, 2.0)):
+                [r] = verify._eigen_residuals(a, [s], [energy])
+                if r > tolerances.get("eigen_residual_rel"):
+                    problems.append(f"N={n} nu={psi.nu}: level-{level} eigen residual {r:.1e}")
     result = verify.check_energy_ladder(n_max=3)
     assert result.passed == (not problems) == (not never_met)
     if never_met:
         assert result.detail == "; ".join(problems)
+
+
+def test_criterion_08_worst_eigen_residual():
+    # the stencil and rounding error of the finite-difference H stays
+    # decades under eigen_residual_rel on both levels, N <= 6
+    worst = 0.0
+    for n in range(1, 7):
+        geo = TorusGeometry.square(n)
+        s0s = [ground_section(psi) for psi in normalized_basis(geo)]
+        s1s = [raise_section(s0) for s0 in s0s]
+        worst = max(worst, float(np.max(verify._eigen_residuals(
+            (geo.L1 + 1j * geo.L2) / (2 * n), s0s + s1s, [0.0] * n + [2.0] * n))))
+    assert verify._LADDER_PROBE == (8, (0.37, 0.21))
+    assert worst <= 1e-9
+
+
+def test_criterion_08_grid_passes(monkeypatch):
+    # per N: the normalization pass and two Rayleigh-quotient passes on the
+    # quadrature grid, then two passes (orders 1 and 0) on each widened probe
+    # grid, 8 rows of 7 x 8 columns and 7 x 8 rows of 8 columns
+    shapes = count_grid_passes(monkeypatch)
+    assert verify.check_energy_ladder(n_max=3).passed
+    quad = [(nx, nx) for nx in (64, 64, 66)]
+    assert shapes == [grid for nx in quad
+                      for grid in [nx] * 3 + [(8, 56)] * 2 + [(56, 8)] * 2]
+
+
+def test_criterion_08_detects_an_evaluation_fault(monkeypatch):
+    # a relative error of 1e-6 cos(2 pi x/L1) in every grid sample is smooth
+    # and periodic, but it is not a Landau-level eigenfunction: the
+    # finite-difference H sees it
+    grid = lll_basis._fourier_grid
+
+    def faulty(psis, z, order):
+        out = grid(psis, z, order)
+        return out * (1 + 1e-6 * np.cos(2 * np.pi * z.real / psis[0].geometry.L1))
+
+    monkeypatch.setattr(lll_basis, "_fourier_grid", faulty)
+    result = verify.check_energy_ladder(n_max=3)
+    print(str(result))
+    assert not result.passed
+    assert "eigen residual" in result.detail

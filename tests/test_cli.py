@@ -56,7 +56,8 @@ class TestBasisCommand:
             psi, periodic_grid(geo, 32, 32))
 
     def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
-        # the normalization grid, the 32^2 grid and its L1 and iL2 shifts
+        # the normalization grid (the default, 66^2 at N = 3), the 32^2 grid
+        # and its L1 and iL2 shifts
         grids = []
         original = lll_basis._fourier_grid
 
@@ -67,7 +68,7 @@ class TestBasisCommand:
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         assert run(["basis", "--N", "3", "--nu", "1", "--grid", "32",
                     "--out-dir", str(tmp_path)]) == 0
-        assert grids == [(64, 64)] + [(32, 32)] * 3
+        assert grids == [(66, 66)] + [(32, 32)] * 3
 
     def test_nu_out_of_range(self, tmp_path, capsys):
         code = run(["basis", "--N", "3", "--nu", "5", "--out-dir", str(tmp_path)])
@@ -347,6 +348,17 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run(argv + ["--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--L1", "0"), ("--L1", "-1"), ("--L1", "inf"), ("--L2", "nan"),
+        ("--L2", "-1"), ("--flux", "abc"), ("--flux", "inf"), ("--flux", "nanpi")])
+    def test_cocycle_input_names_its_flag(self, tmp_path, capsys, flag, value):
+        # sides must be finite and positive, the flux a finite number
+        out = tmp_path / "out"
+        assert run(["cocycle", flag, value, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -311,17 +311,17 @@ class TestDerivativesAndHolomorphy:
     def test_termwise_derivative_against_finite_differences(self):
         geo = TorusGeometry.square(3)
         psi = theta_basis(geo, 1)
-        z = np.array([0.3 + 0.2j, 1.1 + 0.9j, 2.0 + 1.5j])
-        dz_fd, _ = numdiff.wirtinger(lambda w: eval_fourier(psi, w), z)
-        dz = eval_fourier(psi, z, order=1)
+        xs, ys = np.array([0.3, 1.1, 2.0]), np.array([0.2, 0.9, 1.5])
+        _, dz_fd, _, _ = numdiff.derivatives(lambda w: eval_fourier(psi, w), xs, ys)
+        dz = eval_fourier(psi, xs[None, :] + 1j * ys[:, None], order=1)
         assert np.max(np.abs(dz - dz_fd)) < 1e-9 * np.max(np.abs(dz))
 
     def test_second_derivative_consistency(self):
         geo = TorusGeometry.square(2)
         psi = theta_basis(geo, 0)
-        z = np.array([0.4 + 0.3j, 1.0 + 1.2j])
-        d2 = eval_fourier(psi, z, order=2)
-        d1_fd, _ = numdiff.wirtinger(lambda w: eval_fourier(psi, w, 1), z)
+        xs, ys = np.array([0.4, 1.0]), np.array([0.3, 1.2])
+        d2 = eval_fourier(psi, xs[None, :] + 1j * ys[:, None], order=2)
+        _, d1_fd, _, _ = numdiff.derivatives(lambda w: eval_fourier(psi, w, 1), xs, ys)
         assert np.max(np.abs(d2 - d1_fd)) < 1e-8 * np.max(np.abs(d2))
 
     @pytest.mark.parametrize("n", [1, 4, 10])
@@ -331,9 +331,31 @@ class TestDerivativesAndHolomorphy:
         ys = (np.arange(12) + 0.2) * geo.L2 / 12
         z = xs[None, :] + 1j * ys[:, None]
         for psi in normalized_basis(geo)[:3]:
-            _, dbar = numdiff.wirtinger(lambda w: eval_fourier(psi, w), z)
+            _, _, dbar, _ = numdiff.derivatives(lambda w: eval_fourier(psi, w), xs, ys)
             scale = np.max(np.abs(psi(z)))
             assert np.max(np.abs(dbar)) < 1e-8 * scale
+
+    def test_finite_differences_of_a_stacked_polynomial(self):
+        # f = (z^3 zbar^2, zbar): d/dz, dbar and the Laplacian 4 d/dz dbar
+        # in closed form, for a stack of two fields on a 3 x 4 grid
+        xs, ys = np.array([0.1, 0.7, 1.3, 2.0]), np.array([-0.4, 0.5, 1.1])
+        z = xs[None, :] + 1j * ys[:, None]
+        zb = np.conj(z)
+        calls = []
+
+        def f(w):
+            calls.append(w.shape)
+            return np.stack([w**3 * np.conj(w)**2, np.conj(w)])
+
+        vals, dz, dbar, lap = numdiff.derivatives(f, xs, ys)
+        assert calls == [(3, 28), (21, 4)]
+        np.testing.assert_allclose(vals, f(z), rtol=1e-15)
+        np.testing.assert_allclose(dz[0], 3 * z**2 * zb**2, rtol=1e-9)
+        np.testing.assert_allclose(dbar[0], 2 * z**3 * zb, rtol=1e-9)
+        np.testing.assert_allclose(lap[0], 24 * z**2 * zb, rtol=1e-7)
+        np.testing.assert_allclose(dz[1], 0, atol=1e-10)
+        np.testing.assert_allclose(dbar[1], 1, rtol=1e-10)
+        np.testing.assert_allclose(lap[1], 0, atol=1e-7)
 
     def test_gaussian_representation_derivative(self):
         geo = TorusGeometry.square(3)

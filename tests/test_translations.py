@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toruslandau import lll_basis, tolerances, translations
+from toruslandau import lll_basis, tolerances, translations, verify
 from toruslandau.errors import GeometryMismatch, NotAPeriod
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, _sampled_level, default_resolution,
@@ -14,7 +14,6 @@ from toruslandau.lll_basis import eval_fourier, normalized_basis
 from toruslandau.translations import (bundle_shift_phase,
                                       commutator_matrix_residual,
                                       commutator_phase,
-                                      hamiltonian_commutation_residual,
                                       lattice_indices,
                                       reduce_to_fundamental,
                                       translate_section, translate_sections,
@@ -233,22 +232,26 @@ class TestWintner:
 
 
 class TestHamiltonianCommutation:
-    def test_commutes_for_generic_displacement(self, geo3, basis3):
+    """H T_a s = E T_a s for any a, measured as criterion 8 measures it."""
+
+    def test_commutes_for_generic_displacement(self, basis3):
         s = raise_section(ground_section(basis3[1]))
-        resid = hamiltonian_commutation_residual(geo3, 0.37 + 0.21j, s)
-        assert resid < 1e-8
+        resid = verify._eigen_residuals(0.37 + 0.21j, [s, s], [2.0, 0.0])
+        assert resid[0] < tolerances.get("eigen_residual_rel")
+        # the wrong energy is seen: |H f| / |f| = 2 on level 1
+        assert resid[1] == pytest.approx(2.0, rel=1e-8)
 
     def test_commutes_for_lattice_displacement(self, geo3, basis3):
         s = raise_section(ground_section(basis3[0]))
         a = (geo3.L1 + 1j * geo3.L2) / 3
-        assert hamiltonian_commutation_residual(geo3, a, s) < 1e-8
+        [resid] = verify._eigen_residuals(a, [s], [2.0])
+        assert resid < tolerances.get("eigen_residual_rel")
 
-    def test_ground_section_trivial(self, geo3, basis3):
-        # H annihilates the ground level; both sides must be ~0 relative to
-        # the section scale
+    def test_ground_section_trivial(self, basis3):
+        # H annihilates the ground level, translated or not
         s = ground_section(basis3[0])
-        resid = hamiltonian_commutation_residual(geo3, 0.5 + 0.1j, s)
-        assert resid < 1e-6   # absolute residual of two near-zero fields
+        [resid] = verify._eigen_residuals(0.5 + 0.1j, [s], [0.0])
+        assert resid < tolerances.get("eigen_residual_rel")
 
 
 class TestCrossModuleConsistency:
@@ -311,20 +314,23 @@ class TestSamplingOnce:
     @pytest.mark.parametrize("call, count", [
         (lambda g: density_map(g, 0), 1),
         (lambda g: density_map(g, 1), 2),
-        (lambda g: translation_matrix(g, g.L1 / 3), 1 + 1),
-        (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2 + 2),
+        (lambda g: translation_matrix(g, g.L1 / 3, nx=64), 1 + 1),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=64), 2 + 2),
         (lambda g: commutator_matrix_residual(*translation_matrices(
-            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3])), 1 + 4),
+            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], nx=64)), 1 + 4),
         (lambda g: translation_matrix(g, g.L1 / 3, nx=48), 1),
         (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=48), 2),
         (lambda g: commutator_matrix_residual(*translation_matrices(
             g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], nx=48)), 1),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2),
         (lambda g: normalized_basis(g), 1),
     ], ids=["density_L0", "density_L1", "lattice_L0", "half_lattice_L1",
             "commutator_L0", "rolled_lattice_L0", "rolled_half_lattice_L1",
-            "rolled_commutator_L0", "normalized_basis"])
+            "rolled_commutator_L0", "default_grid_half_lattice_L1",
+            "normalized_basis"])
     def test_grid_evaluations_at_n3(self, monkeypatch, geo3, call, count):
-        # the default grid at N = 3 is 64 wide, so a = L1/3 is off its lattice
+        # a 64-wide grid at N = 3 has a = L1/3 off its lattice; the default
+        # grid (66 wide) and the 48-wide grid have it on theirs
         calls = []
         grid = lll_basis._fourier_grid
 
@@ -371,8 +377,8 @@ class TestBatches:
     @pytest.mark.parametrize("level", [0, 1])
     @pytest.mark.parametrize("n", [3, 6])
     def test_translation_matrices_equal_one_by_one(self, n, level):
-        # on-grid and off-grid displacements of the default grid (64 wide at
-        # N = 3, where L1/3 and L1/6 are off it; 96 wide at N = 6)
+        # on-grid and off-grid displacements of the default grid (66 wide at
+        # N = 3, 96 wide at N = 6; 0.37 + 0.21j is off both)
         geo = TorusGeometry.square(n)
         nodes = default_resolution(geo)
         displacements = [geo.L1 / 3, 8 * geo.L1 / nodes + 1j * geo.L2 / 2,
@@ -481,11 +487,11 @@ class TestRolledProjection:
 
     @pytest.mark.parametrize("a", [0.37 + 0.21j, "lattice_off_grid"])
     def test_off_grid_uses_translate_section(self, monkeypatch, geo3, a):
-        # L1/3 is a lattice point, but not a node of the 64-wide default grid;
-        # the 64^2 grid holds fewer than _BLOCK_POINTS points per section, so
+        # L1/3 is a lattice point, but not a node of a 64-wide grid; the
+        # 64^2 grid holds fewer than _BLOCK_POINTS points per section, so
         # the whole level is translated in one chunk
         a = geo3.L1 / 3 if a == "lattice_off_grid" else a
-        quad = Quadrature(geo3)
+        quad = Quadrature(geo3, 64)
         basis, vals = _sampled_level(quad, 0)
         calls = count_translations(monkeypatch)
         tm = translations._project(quad, a, 0, basis, vals)

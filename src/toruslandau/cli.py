@@ -104,9 +104,16 @@ def _parse_flux(text: str) -> float:
     return value
 
 
+def _check_seed(seed: int) -> None:
+    """ValueError naming --seed unless it is a valid random seed."""
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 # --------------------------------------------------------------------------
 
 def cmd_basis(args) -> int:
+    _check_seed(args.seed)
     geo = resolve_geometry(_geometry_options(args))
     psi = normalize(theta_basis(geo, args.nu))
     nx = args.grid
@@ -204,6 +211,8 @@ def _parse_numbers(text: str, form: str, kind=float, count=None) -> list:
 
 
 def _parse_displacement(args, geo) -> complex:
+    if args.a is not None and args.a_frac is not None:
+        raise ValueError("give one of --a RE,IM and --a-frac F1,F2, not both")
     if args.a_frac is not None:
         f1, f2 = _parse_numbers(args.a_frac, "--a-frac F1,F2", count=2)
         return f1 * geo.L1 + 1j * f2 * geo.L2
@@ -270,6 +279,7 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_seed(args.seed)
     fault = BoundaryPhases(math.pi, 0.0) if args.debug_flip_x_sign else None
     results = verify.run_acceptance(n_max=args.n_max, seed=args.seed,
                                     fault_phases=fault)

@@ -20,11 +20,13 @@ on which d/dz, dbar and the creation operator act term by term:
 Hamiltonian in units of hbar*omega (zero-point term dropped) is
 H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
 
-A level basis is sampled on the quadrature grid once, to normalize it, one
-stacked grid pass per derivative order of its terms; the density map and the
-translation matrices reuse those samples.  rayleigh_quotients likewise
-samples a list of sections and their dbar images in one pass per order, and
-rayleigh_quotient is its one-section case.
+A level basis is normalized by the ground states' closed-form unit-norm
+constant (lll_basis.normalize), which the creation operator preserves; the
+quadrature reproduces that norm to about 1e-14.  The basis is sampled on the
+quadrature grid once, one stacked grid pass per derivative order of its
+terms, and the density map and the translation matrices reuse those samples.
+rayleigh_quotients likewise samples a list of sections and their dbar images
+in one pass per order, and rayleigh_quotient is its one-section case.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import GeometryMismatch, ZeroNorm
 from .geometry import TorusGeometry
-from .lll_basis import ThetaBasisFunction, eval_fourier_stack, ground_basis
+from .lll_basis import ThetaBasisFunction, eval_fourier_stack, normalized_basis
 
 
 def default_resolution(geometry: TorusGeometry) -> int:
@@ -352,27 +354,25 @@ class DensityMap:
         return self.max_deviation / self.mean
 
 
-def _sampled_level(quad: Quadrature, level: int):
-    """Normalized basis of a Landau level (0 or 1) and its samples on quad.
+def level_basis(geometry: TorusGeometry, level: int) -> list[PolynomialSection]:
+    """Normalized basis of a Landau level (0 or 1).
 
-    The samples, shape (N, ny, nx), are taken once and give the norms.
+    The ground states carry the closed-form unit-norm constant
+    (lll_basis.normalize), and the creation operator preserves the norm, so
+    neither level is sampled to normalize it.
     """
     if level not in (0, 1):
         raise ValueError("only levels 0 and 1 are supported")
-    psis = ground_basis(quad.geometry)
-    sections = [ground_section(p) for p in psis]
-    if level == 1:
-        sections = [raise_section(s) for s in sections]
-    vals = quad.sample(psis if level == 0 else sections)
-    scales = 1.0 / quad.norms(vals)
-    vals *= scales[:, None, None]
-    return [s * c for s, c in zip(sections, scales)], vals
+    sections = [ground_section(p) for p in normalized_basis(geometry)]
+    return [raise_section(s) for s in sections] if level == 1 else sections
 
 
-def level_basis(geometry: TorusGeometry, level: int) -> list[PolynomialSection]:
-    """Basis of the requested Landau level (0 or 1), normalized on the default
-    Quadrature."""
-    return _sampled_level(Quadrature(geometry), level)[0]
+def _sampled_level(quad: Quadrature, level: int):
+    """level_basis and its samples on quad, shape (N, ny, nx), taken once for
+    the density map and the translation matrices.  Level 0 is sampled as its
+    ground states, one stacked grid pass."""
+    basis = level_basis(quad.geometry, level)
+    return basis, quad.sample(normalized_basis(quad.geometry) if level == 0 else basis)
 
 
 def density_map(geometry: TorusGeometry, level: int = 0,

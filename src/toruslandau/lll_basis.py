@@ -44,9 +44,15 @@ z-derivative (the `order` argument), is sampled through it.  eval_gaussian,
 always pointwise, is the independent reference that the tests and the
 Poisson-duality check compare it with.
 
-duality_residual and boundary_residual are the one measure each of the two
+duality_residual and boundary_residuals are the one measure each of the two
 representations' disagreement and of the twisted periodicity: acceptance
 criteria 3 and 4 and the `basis` command all report these values.
+boundary_residuals takes a whole basis in one stacked pass per shifted point
+set, and boundary_residual is its one-section case.
+
+normalize and normalized_basis set the closed-form unit-norm constant
+(_unit_norm_const), (L1 sqrt(pi/2))^(-1/2) on every flux-quantized torus;
+no section is sampled to normalize it.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatch, ZeroNorm
+from .errors import GeometryMismatch
 from .geometry import TorusGeometry
 
 _LD = np.longdouble
@@ -123,7 +129,8 @@ class ThetaBasisFunction:
     Fields:
         geometry: the torus
         nu: residue class in [0, N)
-        norm_const: overall constant, 1.0 until normalize() fixes it
+        norm_const: overall constant, 1.0 until normalize() sets the
+            closed-form unit-norm value
 
     The Fourier window is sized at evaluation (fourier_cutoff), for the
     fundamental rectangle padded by one period each way or the points'
@@ -435,27 +442,41 @@ def boundary_factors(geometry: TorusGeometry, z, phases: BoundaryPhases = TRIVIA
     return f1, f2
 
 
-def boundary_residual(section, z, phases: BoundaryPhases = TRIVIAL_PHASES,
-                      base=None) -> float:
-    """Relative residual of the twisted periodicity conditions at z.
+def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,
+                       base=None) -> list[float]:
+    """Relative residual of the twisted periodicity conditions at z, one per
+    ground state of psis (one torus).
 
     For each condition, max |s(z+P) - s(z) F| over the points, divided by the
     largest of |s(z+P)| and |s(z) F| there (P = L1 or i L2, F from
-    boundary_factors); returns the larger of the two.  It is at rounding
-    level for the constructed basis with trivial phases.  `section` is
-    anything callable with a .geometry; `base` takes samples s(z) already
-    held, so that they are not evaluated again.
+    boundary_factors); each entry is the larger of the two.  It is at
+    rounding level for the constructed basis with trivial phases.  The stack
+    is one eval_fourier_stack pass at each of z, z + L1 and z + i L2, so
+    each entry is bit-identical to boundary_residual of its section alone.
+    `base` takes the stack's samples at z already held, so that they are not
+    evaluated again.
     """
     z = np.asarray(z, dtype=complex)
-    geo = section.geometry
+    geo = psis[0].geometry
+    if any(psi.geometry != geo for psi in psis):
+        raise GeometryMismatch("sections live on different tori")
     if base is None:
-        base = section(z)
-    worst = 0.0
+        base = eval_fourier_stack(psis, z)
+    points = tuple(range(1, base.ndim))
+    worst = np.zeros(len(psis))
     for shift, factor in zip((geo.L1, 1j * geo.L2), boundary_factors(geo, z, phases)):
-        shifted, expected = section(z + shift), base * factor
-        scale = max(float(np.max(np.abs(shifted))), float(np.max(np.abs(expected))))
-        worst = max(worst, float(np.max(np.abs(shifted - expected))) / scale)
-    return worst
+        shifted, expected = eval_fourier_stack(psis, z + shift), base * factor
+        scale = np.maximum(np.max(np.abs(shifted), axis=points),
+                           np.max(np.abs(expected), axis=points))
+        worst = np.maximum(worst, np.max(np.abs(shifted - expected), axis=points) / scale)
+    return worst.tolist()
+
+
+def boundary_residual(psi: ThetaBasisFunction, z,
+                      phases: BoundaryPhases = TRIVIAL_PHASES, base=None) -> float:
+    """boundary_residuals of one ground state; `base` holds its samples at z."""
+    stack = None if base is None else np.asarray(base)[None]
+    return boundary_residuals([psi], z, phases, stack)[0]
 
 
 def double_shift_factors(geometry: TorusGeometry, z):
@@ -476,30 +497,29 @@ def double_shift_factors(geometry: TorusGeometry, z):
     return via_xy, via_yx, np.exp(e_sym)
 
 
+def _unit_norm_const(geometry: TorusGeometry) -> float:
+    """norm_const of a unit-norm ground state, (L1 sqrt(pi/2))^(-1/2).
+
+    On the flux-quantized torus the x-integral of e^{-|z|^2} |psi_nu|^2
+    keeps only the diagonal Fourier terms, e^{-2 (y + pi n/L1)^2} at
+    norm_const 1.  Their shifts pi n/L1, n = nu (mod N), step by
+    pi N/L1 = L2, so over one period in y they tile the line, and
+    ||psi_nu||^2 = L1 sqrt(pi/2) for every nu and aspect ratio.  The
+    creation operator keeps the norm, ||(d/dz - zbar) psi|| = ||psi||, so
+    the same constant normalizes level 1.
+    """
+    return (geometry.L1 * math.sqrt(math.pi / 2)) ** -0.5
+
+
 def normalize(psi: ThetaBasisFunction) -> ThetaBasisFunction:
-    """Copy of psi with norm_const fixed so the quadrature norm is 1."""
-    return _normalized([psi])[0]
+    """Copy of psi with the norm_const of unit norm, whatever psi's own.
+
+    The constant is closed-form (_unit_norm_const); the default Quadrature
+    reproduces the unit norm to about 1e-14.
+    """
+    return dataclasses.replace(psi, norm_const=_unit_norm_const(psi.geometry))
 
 
 def normalized_basis(geometry: TorusGeometry) -> list[ThetaBasisFunction]:
-    """The N ground states, each normalized by quadrature."""
-    return _normalized(ground_basis(geometry))
-
-
-def _normalized(psis) -> list[ThetaBasisFunction]:
-    """Copies of psis (one torus) with unit norms on its default Quadrature.
-
-    One stacked grid pass samples them all, and each norm is the gram of a
-    one-sample slice, so a section's norm_const does not depend on the
-    sections sampled with it.
-    """
-    from .levels import Quadrature  # deferred: levels builds on this module
-
-    quad = Quadrature(psis[0].geometry)
-    out = []
-    for psi, v in zip(psis, quad.sample(psis)[:, None]):
-        scale = math.sqrt(float(np.real(quad.gram(v, v)[0, 0])))
-        if not scale > 0:
-            raise ZeroNorm("cannot normalize a section with vanishing norm")
-        out.append(dataclasses.replace(psi, norm_const=psi.norm_const / scale))
-    return out
+    """The N ground states, each at the closed-form unit-norm constant."""
+    return [normalize(psi) for psi in ground_basis(geometry)]

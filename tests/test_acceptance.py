@@ -144,6 +144,15 @@ def test_criterion_06_samples_each_level_once(monkeypatch):
     assert len(shapes) == 4
 
 
+def test_run_acceptance_grid_passes(monkeypatch):
+    # per N <= 4: criterion 2 one pass, 3 none, 4 three (the boundary grid
+    # and its two shifts), 5 three, 6 one, 8 six and 10 two; no pass
+    # normalizes a basis
+    shapes = count_grid_passes(monkeypatch)
+    assert all(r.passed for r in verify.run_acceptance(n_max=4))
+    assert len(shapes) == 64
+
+
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_run_acceptance_rejects_empty_range(n_max):
     with pytest.raises(ValueError, match="n_max must be at least 1"):
@@ -196,14 +205,15 @@ def test_criterion_08_worst_eigen_residual():
 
 
 def test_criterion_08_grid_passes(monkeypatch):
-    # per N: the normalization pass and two Rayleigh-quotient passes on the
-    # quadrature grid, then two passes (orders 1 and 0) on each widened probe
-    # grid, 8 rows of 7 x 8 columns and 7 x 8 rows of 8 columns
+    # per N: two Rayleigh-quotient passes on the quadrature grid (the basis
+    # is normalized by its closed-form constant, with no pass), then two
+    # passes (orders 1 and 0) on each widened probe grid, 8 rows of 7 x 8
+    # columns and 7 x 8 rows of 8 columns
     shapes = count_grid_passes(monkeypatch)
     assert verify.check_energy_ladder(n_max=3).passed
     quad = [(nx, nx) for nx in (64, 64, 66)]
     assert shapes == [grid for nx in quad
-                      for grid in [nx] * 3 + [(8, 56)] * 2 + [(56, 8)] * 2]
+                      for grid in [nx] * 2 + [(8, 56)] * 2 + [(56, 8)] * 2]
 
 
 def test_criterion_08_detects_an_evaluation_fault(monkeypatch):

@@ -56,8 +56,7 @@ class TestBasisCommand:
             psi, periodic_grid(geo, 32, 32))
 
     def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
-        # the normalization grid (the default, 66^2 at N = 3), the 32^2 grid
-        # and its L1 and iL2 shifts
+        # the 32^2 grid and its L1 and iL2 shifts; normalize samples nothing
         grids = []
         original = lll_basis._fourier_grid
 
@@ -68,7 +67,21 @@ class TestBasisCommand:
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         assert run(["basis", "--N", "3", "--nu", "1", "--grid", "32",
                     "--out-dir", str(tmp_path)]) == 0
-        assert grids == [(66, 66)] + [(32, 32)] * 3
+        assert grids == [(32, 32)] * 3
+
+    def test_large_n_passes(self, tmp_path, monkeypatch):
+        # at N = 12 too: the default 128^2 grid and its two shifts, and no
+        # normalization grid
+        grids = []
+        original = lll_basis._fourier_grid
+
+        def counted(psis, z, order):
+            grids.append(z.shape)
+            return original(psis, z, order)
+
+        monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
+        assert run(["basis", "--N", "12", "--nu", "6", "--out-dir", str(tmp_path)]) == 0
+        assert grids == [(128, 128)] * 3
 
     def test_nu_out_of_range(self, tmp_path, capsys):
         code = run(["basis", "--N", "3", "--nu", "5", "--out-dir", str(tmp_path)])
@@ -341,14 +354,27 @@ class TestUsageErrors:
         ["density", "--N", "3", "--grid", "2"],
         ["translate", "--N", "3", "--a-frac", "0.5,0", "--grid", "2"],
         ["translate", "--N", "3", "--a-frac", "0.5"],
+        ["translate", "--N", "3", "--a", "0.1,0.2", "--a-frac", "0.1,0.1"],
         ["cocycle", "--mesh-n", "2"]],
         ids=["basis-grid", "basis-nu", "density-grid", "translate-grid",
-             "translate-displacement", "cocycle-mesh"])
+             "translate-displacement", "translate-both-displacements",
+             "cocycle-mesh"])
     def test_no_directory_on_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run(argv + ["--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["basis", "--N", "3"], ["verify", "--n-max", "1"]],
+                             ids=["basis", "verify"])
+    def test_negative_seed_names_its_flag(self, tmp_path, capsys, monkeypatch, command):
+        # checked before anything is computed or written
+        monkeypatch.chdir(tmp_path)
+        assert run(command + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [
         ("--L1", "0"), ("--L1", "-1"), ("--L1", "inf"), ("--L2", "nan"),

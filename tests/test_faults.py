@@ -1,0 +1,32 @@
+"""Injected faults and the acceptance criteria that catch them.
+
+Each fault is a named monkeypatch that wraps one function of the package;
+each test runs the acceptance suite under it and asserts the exact set of
+failing criteria, so that a check which stops failing is caught, and so is
+one which starts failing on a fault it should not see.
+"""
+
+import pytest
+
+from toruslandau import lll_basis, verify
+
+
+def scale_grid_values(monkeypatch, factor):
+    """Every sample of the grid path times factor: a uniform-scale fault."""
+    grid = lll_basis._fourier_grid
+    monkeypatch.setattr(lll_basis, "_fourier_grid",
+                        lambda psis, z, order: grid(psis, z, order) * factor)
+
+
+def failing(results):
+    return {i for i, r in enumerate(results, 1) if not r.passed}
+
+
+def test_uniform_grid_scale_fault(monkeypatch):
+    # a quadrature normalization would absorb a uniform scale; the
+    # closed-form norm does not, so the Gram diagonal, the density mean and
+    # the translation matrices' unitarity all read |1 + 1e-9|^2 - 1
+    scale_grid_values(monkeypatch, 1 + 1e-9)
+    results = verify.run_acceptance(n_max=3)
+    assert failing(results) == {2, 5, 6}
+    assert results[1].data["worst"] == pytest.approx(2e-9, rel=1e-3)

@@ -136,7 +136,7 @@ class TestGramMatrix:
         assert peak < 0.3 * vals.nbytes
 
     def test_gram_one_row_unchanged(self):
-        # inner_product and normalize take one row; it is the whole-stack
+        # inner_product takes one row; it is the whole-stack
         # formula, bit for bit
         geo = TorusGeometry.square(3)
         quad = Quadrature(geo)

@@ -245,6 +245,26 @@ class TestBoundaryConditions:
         # held samples stand in for s(z) and give the same number
         assert boundary_residual(psi, z, base=psi(z)) == direct
 
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("z", [periodic_grid(TorusGeometry.square(4), 12, 10),
+                                   np.array([0.3 + 0.4j, 1.7 + 0.2j, 2.9 + 3.1j])],
+                             ids=["grid", "points"])
+    @pytest.mark.parametrize("phases", [BoundaryPhases(), BoundaryPhases(math.pi, 0.0)],
+                             ids=["trivial", "x_flip"])
+    def test_stacked_residuals_match_one_section_calls(self, n, z, phases):
+        # one stacked pass per point set, bit for bit the one-section values
+        psis = normalized_basis(TorusGeometry.square(n))
+        stacked = lll_basis.boundary_residuals(psis, z, phases)
+        assert stacked == [boundary_residual(psi, z, phases) for psi in psis]
+        base = eval_fourier_stack(psis, z)
+        assert lll_basis.boundary_residuals(psis, z, phases, base=base) == stacked
+
+    def test_stacked_residuals_reject_mixed_tori(self):
+        mixed = [theta_basis(TorusGeometry.square(2), 0),
+                 theta_basis(TorusGeometry.square(3), 0)]
+        with pytest.raises(GeometryMismatch):
+            lll_basis.boundary_residuals(mixed, np.array([0.3 + 0.4j]))
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_double_shift_consistency(self, n):
         geo = TorusGeometry.square(n)
@@ -297,14 +317,23 @@ class TestNormalize:
         for psi in normalized_basis(TorusGeometry.square(2)):
             assert inner_product(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_gaussian_tiling_closed_form(self, n):
+    @pytest.mark.parametrize("geo", [
+        TorusGeometry.square(1), TorusGeometry.square(3), TorusGeometry.square(6),
+        TorusGeometry.square(12), TorusGeometry.with_aspect(6, 1 / 8),
+        TorusGeometry.with_aspect(3, 8)], ids=["1", "3", "6", "12", "6-1/8", "3-8"])
+    def test_gaussian_tiling_closed_form(self, geo):
         # e^{-2y^2} turns the x-integrated series into Gaussian strips that
-        # tile the line exactly once: <psi|psi> = L1 sqrt(pi/2), any nu.
-        geo = TorusGeometry.square(n)
-        for psi in ground_basis(geo):
-            ip = inner_product(psi, psi)
-            assert ip == pytest.approx(geo.L1 * math.sqrt(math.pi / 2), rel=1e-12)
+        # tile the line exactly once: <psi|psi> = L1 sqrt(pi/2), any nu and
+        # any aspect ratio, and the creation operator keeps the norm.  The
+        # closed-form norm_const of normalize rests on this; the default
+        # quadrature reproduces it to 1.2e-14 at worst on these tori.
+        quad = Quadrature(geo)
+        psis = ground_basis(geo)
+        raised = [raise_section(ground_section(psi)) for psi in psis]
+        squares = quad.norms(np.concatenate([quad.sample(psis), quad.sample(raised)])) ** 2
+        ref = geo.L1 * math.sqrt(math.pi / 2)
+        assert np.max(np.abs(squares / ref - 1)) <= 1e-13
+        assert normalize(psis[0]).norm_const == ref ** -0.5
 
 
 class TestDerivativesAndHolomorphy:

@@ -323,7 +323,7 @@ class TestSamplingOnce:
         (lambda g: commutator_matrix_residual(*translation_matrices(
             g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], nx=48)), 1),
         (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2),
-        (lambda g: normalized_basis(g), 1),
+        (lambda g: normalized_basis(g), 0),
     ], ids=["density_L0", "density_L1", "lattice_L0", "half_lattice_L1",
             "commutator_L0", "rolled_lattice_L0", "rolled_half_lattice_L1",
             "rolled_commutator_L0", "default_grid_half_lattice_L1",
@@ -345,9 +345,8 @@ class TestSamplingOnce:
     @pytest.mark.parametrize("n, ratio, grid", [(3, 1.0, None), (6, 0.25, None),
                                                 (5, 4.0, (48, 80)), (12, 1.0, None)])
     def test_stacked_norms_match_normalize(self, n, ratio, grid):
-        # each norm is the gram of a one-sample slice of the stacked pass,
-        # the same product normalize takes of a one-section pass; on another
-        # grid the norms hold to quadrature accuracy
+        # normalized_basis and normalize set the one closed-form constant;
+        # on another grid the norms hold to quadrature accuracy
         geo = TorusGeometry.with_aspect(n, ratio)
         stacked = normalized_basis(geo)
         one_by_one = [lll_basis.normalize(psi) for psi in lll_basis.ground_basis(geo)]

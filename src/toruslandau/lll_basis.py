@@ -18,11 +18,11 @@ periodicity (with boundary phases delta1 = delta2 = 0)
   psi(z + L1)   = psi(z) * exp{L1 z + L1^2/2 + i delta1}
   psi(z + i L2) = psi(z) * exp{-i L2 z + L2^2/2 + i delta2}.
 
-Exponents are assembled in extended precision, phases are reduced mod 2pi
-and the peak is factored out before exponentiating in double precision.
-This avoids overflow of e^{z^2/2} against the theta tail and keeps relative
-rounding near machine level even where exponent pieces reach several
-hundred.  The Fourier series has two paths:
+Exponents are assembled in extended precision and phases are reduced mod
+2pi.  This avoids overflow of e^{z^2/2} against the theta tail and keeps
+relative rounding near machine level even where exponent pieces reach
+several hundred.  The Fourier series factors out the peak before
+exponentiating in double precision, and has two paths:
 
   grid       z[j, i] = x[i] + i y[j] (any 2-D array whose real part is the
              same down each column and imaginary part the same along each
@@ -42,7 +42,12 @@ eval_fourier_stack is the one evaluator of the package, and eval_fourier
 its one-section case: every section of the levels module, and every
 z-derivative (the `order` argument), is sampled through it.  eval_gaussian,
 always pointwise, is the independent reference that the tests and the
-Poisson-duality check compare it with.
+Poisson-duality check compare it with.  Per point it is a Laurent
+polynomial in w = e^{-2 h (t + i v)} about the comb's nearest term, with
+coefficients e^{-m^2 h^2} shared by every point, summed by Horner's rule
+in complex long double (see eval_gaussian).  The comb can be e^{L2^2/4}
+smaller than its terms, so its long-double rounding, not its window, sets
+its accuracy at large N.
 
 duality_residual and boundary_residuals are the one measure each of the two
 representations' disagreement and of the twisted periodicity: acceptance
@@ -58,6 +63,8 @@ no section is sampled to normalize it.
 from __future__ import annotations
 
 import dataclasses
+import decimal
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,18 +115,6 @@ def fourier_cutoff(geometry: TorusGeometry, y_extent: float) -> int:
     b = _TWO_PI * y_extent / L1
     c = a * n * n / 4 + _TAIL_MARGIN
     return int(math.ceil((b + math.sqrt(b * b + 4 * a * c)) / (2 * a)))
-
-
-def gaussian_cutoff(geometry: TorusGeometry, x_extent: float) -> int:
-    """Window half-width for the Gaussian representation at |Re z| <= x_extent.
-
-    The imaginary parts are common to every term, so the tail is governed by
-    exp(-(x + n L1/N)^2) alone: the window reaches sqrt(40) past the comb
-    point nearest -x (plus one comb spacing of slack).
-    """
-    n = geometry.N
-    reach = x_extent + math.sqrt(_TAIL_MARGIN) + geometry.L1 / n
-    return int(math.ceil(n * reach / geometry.L1)) + 1
 
 
 @dataclass(frozen=True)
@@ -377,47 +372,93 @@ def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
     return complex(out) if np.ndim(z) == 0 else out
 
 
+@functools.lru_cache(maxsize=64)
+def _comb_coeffs(geometry: TorusGeometry) -> np.ndarray:
+    """The Gaussian comb's Laurent coefficients c_m = e^{-m^2 h^2}, h = L1/N,
+    for m = -M..M, in long double.
+
+    M = ceil((sqrt(40 + L2^2/4) + h/2)/h) + 1 keeps every term above
+    e^-(40 + L2^2/4) of the largest, since the sum can be e^{L2^2/4} smaller
+    than its terms.  By the same factor the sum amplifies the coefficients'
+    own rounding, so each is rounded once from a 40-digit decimal exp of the
+    double L1: a long-double exp of the rounded m^2 h^2 is off by up to
+    100 ulp, which at N = 20 added up to 8e-14 to the duality residual.
+    """
+    h = geometry.L1 / geometry.N
+    big_m = int(math.ceil((math.sqrt(_TAIL_MARGIN + geometry.L2 ** 2 / 4) + h / 2) / h)) + 1
+    with decimal.localcontext(decimal.Context(prec=40)):
+        h_dec = decimal.Decimal(geometry.L1) / geometry.N
+        half = [_LD(str((-(h_dec * m) ** 2).exp())) for m in range(big_m + 1)]
+    comb = np.array(half[:0:-1] + half, dtype=_LD)
+    comb.flags.writeable = False
+    return comb
+
+
 def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
     """Evaluate d^order/dz^order of psi at z through the Gaussian series.
 
     Includes the Poisson conversion constant sqrt(pi)/L2 * e^{-nu^2 L2^2/N^2}
-    so the result matches eval_fourier identically (up to rounding), with an
-    independently truncated Gaussian tail below 1e-16 relative.  The window
-    is chosen from all the points, then the points are summed a block at a
-    time (_by_points).
+    so the result matches eval_fourier identically (up to rounding).  With
+    h = L1/N and s = z + i nu L2/N = x + i v, the comb is summed about the
+    term nearest each point, n0 = rint(-x/h), t = x + n0 h:
+
+        sum_n e^{-(s + n h)^2} = e^{-(t + i v)^2} sum_{|m| <= M} c_m w^m,
+        c_m = e^{-m^2 h^2},  w = e^{-2 h (t + i v)},
+
+    a Laurent polynomial in w with coefficients shared by every point,
+    summed by Horner's rule in w and in 1/w in complex long double.  The
+    prefactor e^{ln C + z^2/2 + 2 pi i nu z/L1 - (t + i v)^2} is one
+    long-double exp per point, and the value is cast to double once.
+    _comb_coeffs sets the window M and the c_m.  A derivative of order
+    k carries q_k(A - 2 h m) per term, with A = dE/dz at m = 0 and q_k from
+    _prefactor_coeffs(k, -1); expanding it in powers of -2 h m gives k + 1
+    stacked Horner sums.  The points are summed a block at a time
+    (_by_points).
     """
     geo = psi.geometry
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
-    nu = psi.nu
     arr = _points(z)
 
-    x_extent = max(float(np.max(np.abs(arr.real))), L1)
-    w = gaussian_cutoff(geo, x_extent)
-    ns = np.arange(-w, w + 1)
+    comb = _comb_coeffs(geo)
+    big_m = len(comb) // 2
+    ms = np.arange(-big_m, big_m + 1)
 
-    nl = ns.astype(_LD)
-    L1l, L2l, pil = _LD(L1), _LD(L2), _LD(np.pi)
-    nul, nf = _LD(nu), _LD(n_flux)
+    L1l, L2l, pil, two_pi = _LD(L1), _LD(L2), _LD(np.pi), _LD(_TWO_PI)
+    nul, nf = _LD(psi.nu), _LD(n_flux)
+    hl = L1l / nf
     ln_const = np.log(pil) / 2 - np.log(L2l) - nul * nul * L2l * L2l / (nf * nf)
-    coeffs = _prefactor_coeffs(order, -1.0)
+    # coef[j, m]: c_m (-2 h m)^j, the j-th power of the term's dE/dz offset
+    coef = comb * (-2 * hl * ms.astype(_LD)) ** np.arange(order + 1)[:, None]
+    q = _prefactor_coeffs(order, -1.0)
+    taylor = [[math.comb(p, j) * q[p] for p in range(j, len(q))] for j in range(len(q))]
 
     def block(points):
-        x = points.real.astype(_LD)[:, None]
-        y = points.imag.astype(_LD)[:, None]
-        u = x + nl * L1l / nf          # Re of the shifted argument
-        v = y + nul * L2l / nf         # Im of the shifted argument
-        # exponent: z^2/2 + 2 pi i nu z/L1 + ln_const - (u + i v)^2
-        re = (x * x - y * y) / 2 - _LD(_TWO_PI) * nul * y / L1l + ln_const - (u * u - v * v)
-        ph = x * y + _LD(_TWO_PI) * nul * x / L1l - 2 * u * v
-        poly = None
-        if order > 0:
-            # dE/dz = z + 2 pi i nu/L1 - 2(z + n L1/N + i nu L2/N); slope -1
-            dEdz = -points[:, None] + 2j * np.pi * nu / L1 \
-                - 2 * (ns * L1 / n_flux + 1j * nu * L2 / n_flux)
-            poly = _eval_poly(coeffs, dEdz)
-        return psi.norm_const * _peak_split_sum(re, ph, poly)
+        x = points.real.astype(_LD)
+        y = points.imag.astype(_LD)
+        v = y + nul * L2l / nf
+        t = x + np.rint(-x / hl) * hl
+        w = np.exp(-2 * hl * t + 1j * np.mod(-2 * hl * v, two_pi))
+        w_inv = 1 / w
+        # exponent: ln C + z^2/2 + 2 pi i nu z/L1 - (t + i v)^2
+        re = ln_const + (x * x - y * y) / 2 - two_pi * nul * y / L1l - (t * t - v * v)
+        ph = x * y + two_pi * nul * x / L1l - 2 * t * v
+        prefactor = np.exp(re + 1j * np.mod(ph, two_pi))
+        up = np.broadcast_to(coef[:, -1:], (order + 1, len(points)))
+        for m in range(big_m - 1, -1, -1):
+            up = up * w + coef[:, big_m + m, None]
+        down = np.broadcast_to(coef[:, :1], up.shape)
+        for m in range(big_m - 1, 0, -1):
+            down = down * w_inv + coef[:, big_m - m, None]
+        sums = up + down * w_inv
+        if order:
+            # dE/dz at m = 0: z + 2 pi i nu/L1 - 2 (t + i v)
+            a = x - 2 * t + 1j * (y + two_pi * nul / L1l - 2 * v)
+            sums = sum(_eval_poly(coeffs, a) * sums[j] for j, coeffs in enumerate(taylor))
+        else:
+            sums = sums[0]
+        return np.asarray(prefactor * sums, dtype=complex)
 
-    out = _by_points(arr, len(ns), block)
+    out = psi.norm_const * _by_points(arr, len(ms), block)
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

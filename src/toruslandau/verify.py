@@ -143,6 +143,7 @@ def check_boundary(n_max: int = 10,
         both = psi0(zpt + geo.L1 + 1j * geo.L2)
         ref = max(abs(both), abs(psi0(zpt) * via_xy))
         worst_shift = max(worst_shift, abs(both - psi0(zpt) * via_xy) / ref)
+    worst_shift = float(worst_shift)     # the shift factors are numpy scalars
     ok = worst < tol and worst_shift < tol_shift
     return CheckResult(
         "boundary conditions", ok,

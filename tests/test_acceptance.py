@@ -5,6 +5,8 @@ pytest -s, or in the captured output on failure) and asserts the criterion
 at its tolerance from the central table.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,14 @@ def test_all_criteria_pass_at_n_max_1():
     assert len(results) == 10
     assert "d(N) fit skipped" in results[4].detail
     assert results[4].data["fits"] == {} and len(results[4].data["d"][0]) == 1
+
+
+def test_results_are_json_serializable():
+    # plain bool verdicts and plain numbers in data, so that a report can
+    # be written with the standard json module
+    for result in verify.run_acceptance(n_max=2):
+        assert type(result.passed) is bool, result.name
+        json.dumps({"passed": result.passed, "data": result.data})
 
 
 def test_criterion_06_half_lattice_defects_match_per_call():

@@ -83,6 +83,15 @@ class TestBasisCommand:
         assert run(["basis", "--N", "12", "--nu", "6", "--out-dir", str(tmp_path)]) == 0
         assert grids == [(128, 128)] * 3
 
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_duality_holds_past_criterion_scope(self, tmp_path, n):
+        # nu = N/2: its Gaussian comb cancels most near the corner L1 + i L2,
+        # where |psi| peaks
+        nu = n // 2
+        assert run(["basis", "--N", str(n), "--nu", str(nu), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"basis_N{n}_nu{nu}_report.json").read_text())
+        assert report["duality_ok"] is True
+
     def test_nu_out_of_range(self, tmp_path, capsys):
         code = run(["basis", "--N", "3", "--nu", "5", "--out-dir", str(tmp_path)])
         assert code == 2

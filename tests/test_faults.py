@@ -6,6 +6,8 @@ failing criteria, so that a check which stops failing is caught, and so is
 one which starts failing on a fault it should not see.
 """
 
+import math
+
 import pytest
 
 from toruslandau import lll_basis, verify
@@ -16,6 +18,19 @@ def scale_grid_values(monkeypatch, factor):
     grid = lll_basis._fourier_grid
     monkeypatch.setattr(lll_basis, "_fourier_grid",
                         lambda psis, z, order: grid(psis, z, order) * factor)
+
+
+def drop_gaussian_nu_squared(monkeypatch):
+    """The Gaussian series without the nu^2 term of its Poisson constant
+    e^{-nu^2 L2^2/N^2}.  The criteria reach the series only through
+    lll_basis.duality_residual, which looks it up in lll_basis."""
+    gaussian = lll_basis.eval_gaussian
+
+    def faulty(psi, z, order=0):
+        geo = psi.geometry
+        return gaussian(psi, z, order) * math.exp((psi.nu * geo.L2 / geo.N) ** 2)
+
+    monkeypatch.setattr(lll_basis, "eval_gaussian", faulty)
 
 
 def failing(results):
@@ -30,3 +45,10 @@ def test_uniform_grid_scale_fault(monkeypatch):
     results = verify.run_acceptance(n_max=3)
     assert failing(results) == {2, 5, 6}
     assert results[1].data["worst"] == pytest.approx(2e-9, rel=1e-3)
+
+
+def test_gaussian_poisson_constant_fault(monkeypatch):
+    # the comb keeps its own Poisson constant, not one derived from the
+    # Fourier series, so only the duality check can see it go wrong
+    drop_gaussian_nu_squared(monkeypatch)
+    assert failing(verify.run_acceptance(n_max=3)) == {3}

@@ -189,30 +189,57 @@ class TestDualityOracle:
         assert mp_fourier_sums(geo, np.zeros(1, dtype=complex))[0, 0] == \
             pytest.approx(GAUSS_SUM, rel=1e-15)
 
+    @staticmethod
+    def oracle_errors(geo, zs, evaluators):
+        """Largest |value - oracle| of each evaluator over the normalized
+        basis at zs, relative to the largest value of the section there.
+
+        The oracle is summed at one in 50 of the points and at each
+        section's three largest, where a relative error shows in full.
+        """
+        basis = normalized_basis(geo)
+        series = {psi.nu: [evaluate(psi, zs) for evaluate in evaluators] for psi in basis}
+        largest = [np.argsort(np.abs(values[0]))[-3:] for values in series.values()]
+        picks = np.unique(np.concatenate([np.arange(0, len(zs), 50), *largest]))
+        ref = mp_fourier_sums(geo, zs[picks])
+        errors = []
+        for psi in basis:
+            exact = psi.norm_const * ref[psi.nu]
+            scale = max(np.max(np.abs(values)) for values in series[psi.nu])
+            errors.append([np.max(np.abs(values[picks] - exact)) / scale
+                           for values in series[psi.nu]])
+        return np.max(errors, axis=0)
+
     def test_each_series_within_a_tenth_of_the_tolerance(self):
         # criterion 3's points (its seed and draw order) and its scale, the
-        # largest magnitude over all of them.  The oracle is summed at one in
-        # 50 of them and at each section's three largest, where a relative
-        # error shows in full.  At N <= 10 each series is within
-        # poisson_duality_rel / 10 of it, so neither can hide the other's
-        # error in the criterion
+        # largest magnitude over all of them.  At N <= 10 each series is
+        # within poisson_duality_rel / 10 of the oracle, so neither can hide
+        # the other's error in the criterion
         tol = tolerances.get("poisson_duality_rel") / 10
         rng = np.random.default_rng(verify.DEFAULT_SEED)
         for n in range(1, 11):
             geo = TorusGeometry.square(n)
             zs = (rng.random(verify._DUALITY_POINTS) * geo.L1
                   + 1j * rng.random(verify._DUALITY_POINTS) * geo.L2)
-            basis = normalized_basis(geo)
-            series = {psi.nu: (eval_fourier(psi, zs), eval_gaussian(psi, zs)) for psi in basis}
-            largest = [np.argsort(np.abs(f))[-3:] for f, _ in series.values()]
-            picks = np.unique(np.concatenate([np.arange(0, len(zs), 50), *largest]))
-            ref = mp_fourier_sums(geo, zs[picks])
-            for psi in basis:
-                exact = psi.norm_const * ref[psi.nu]
-                scale = max(np.max(np.abs(values)) for values in series[psi.nu])
-                for name, values in zip(("fourier", "gaussian"), series[psi.nu]):
-                    err = np.max(np.abs(values[picks] - exact)) / scale
-                    assert err < tol, (n, psi.nu, name, err)
+            errors = self.oracle_errors(geo, zs, (eval_fourier, eval_gaussian))
+            assert np.all(errors < tol), (n, errors)
+
+    @pytest.mark.parametrize("geo, fraction", [
+        (TorusGeometry.square(16), 10),
+        (TorusGeometry.with_aspect(4, 1 / 4), 10),
+        # the comb's sum can be e^{L2^2/4} ~ 7e6 smaller than its terms
+        # here, and its long-double rounding reads up to 1.9e-13 on other
+        # draws of 1000 points, so it is held to the tolerance itself
+        (TorusGeometry.square(20), 1),
+    ], ids=["N16", "N4-aspect-quarter", "N20"])
+    def test_gaussian_beyond_criterion_scope(self, geo, fraction):
+        # criterion 3's seed and point count on tori past its N <= 10
+        tol = tolerances.get("poisson_duality_rel") / fraction
+        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        zs = (rng.random(verify._DUALITY_POINTS) * geo.L1
+              + 1j * rng.random(verify._DUALITY_POINTS) * geo.L2)
+        (error,) = self.oracle_errors(geo, zs, (eval_gaussian,))
+        assert error < tol
 
 
 class TestBoundaryConditions:
@@ -392,6 +419,19 @@ class TestDerivativesAndHolomorphy:
         z = np.array([0.5 + 0.4j, 1.7 + 1.1j])
         np.testing.assert_allclose(eval_gaussian(psi, z, 1),
                                    eval_fourier(psi, z, 1), rtol=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_gaussian_derivatives_match_fourier(self, n):
+        # orders 1-3 of every section, at points spread over three periods,
+        # within 1e-13 of the section's largest value there
+        geo = TorusGeometry.square(n)
+        rng = np.random.default_rng(3)
+        z = ((rng.random(200) * 3 - 1) * geo.L1
+             + 1j * (rng.random(200) * 3 - 1) * geo.L2)
+        for psi in normalized_basis(geo):
+            for order in (1, 2, 3):
+                f, g = eval_fourier(psi, z, order), eval_gaussian(psi, z, order)
+                assert np.max(np.abs(f - g)) < 1e-13 * np.max(np.abs(f)), (psi.nu, order)
 
 
 class TestBoundaryPhases:

@@ -283,6 +283,9 @@ def cmd_verify(args) -> int:
     fault = BoundaryPhases(math.pi, 0.0) if args.debug_flip_x_sign else None
     results = verify.run_acceptance(n_max=args.n_max, seed=args.seed,
                                     fault_phases=fault)
+    note = verify._cap_note(args.n_max)
+    if note:
+        print(note)
     width = max(len(r.name) for r in results)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

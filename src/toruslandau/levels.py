@@ -27,10 +27,22 @@ quadrature grid once, one stacked grid pass per derivative order of its
 terms, and the density map and the translation matrices reuse those samples.
 rayleigh_quotients likewise samples a list of sections and their dbar images
 in one pass per order, and rayleigh_quotient is its one-section case.
+
+Inside a _sharing_stacks block (verify.run_acceptance holds one for the
+length of a run) every stack sampled on a default quadrature grid, nx = ny =
+default_resolution, is kept, keyed by (sections, derivative order, geometry,
+nx, ny): the ground-state stacks of Quadrature.sample and the per-order
+stacks of _term_stacks.  A later sample of the same key reads the kept stack
+instead of taking another grid pass.  Kept stacks are read-only, other grids
+and scattered points are never kept, the store stops taking stacks once they
+would exceed _STACK_BUDGET bytes, and it is dropped when the block exits.
+Outside a block nothing is kept.
 """
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +50,43 @@ import numpy as np
 from .errors import GeometryMismatch, ZeroNorm
 from .geometry import TorusGeometry
 from .lll_basis import ThetaBasisFunction, eval_fourier_stack, normalized_basis
+
+
+# bytes of default-grid sample stacks that one _sharing_stacks block keeps
+_STACK_BUDGET = 8 * 2**20
+
+# the open block's {key: read-only stack}, or None outside a block
+_STACKS: ContextVar[dict | None] = ContextVar("toruslandau_stacks", default=None)
+
+
+@contextlib.contextmanager
+def _sharing_stacks():
+    """Keep the stacks sampled on default grids until the block exits."""
+    token = _STACKS.set({})
+    try:
+        yield
+    finally:
+        _STACKS.reset(token)
+
+
+def _kept(grid, psis, order: int, take) -> np.ndarray:
+    """take(), the stack of psis's order-th derivatives on a quadrature grid.
+
+    Inside a _sharing_stacks block, on a default grid (grid its (geometry,
+    nx, ny), else None), the stack is read back if kept, and kept read-only
+    if it fits _STACK_BUDGET.
+    """
+    store = _STACKS.get()
+    if store is None or grid is None:
+        return take()
+    key = (tuple(psis), order) + grid
+    stack = store.get(key)
+    if stack is None:
+        stack = take()
+        if sum(s.nbytes for s in store.values()) + stack.nbytes <= _STACK_BUDGET:
+            stack.flags.writeable = False
+            store[key] = stack
+    return stack
 
 
 def default_resolution(geometry: TorusGeometry) -> int:
@@ -70,13 +119,17 @@ class Quadrature:
     nx defaults to default_resolution(geometry) and ny to nx; both must be
     at least 4.  z is the periodic_grid, weight = exp(-|z|^2) at its points
     and cell the area per point; all are read-only after construction.
-    Sample stacks have shape (n, ny, nx).
+    Sample stacks have shape (n, ny, nx); on the default grid inside a
+    _sharing_stacks block they may be kept, read-only, stacks.
     """
 
     def __init__(self, geometry: TorusGeometry, nx: int | None = None,
                  ny: int | None = None):
         nx, ny = _grid_shape(geometry, nx, ny)
         self.geometry, self.nx, self.ny = geometry, nx, ny
+        # the store key of this grid's stacks; only default grids are kept
+        self._grid = (geometry, nx, ny) if nx == ny == default_resolution(geometry) \
+            else None
         self.z = periodic_grid(geometry, nx, ny)
         self.weight = np.exp(-np.abs(self.z) ** 2)
         self.cell = (geometry.L1 / nx) * (geometry.L2 / ny)
@@ -91,8 +144,9 @@ class Quadrature:
         taken.
         """
         if all(isinstance(s, ThetaBasisFunction) for s in sections):
-            return eval_fourier_stack(sections, self.z)
-        return _sample_sections(sections, self.z)
+            return _kept(self._grid, sections, 0,
+                         lambda: eval_fourier_stack(sections, self.z))
+        return _sample_sections(sections, self.z, self._grid)
 
     def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Matrix of inner products <u_i|v_j> of two sample stacks.
@@ -178,37 +232,40 @@ class PolynomialSection:
         return self + other * (-1.0)
 
 
-def _sample_sections(sections, z) -> np.ndarray:
+def _sample_sections(sections, z, grid=None) -> np.ndarray:
     """Values of each section at the points z, shape (len(sections),) + z.shape.
 
     The distinct (psi, k) of all the sections are sampled once, one stacked
     pass per derivative order, and each stack is added into the sections
     before the next is taken, so a section's values do not depend on the
-    sections sampled with it.
+    sections sampled with it.  grid is the (geometry, nx, ny) of a default
+    quadrature grid z, whose stacks may be kept (_kept), or None.
     """
     sections = [as_section(s) for s in sections]
     out = np.zeros((len(sections),) + z.shape, dtype=complex)
     keys = ((psi, k) for s in sections for _, psi, k, _ in s.terms)
-    for samples in _term_stacks(keys, z):
+    for samples in _term_stacks(keys, z, grid):
         for i, s in enumerate(sections):
             s._add_terms(z, samples, out[i, ...])
         del samples  # free this stack before the next one is taken
     return out
 
 
-def _term_stacks(keys, z):
+def _term_stacks(keys, z, grid=None):
     """Yield {(psi, k): psi^(k)(z)} for the distinct (psi, k) of keys.
 
     One dict per geometry and derivative order, the highest order first (the
     term order of a raised section), so the order in which a section's terms
     are added does not depend on the other keys.  Its ground states are
-    evaluated as one stack, on a tensor grid one grid pass.
+    evaluated as one stack, on a tensor grid one grid pass; on a default
+    grid (grid not None) the stack may be kept or read back (_kept).
     """
     groups = {}
     for psi, k in dict.fromkeys(keys):
         groups.setdefault((psi.geometry, k), []).append(psi)
     for (_, k), psis in sorted(groups.items(), key=lambda group: -group[0][1]):
-        yield dict(zip(((psi, k) for psi in psis), eval_fourier_stack(psis, z, k)))
+        yield dict(zip(((psi, k) for psi in psis),
+                       _kept(grid, psis, k, lambda: eval_fourier_stack(psis, z, k))))
 
 
 def ground_section(psi: ThetaBasisFunction) -> PolynomialSection:

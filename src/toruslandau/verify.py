@@ -8,7 +8,17 @@ there is a single source of truth for what the package promises.  Criteria 3,
 lll_basis.boundary_residuals and cocycle.total_flux, the same functions the
 `basis` and `cocycle` commands report (boundary_residual is the
 one-section case of boundary_residuals).  The scope of each check that no
-caller varies (sample points, grid, levels, meshes) is a module constant.
+caller varies (sample points, grid, levels, meshes, and the largest N
+run_acceptance lets a check reach) is a module constant.
+
+run_acceptance runs the checks inside one levels._sharing_stacks block:
+the stacks sampled on each torus's default quadrature grid are kept,
+read-only and within levels._STACK_BUDGET bytes, for the length of the run.
+Criteria 5, 6, 8 and 10 then read the level-0 and order-1 stacks that
+criteria 2 and 5 took instead of sampling them again; criterion 10's doubled
+grid, criterion 4's boundary grids and criterion 8's probe grids are never
+kept.  The store is dropped when the run returns, and a check called on its
+own keeps nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from .errors import NonIntegralFlux
 from .geometry import TorusGeometry, dirac_quantize
 from .lll_basis import (BoundaryPhases, boundary_residuals, double_shift_factors,
                         duality_residual, normalized_basis)
-from .levels import (density_map, default_resolution, gram_matrix,
-                     ground_section, local_extrema, log_linear_fit,
+from .levels import (_sharing_stacks, density_map, default_resolution,
+                     gram_matrix, ground_section, local_extrema, log_linear_fit,
                      periodic_grid, raise_section, rayleigh_quotients)
 from .translations import (commutator_matrix_residual, translate_sections,
                            translation_matrices, wintner_check)
@@ -39,6 +49,8 @@ _FIGURE_NS = (1, 3, 6, 10)           # criterion 5: N whose extrema are located
 _LADDER_PROBE = (8, (0.37, 0.21))    # criterion 8: probe points per side, offsets in cells
 _MESH_SIZES = (4, 8, 16)             # criterion 9: uniform meshes of 2 n^2 triangles
 _MESH_FLUX_QUANTA = (1.0, 3.0, 1.5)  # criterion 9: flux / 2 pi on the unit torus
+_N_CAP = 10                          # run_acceptance: largest N of criteria 1-5, 7, 10
+_N_CAP_TRANSLATED = 6                # run_acceptance: largest N of criteria 6 and 8
 
 
 @dataclass
@@ -96,7 +108,8 @@ def check_ground_dimension(n_max: int = 10) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(g - np.eye(n)))))
     ok = worst < tol
     return CheckResult("ground-state dimension", ok,
-                       f"N sections each, max |Gram - I| = {worst:.2e} (tol {tol:g})",
+                       f"N<={n_max}: N sections each, max |Gram - I| = {worst:.2e} "
+                       f"(tol {tol:g})",
                        {"worst": worst})
 
 
@@ -147,7 +160,7 @@ def check_boundary(n_max: int = 10,
     ok = worst < tol and worst_shift < tol_shift
     return CheckResult(
         "boundary conditions", ok,
-        f"max residual {worst:.2e} (tol {tol:g}); "
+        f"N<={n_max}: max residual {worst:.2e} (tol {tol:g}); "
         f"double-shift/(-1)^N error {worst_shift:.2e} (tol {tol_shift:g})",
         {"worst": worst, "shift": worst_shift})
 
@@ -210,7 +223,7 @@ def check_symmetry_breaking(n_max: int = 10) -> CheckResult:
     fit_detail = ", ".join(f"L{lv}: slope {fits[lv]['slope']:+.3f}, "
                            f"fit resid {fits[lv]['fit_residual']:.1%}" for lv in fits)
     detail = "; ".join(problems) if problems else (
-        "extrema on (n1 L1 + i n2 L2)/N, Z_NxZ_N invariant; " +
+        f"N<={n_max}: extrema on (n1 L1 + i n2 L2)/N, Z_NxZ_N invariant; " +
         (fit_detail or f"d(N) fit skipped: needs N_max >= 2, got {n_max}"))
     return CheckResult("symmetry breaking structure", not problems, detail,
                        {"d": {lv: list(map(float, d_table[lv])) for lv in _DENSITY_LEVELS},
@@ -378,7 +391,7 @@ def check_quadrature_convergence(n_max: int = 10) -> CheckResult:
         g2 = gram_matrix(basis, 2 * nx, 2 * nx)
         worst = max(worst, float(np.max(np.abs(g1 - g2))))
     return CheckResult("quadrature convergence", worst < tol,
-                       f"max inner-product change on doubling: {worst:.2e} "
+                       f"N<={n_max}: max inner-product change on doubling: {worst:.2e} "
                        f"(tol {tol:g})", {"worst": worst})
 
 
@@ -402,20 +415,33 @@ def run_acceptance(n_max: int = 6, seed: int = DEFAULT_SEED,
                    fault_phases=None) -> list[CheckResult]:
     """Run every check, capped at n_max flux quanta where applicable.
 
+    Criteria 6 and 8 run to N <= min(n_max, _N_CAP_TRANSLATED), the other
+    N-ranged ones to N <= min(n_max, _N_CAP).  The checks share the stacks
+    sampled on default grids for the length of the run (levels._sharing_stacks).
     ValueError for n_max < 1, for which the N-ranged checks would pass
     without checking anything.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return [
-        check_flux_gate(min(n_max, 10)),
-        check_ground_dimension(min(n_max, 10)),
-        check_poisson_duality(min(n_max, 10), seed=seed),
-        check_boundary(min(n_max, 10), fault_phases=fault_phases),
-        check_symmetry_breaking(min(n_max, 10)),
-        check_translation_algebra(min(n_max, 6)),
-        check_wintner(min(n_max, 10)),
-        check_energy_ladder(min(n_max, 6)),
-        check_cocycle_theorem(),
-        check_quadrature_convergence(min(n_max, 10)),
-    ]
+    n, n_translated = min(n_max, _N_CAP), min(n_max, _N_CAP_TRANSLATED)
+    with _sharing_stacks():
+        return [
+            check_flux_gate(n),
+            check_ground_dimension(n),
+            check_poisson_duality(n, seed=seed),
+            check_boundary(n, fault_phases=fault_phases),
+            check_symmetry_breaking(n),
+            check_translation_algebra(n_translated),
+            check_wintner(n),
+            check_energy_ladder(n_translated),
+            check_cocycle_theorem(),
+            check_quadrature_convergence(n),
+        ]
+
+
+def _cap_note(n_max: int) -> str | None:
+    """The line naming the criteria whose N cap n_max exceeds, or None."""
+    capped = [f"criteria {which} ran to N<={cap}"
+              for which, cap in (("1-5, 7 and 10", _N_CAP), ("6 and 8", _N_CAP_TRANSLATED))
+              if n_max > cap]
+    return f"N capped: {'; '.join(capped)} (--n-max {n_max})" if capped else None

@@ -10,9 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from toruslandau import lll_basis, tolerances, verify
+from toruslandau import levels, lll_basis, tolerances, verify
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import ground_section, raise_section, rayleigh_quotient
+from toruslandau.levels import (Quadrature, ground_section, raise_section,
+                                rayleigh_quotient)
 from toruslandau.lll_basis import normalized_basis
 from toruslandau.translations import translation_matrix
 
@@ -155,12 +156,83 @@ def test_criterion_06_samples_each_level_once(monkeypatch):
 
 
 def test_run_acceptance_grid_passes(monkeypatch):
-    # per N <= 4: criterion 2 one pass, 3 none, 4 three (the boundary grid
-    # and its two shifts), 5 three, 6 one, 8 six and 10 two; no pass
-    # normalizes a basis
+    # per N <= 4: criterion 2 one pass (level 0 on the default grid), 3
+    # none, 4 three (the boundary grid and its two shifts), 5 one (level
+    # 1's order-1 stack; its order-0 stack and level 0 are criterion 2's),
+    # 6 none (level 0 is kept), 8 four (two on each probe grid; its
+    # Rayleigh quotients read the kept order-0 and order-1 stacks) and 10
+    # one (the doubled grid; the default grid's Gram reads criterion 2's
+    # stack); no pass normalizes a basis
     shapes = count_grid_passes(monkeypatch)
     assert all(r.passed for r in verify.run_acceptance(n_max=4))
+    assert len(shapes) == 40
+
+
+def test_run_acceptance_keeps_nothing_across_runs(monkeypatch):
+    # the store lives for one run: a second run samples everything again,
+    # and a check called on its own afterwards samples its level per N
+    shapes = count_grid_passes(monkeypatch)
+    verify.run_acceptance(n_max=4)
+    shapes.clear()
+    verify.run_acceptance(n_max=4)
+    assert len(shapes) == 40
+    shapes.clear()
+    assert verify.check_translation_algebra(n_max=4).passed
+    assert len(shapes) == 4
+
+
+def test_run_acceptance_without_budget_keeps_nothing(monkeypatch):
+    # with no bytes to keep, every criterion samples for itself, as
+    # before the store: 16 passes per N
+    monkeypatch.setattr(levels, "_STACK_BUDGET", 0)
+    shapes = count_grid_passes(monkeypatch)
+    verify.run_acceptance(n_max=4)
     assert len(shapes) == 64
+
+
+def test_kept_stacks_are_read_only():
+    geo = TorusGeometry.square(3)
+    basis = normalized_basis(geo)
+    assert Quadrature(geo).sample(basis).flags.writeable   # no block open
+    with levels._sharing_stacks():
+        kept = Quadrature(geo).sample(basis)
+        assert Quadrature(geo).sample(basis) is kept
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0, 0] = 0
+        # a grid other than the default one is never kept
+        assert Quadrature(geo, 2 * kept.shape[-1]).sample(basis).flags.writeable
+        assert len(levels._STACKS.get()) == 1
+    assert levels._STACKS.get() is None
+
+
+def test_store_stops_at_its_budget(monkeypatch):
+    # criterion 5 at N <= 3 samples 0.8 MiB of default-grid stacks; the
+    # store keeps what fits in half of that
+    budget = 400 * 2**10
+    monkeypatch.setattr(levels, "_STACK_BUDGET", budget)
+    with levels._sharing_stacks():
+        verify.check_symmetry_breaking(n_max=3)
+        kept = levels._STACKS.get().values()
+        assert kept and sum(s.nbytes for s in kept) <= budget
+
+
+def test_run_acceptance_matches_each_check_on_its_own():
+    # the shared stacks change no field of any result
+    solo = [verify.check_flux_gate(3), verify.check_ground_dimension(3),
+            verify.check_poisson_duality(3), verify.check_boundary(3),
+            verify.check_symmetry_breaking(3), verify.check_translation_algebra(3),
+            verify.check_wintner(3), verify.check_energy_ladder(3),
+            verify.check_cocycle_theorem(), verify.check_quadrature_convergence(3)]
+    assert list(map(repr, verify.run_acceptance(n_max=3))) == list(map(repr, solo))
+
+
+def test_n_caps_and_detail_ranges():
+    # every N-ranged criterion names the N range it ran
+    assert (verify._N_CAP, verify._N_CAP_TRANSLATED) == (10, 6)
+    results = verify.run_acceptance(n_max=2)
+    for i, result in enumerate(results, 1):
+        if i != 9:   # criterion 9 runs on meshes, not tori
+            assert "N<=2" in result.detail or "N=1..2" in result.detail, i
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

@@ -337,6 +337,7 @@ class TestVerifyCommand:
         assert code == 0
         assert "10/10 checks passed" in out
         assert out.count("PASS") == 10
+        assert "N capped" not in out   # no cap is exceeded
 
     @pytest.mark.parametrize("n_max", ["0", "-2"])
     def test_empty_range_is_a_usage_error(self, capsys, n_max):
@@ -345,6 +346,26 @@ class TestVerifyCommand:
         assert code == 2
         assert "n_max must be at least 1" in captured.err
         assert "checks passed" not in captured.out
+
+    def test_n_max_above_a_cap_says_where_each_criterion_stopped(self, capsys, monkeypatch):
+        # caps lowered so that the run stays small: the note names the N
+        # that the detail lines show each criterion ran to
+        monkeypatch.setattr(verify, "_N_CAP", 2)
+        monkeypatch.setattr(verify, "_N_CAP_TRANSLATED", 1)
+        code = run(["verify", "--n-max", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0] == ("N capped: criteria 1-5, 7 and 10 ran to N<=2; "
+                            "criteria 6 and 8 ran to N<=1 (--n-max 3)")
+        assert [line for line in lines if "N capped" in line] == lines[:1]
+        details = {line[6:].split("  ")[0]: line for line in lines[1:11]}
+        assert "N<=2:" in details["ground-state dimension"]
+        assert "N<=1:" in details["translation algebra"]
+        assert "N<=1:" in details["energy ladder"]
+        monkeypatch.setattr(verify, "_N_CAP", 3)
+        run(["verify", "--n-max", "3"])
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "N capped: criteria 6 and 8 ran to N<=1 (--n-max 3)")
 
     def test_fault_injection_fails_boundary(self, capsys):
         code = run(["verify", "--n-max", "2", "--debug-flip-x-sign"])

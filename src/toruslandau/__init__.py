@@ -19,7 +19,7 @@ from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
                         eval_gaussian, ground_basis, normalize,
                         normalized_basis, theta_basis)
 from .levels import (DensityMap, GridField, PolynomialSection,
-                     apply_hamiltonian, as_section, dbar_section,
+                     as_section, dbar_section,
                      density_map, gram_matrix, ground_section, inner_product,
                      level_basis, raise_section, rayleigh_quotient,
                      rayleigh_quotients)

@@ -116,8 +116,7 @@ def cmd_basis(args) -> int:
     _check_seed(args.seed)
     geo = resolve_geometry(_geometry_options(args))
     psi = normalize(theta_basis(geo, args.nu))
-    nx = args.grid
-    quad = Quadrature(geo, nx, nx)
+    quad = Quadrature(geo, args.grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     z = quad.z
@@ -143,10 +142,10 @@ def cmd_basis(args) -> int:
     }
     outputs.append(gridio.write_json({
         "geometry": {"L1": geo.L1, "L2": geo.L2, "N": geo.N},
-        "nu": args.nu, "grid": nx, "norm_const": psi.norm_const, **checks,
+        "nu": args.nu, "grid": args.grid, "norm_const": psi.norm_const, **checks,
     }, out / f"{stem}_report.json"))
 
-    params = {"N": geo.N, "nu": args.nu, "grid": nx, "seed": args.seed,
+    params = {"N": geo.N, "nu": args.nu, "grid": args.grid, "seed": args.seed,
               "L1": geo.L1, "L2": geo.L2, "format": args.format}
     _write_manifest(out, "basis", params, outputs,
                     {k: v for k, v in checks.items() if k.endswith("_ok")})
@@ -225,8 +224,7 @@ def _parse_displacement(args, geo) -> complex:
 def cmd_translate(args) -> int:
     geo = resolve_geometry(_geometry_options(args))
     a = _parse_displacement(args, geo)
-    report = translation_report(geo, a, level=args.level,
-                                nx=args.grid, ny=args.grid)
+    report = translation_report(geo, a, level=args.level, side=args.grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = gridio.write_json(report, out / "translation_report.json")
@@ -249,6 +247,8 @@ def cmd_cocycle(args) -> int:
     for flag, side in (("--L1", L1), ("--L2", L2)):
         if not (math.isfinite(side) and side > 0):
             raise ValueError(f"{flag} must be finite and positive, got {side}")
+    if not 0 < L1 * L2 < math.inf:
+        raise ValueError(f"--L1 * --L2 must be finite and positive, got {L1 * L2}")
     flux = _parse_flux(args.flux)
     b = flux / (L1 * L2)
     result = total_flux(uniform_mesh(args.mesh_n, L1, L2, b))

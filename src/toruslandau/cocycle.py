@@ -124,7 +124,10 @@ class Triangulation:
         n_vertices = len(self.vertices)
         if np.any((self.triangles < 0) | (self.triangles >= n_vertices)):
             raise ValueError("triangle vertex ids must lie in [0, V)")
-        areas = self.signed_areas()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflow is rejected below, as an area sum that is not finite
+            areas = self.signed_areas()
+            area = float(np.sum(areas))
         bad = np.flatnonzero(areas <= 0)
         if bad.size:
             raise ValueError(f"triangle {bad[0]} is not positively oriented")
@@ -143,7 +146,9 @@ class Triangulation:
         # Euler characteristic of the torus; each edge is used twice
         if n_vertices - len(order) // 2 + self.n_triangles != 0:
             raise ValueError("mesh is not a closed torus triangulation")
-        area, target = float(np.sum(areas)), self.L1 * self.L2
+        if not math.isfinite(area):
+            raise ValueError(f"mesh area {area} is not finite")
+        target = self.L1 * self.L2
         if abs(area - target) > tolerances.get("mesh_area_rel") * target:
             raise ValueError(f"mesh area {area} does not tile the torus once")
 

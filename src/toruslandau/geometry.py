@@ -44,18 +44,19 @@ class PhysicalConfig:
     def length_unit(self) -> float:
         """Natural length sqrt(hbar/(m*omega)) = sqrt(2 hbar c/(e B)),
         with omega = e*B/(2*m*c); m cancels but stays in the formula, which
-        fixes how the result rounds."""
+        fixes how the result rounds.  inf if m*omega underflows to zero."""
         omega = E_CHARGE * self.B / (2 * M_ELECTRON * C_LIGHT)
-        return math.sqrt(HBAR / (M_ELECTRON * omega))
+        m_omega = M_ELECTRON * omega
+        return math.sqrt(HBAR / m_omega) if m_omega else math.inf
 
 
 @dataclass(frozen=True)
 class TorusGeometry:
     """Rectangular torus in natural units with N flux quanta.
 
-    Invariants: L1, L2 > 0 and L1*L2 = N*pi to relative precision
-    geometry_area_rel, enforced at construction.  Instances are immutable
-    and safe to share across threads.
+    Invariants: L1, L2 finite and > 0, and L1*L2 = N*pi to relative
+    precision geometry_area_rel, enforced at construction.  Instances are
+    immutable and safe to share across threads.
     """
 
     L1: float
@@ -63,8 +64,7 @@ class TorusGeometry:
     N: int
 
     def __post_init__(self):
-        if not (self.L1 > 0 and self.L2 > 0):
-            raise ValueError("torus sides must be strictly positive")
+        _flux_ratio(self.L1, self.L2)
         if not (isinstance(self.N, numbers.Integral) and not isinstance(self.N, bool)
                 and self.N >= 1):
             raise ValueError("flux quantum count N must be a positive integer")
@@ -89,17 +89,28 @@ class TorusGeometry:
         return self.L1 * self.L2
 
 
+def _flux_ratio(L1: float, L2: float) -> float:
+    """L1*L2/pi; ValueError unless the sides are finite and positive and the
+    ratio is finite."""
+    if not (0 < L1 < math.inf and 0 < L2 < math.inf):
+        raise ValueError(f"torus sides must be finite and strictly positive, "
+                         f"got L1={L1}, L2={L2}")
+    ratio = L1 * L2 / math.pi
+    if not math.isfinite(ratio):
+        raise ValueError(f"flux L1*L2/pi overflows for L1={L1}, L2={L2}")
+    return ratio
+
+
 def dirac_quantize(L1: float, L2: float) -> int:
     """Number of flux quanta for a torus with natural-unit sides L1, L2.
 
     Returns N = L1*L2/pi when that is an integer >= 1 within relative
     tolerance flux_integrality_rel, a gate on physical input that carries
     measurement noise; raises NonIntegralFlux otherwise (the exception
-    records the fractional part).
+    records the fractional part).  ValueError unless the sides and the
+    ratio are finite and the sides positive.
     """
-    if not (L1 > 0 and L2 > 0):
-        raise ValueError("torus sides must be strictly positive")
-    ratio = L1 * L2 / math.pi
+    ratio = _flux_ratio(L1, L2)
     n = round(ratio)
     tol = tolerances.get("flux_integrality_rel")
     if n < 1 or abs(ratio - n) > tol * max(1.0, abs(ratio)):
@@ -113,9 +124,14 @@ def to_natural(cfg: PhysicalConfig) -> TorusGeometry:
     The flux B*L1*L2 must be an integer multiple of hc/e within relative
     tolerance flux_integrality_rel.  Input float noise inside that gate is
     absorbed by an aspect-preserving rescale so the returned geometry
-    satisfies L1*L2 = N*pi exactly (to geometry_area_rel).
+    satisfies L1*L2 = N*pi exactly (to geometry_area_rel).  ValueError if
+    the field is so strong or so weak that the natural length unit is zero
+    or not finite in double precision.
     """
     unit = cfg.length_unit
+    if not 0 < unit < math.inf:
+        raise ValueError(f"B={cfg.B} gives natural length unit {unit}; "
+                         "it must be finite and positive")
     L1 = cfg.L1_phys / unit
     L2 = cfg.L2_phys / unit
     n = dirac_quantize(L1, L2)

@@ -5,8 +5,8 @@ h(s1, s2)(z) = exp(-|z|^2) conj(s1(z)) s2(z); it is doubly periodic for any
 pair of sections obeying the twisted periodicity, so the inner product
 <s1|s2> = integral of h over the fundamental domain is computed with the
 equal-weight periodic trapezoid rule, which converges spectrally here.  A
-Quadrature holds that rule on one grid: the points, the weight exp(-|z|^2)
-at them and the cell area.
+Quadrature holds that rule on one square grid of side x side points: the
+points, the weight exp(-|z|^2) at them and the cell area.
 
 Higher levels are built from the ground states with the covariant creation
 operator (d/dz - zbar).  A section is a flat sum of terms
@@ -29,9 +29,9 @@ rayleigh_quotients likewise samples a list of sections and their dbar images
 in one pass per order, and rayleigh_quotient is its one-section case.
 
 Inside a _sharing_stacks block (verify.run_acceptance holds one for the
-length of a run) every stack sampled on a default quadrature grid, nx = ny =
+length of a run) every stack sampled on a default quadrature grid, side =
 default_resolution, is kept, keyed by (sections, derivative order, geometry,
-nx, ny): the ground-state stacks of Quadrature.sample and the per-order
+side): the ground-state stacks of Quadrature.sample and the per-order
 stacks of _term_stacks.  A later sample of the same key reads the kept stack
 instead of taking another grid pass.  Kept stacks are read-only, other grids
 and scattered points are never kept, the store stops taking stacks once they
@@ -73,8 +73,8 @@ def _kept(grid, psis, order: int, take) -> np.ndarray:
     """take(), the stack of psis's order-th derivatives on a quadrature grid.
 
     Inside a _sharing_stacks block, on a default grid (grid its (geometry,
-    nx, ny), else None), the stack is read back if kept, and kept read-only
-    if it fits _STACK_BUDGET.
+    side), else None), the stack is read back if kept, and kept read-only if
+    it fits _STACK_BUDGET.
     """
     store = _STACKS.get()
     if store is None or grid is None:
@@ -103,36 +103,28 @@ def periodic_grid(geometry: TorusGeometry, nx: int, ny: int):
     return x[None, :] + 1j * y[:, None]
 
 
-def _grid_shape(geometry: TorusGeometry, nx: int | None = None,
-                ny: int | None = None) -> tuple[int, int]:
-    """Quadrature's (nx, ny): nx defaults to default_resolution, ny to nx."""
-    nx = default_resolution(geometry) if nx is None else nx
-    ny = nx if ny is None else ny
-    if nx < 4 or ny < 4:
-        raise ValueError("grid resolution must be at least 4")
-    return nx, ny
-
-
 class Quadrature:
     """The periodic trapezoid rule with the Hermitian weight on one grid.
 
-    nx defaults to default_resolution(geometry) and ny to nx; both must be
-    at least 4.  z is the periodic_grid, weight = exp(-|z|^2) at its points
-    and cell the area per point; all are read-only after construction.
-    Sample stacks have shape (n, ny, nx); on the default grid inside a
-    _sharing_stacks block they may be kept, read-only, stacks.
+    The grid is side x side points; side defaults to
+    default_resolution(geometry) and must be at least 4.  z is the
+    periodic_grid, weight = exp(-|z|^2) at its points and cell the area per
+    point; all are read-only after construction.  Sample stacks have shape
+    (n, side, side); on the default grid inside a _sharing_stacks block they
+    may be kept, read-only, stacks.
     """
 
-    def __init__(self, geometry: TorusGeometry, nx: int | None = None,
-                 ny: int | None = None):
-        nx, ny = _grid_shape(geometry, nx, ny)
-        self.geometry, self.nx, self.ny = geometry, nx, ny
+    def __init__(self, geometry: TorusGeometry, side: int | None = None):
+        default = default_resolution(geometry)
+        side = default if side is None else side
+        if side < 4:
+            raise ValueError("grid resolution must be at least 4")
+        self.geometry, self.side = geometry, side
         # the store key of this grid's stacks; only default grids are kept
-        self._grid = (geometry, nx, ny) if nx == ny == default_resolution(geometry) \
-            else None
-        self.z = periodic_grid(geometry, nx, ny)
+        self._grid = (geometry, side) if side == default else None
+        self.z = periodic_grid(geometry, side, side)
         self.weight = np.exp(-np.abs(self.z) ** 2)
-        self.cell = (geometry.L1 / nx) * (geometry.L2 / ny)
+        self.cell = (geometry.L1 / side) * (geometry.L2 / side)
 
     def sample(self, sections) -> np.ndarray:
         """Values of each section at the grid points.
@@ -200,10 +192,6 @@ class PolynomialSection:
     def degree(self) -> int:
         return max((p for p, _, _, _ in self.terms), default=0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __call__(self, z):
         """Values at z; each distinct (psi, k) is evaluated once."""
         return _sample_sections([self], np.asarray(z, dtype=complex))[0]
@@ -238,7 +226,7 @@ def _sample_sections(sections, z, grid=None) -> np.ndarray:
     The distinct (psi, k) of all the sections are sampled once, one stacked
     pass per derivative order, and each stack is added into the sections
     before the next is taken, so a section's values do not depend on the
-    sections sampled with it.  grid is the (geometry, nx, ny) of a default
+    sections sampled with it.  grid is the (geometry, side) of a default
     quadrature grid z, whose stacks may be kept (_kept), or None.
     """
     sections = [as_section(s) for s in sections]
@@ -301,11 +289,6 @@ def dbar_section(s: PolynomialSection) -> PolynomialSection:
         (p - 1, psi, k, p * w) for p, psi, k, w in s.terms if p))
 
 
-def apply_hamiltonian(s: PolynomialSection) -> PolynomialSection:
-    """H s with H = -2 (d/dz - zbar) dbar in units of hbar*omega."""
-    return raise_section(dbar_section(as_section(s))) * (-2.0)
-
-
 # ---------------------------------------------------------------------------
 # Hermitian structure and quadrature
 # ---------------------------------------------------------------------------
@@ -329,13 +312,14 @@ def inner_product(s1, s2) -> complex:
     return complex(quad.gram(v1, v2)[0, 0])
 
 
-def gram_matrix(basis, nx: int | None = None, ny: int | None = None) -> np.ndarray:
-    """Pairwise inner products, Hermitized by averaging with the adjoint."""
+def gram_matrix(basis, side: int | None = None) -> np.ndarray:
+    """Pairwise inner products on a side x side grid (default_resolution if
+    None), Hermitized by averaging with the adjoint."""
     if not basis:
         return np.zeros((0, 0), dtype=complex)
     for s in basis[1:]:
         _check_same_geometry(basis[0], s)
-    quad = Quadrature(basis[0].geometry, nx, ny)
+    quad = Quadrature(basis[0].geometry, side)
     vals = quad.sample(basis)
     g = quad.gram(vals, vals)
     return (g + g.conj().T) / 2
@@ -425,7 +409,7 @@ def level_basis(geometry: TorusGeometry, level: int) -> list[PolynomialSection]:
 
 
 def _sampled_level(quad: Quadrature, level: int):
-    """level_basis and its samples on quad, shape (N, ny, nx), taken once for
+    """level_basis and its samples on quad, shape (N, side, side), taken once for
     the density map and the translation matrices.  Level 0 is sampled as its
     ground states, one stacked grid pass."""
     basis = level_basis(quad.geometry, level)
@@ -433,16 +417,16 @@ def _sampled_level(quad: Quadrature, level: int):
 
 
 def density_map(geometry: TorusGeometry, level: int = 0,
-                nx: int | None = None, ny: int | None = None) -> DensityMap:
+                side: int | None = None) -> DensityMap:
     """rho(z) = sum_nu h(s_nu, s_nu)(z) for the normalized level basis.
 
     The Hermitian weight is included, making rho a genuine function on the
     torus.  Breaking of continuous translation symmetry shows up as bumps of
-    the deviation field on the lattice (n1 L1 + i n2 L2)/N.  nx defaults to
-    default_resolution, on which lattice points and half-lattice midpoints
-    are grid nodes, and ny to nx.
+    the deviation field on the lattice (n1 L1 + i n2 L2)/N.  The grid is
+    side x side; side defaults to default_resolution, on which lattice
+    points and half-lattice midpoints are grid nodes.
     """
-    quad = Quadrature(geometry, nx, ny)
+    quad = Quadrature(geometry, side)
     rho = np.zeros(quad.z.shape, dtype=float)
     for v in _sampled_level(quad, level)[1]:
         rho += quad.weight * np.abs(v) ** 2

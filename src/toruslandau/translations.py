@@ -19,10 +19,12 @@ forces a finite-dimensional representation onto that discrete subgroup
 continuous a, b).
 
 A level matrix projects T_a s_nu onto the sampled level basis by quadrature.
-When a is a node of the quadrature grid's own lattice (L1/nx)Z + i(L2/ny)Z,
-z - a is again a grid point up to whole periods.  That holds for every
-lattice and half-lattice point on a grid whose sides are multiples of 2N, as
-the default grid's are (default_resolution).  T_a s_nu on the grid is then
+When a is a node of the quadrature grid's own lattice (L1/n)Z + i(L2/n)Z,
+for a grid of n x n points, z - a is again a grid point up to whole periods.
+That lattice is the Z_N lattice with n in place of N, and one test
+(_lattice_steps) classifies a on either.  Every lattice and half-lattice
+point is a grid node when n is a multiple of 2N, as the default side is
+(default_resolution).  T_a s_nu on the grid is then
 the held samples of s_nu, index-rolled, times one factor exp(conj(a) z -
 |a|^2/2 + E) shared by the whole level, with E the boundary exponent of the
 integer wrap counts; no section is evaluated again.  Any other a falls back
@@ -55,7 +57,7 @@ import numpy as np
 from . import tolerances
 from .errors import GeometryMismatch, NotAPeriod
 from .geometry import TorusGeometry
-from .levels import (Quadrature, as_section, _grid_shape, _sampled_level,
+from .levels import (Quadrature, as_section, default_resolution, _sampled_level,
                      _sample_sections)
 from .lll_basis import _BLOCK_POINTS
 
@@ -74,16 +76,22 @@ def _near_integers(f1: float, f2: float) -> bool:
     return abs(f1 - round(f1)) <= tol and abs(f2 - round(f2)) <= tol
 
 
-def lattice_indices(a, geometry: TorusGeometry):
-    """(n1, n2) with a = (n1 L1 + i n2 L2)/N, or None if a is off-lattice.
+def _lattice_steps(a: complex, geometry: TorusGeometry, n: int):
+    """(m1, m2) with a = (m1 L1 + i m2 L2)/n, or None if a is off that lattice.
 
-    Classification uses absolute tolerance lattice_abs on the integer
-    residuals; inputs are exact rationals of the sides in practice.
+    n = N gives the Z_N lattice (lattice_indices); n the side of a square
+    quadrature grid gives the grid's own lattice (_project).  Classification
+    uses absolute tolerance lattice_abs on the integer residuals; inputs are
+    exact rationals of the sides in practice.
     """
-    a = _displacement(a)
-    f1 = a.real * geometry.N / geometry.L1
-    f2 = a.imag * geometry.N / geometry.L2
+    f1 = a.real * n / geometry.L1
+    f2 = a.imag * n / geometry.L2
     return (round(f1), round(f2)) if _near_integers(f1, f2) else None
+
+
+def lattice_indices(a, geometry: TorusGeometry):
+    """(n1, n2) with a = (n1 L1 + i n2 L2)/N, or None if a is off-lattice."""
+    return _lattice_steps(_displacement(a), geometry, geometry.N)
 
 
 def reduce_to_fundamental(geometry: TorusGeometry, w):
@@ -166,47 +174,38 @@ class TranslationMatrix:
 
 
 def translation_matrices(geometry: TorusGeometry, displacements, level: int = 0,
-                         nx: int | None = None,
-                         ny: int | None = None) -> list[TranslationMatrix]:
+                         side: int | None = None) -> list[TranslationMatrix]:
     """Project T_a onto a Landau level by quadrature, for each a of displacements.
 
-    The level is sampled once on one quadrature and every matrix is projected
-    from those samples.  The projection defect per nu is the quadrature norm
+    The level is sampled once on one side x side quadrature grid (side
+    defaults to default_resolution) and every matrix is projected from those
+    samples.  The projection defect per nu is the quadrature norm
     of the pointwise residual T_a s_nu - sum_mu t_{nu mu} s_mu, which stays
     at rounding level for lattice a and is O(1) at half-lattice
     displacements.
     """
     displacements = [_displacement(a) for a in displacements]
-    quad = Quadrature(geometry, nx, ny)
+    quad = Quadrature(geometry, side)
     basis, vals = _sampled_level(quad, level)
     return [_project(quad, a, level, basis, vals) for a in displacements]
 
 
 def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
-                       nx: int | None = None, ny: int | None = None) -> TranslationMatrix:
+                       side: int | None = None) -> TranslationMatrix:
     """T_a on a Landau level: the one-displacement case of translation_matrices."""
-    return translation_matrices(geometry, [a], level, nx, ny)[0]
-
-
-def _grid_shift(quad: Quadrature, a: complex):
-    """(m1, m2) with a = m1 L1/nx + i m2 L2/ny, or None if a is off the grid lattice.
-
-    Judged like lattice_indices, with lattice_abs on the integer residuals.
-    """
-    f1 = a.real * quad.nx / quad.geometry.L1
-    f2 = a.imag * quad.ny / quad.geometry.L2
-    return (round(f1), round(f2)) if _near_integers(f1, f2) else None
+    return translation_matrices(geometry, [a], level, side)[0]
 
 
 def _roll_factor(quad: Quadrature, a: complex, m1: int, m2: int) -> np.ndarray:
-    """F with (T_a s)(z[j, i]) = F[j, i] s(z[(j - m2) % ny, (i - m1) % nx]).
+    """F with (T_a s)(z[j, i]) = F[j, i] s(z[(j - m2) % n, (i - m1) % n]).
 
-    F = exp(conj(a) z - |a|^2/2 + E), where E is the boundary exponent of the
-    integer wraps i - m1 = i0 + n1 nx and j - m2 = j0 + n2 ny.  It holds for
-    every section with trivial boundary phases, so one F serves a level.
+    n is the grid side.  F = exp(conj(a) z - |a|^2/2 + E), where E is the
+    boundary exponent of the integer wraps i - m1 = i0 + n1 n and j - m2 =
+    j0 + n2 n.  It holds for every section with trivial boundary phases, so
+    one F serves a level.
     """
-    n1, i0 = np.divmod(np.arange(quad.nx) - m1, quad.nx)
-    n2, j0 = np.divmod(np.arange(quad.ny) - m2, quad.ny)
+    n1, i0 = np.divmod(np.arange(quad.side) - m1, quad.side)
+    n2, j0 = np.divmod(np.arange(quad.side) - m2, quad.side)
     exponent = _wrap_exponent(quad.geometry, quad.z[np.ix_(j0, i0)],
                               n1[None, :], n2[:, None])
     return np.exp(np.conj(a) * quad.z - abs(a) ** 2 / 2 + exponent)
@@ -223,7 +222,7 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     the entries and one for the residual, conjugating only the block.
     """
     n = len(basis)
-    shift = _grid_shift(quad, a)
+    shift = _lattice_steps(a, quad.geometry, quad.side)
     flat = vals.reshape(n, -1)
     weight = quad.weight.ravel()
     entries = np.empty((n, n), dtype=complex)
@@ -252,7 +251,7 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
         entries[block] = (flat @ work.T).T.conj() * quad.cell
         np.matmul(entries[block], flat, out=work)
         np.subtract(shifted, work, out=work)
-        defects[block] = quad.norms(work.reshape(-1, quad.ny, quad.nx))
+        defects[block] = quad.norms(work.reshape(-1, quad.side, quad.side))
     return TranslationMatrix(quad.geometry, a, level, entries, defects)
 
 
@@ -320,13 +319,13 @@ def wintner_check(n_dim: int, a, b) -> WintnerResult:
 
 
 def translation_report(geometry: TorusGeometry, a, level: int = 0,
-                       nx: int | None = None, ny: int | None = None) -> dict:
+                       side: int | None = None) -> dict:
     """JSON-ready record of the translation diagnostics for one displacement."""
     a = _displacement(a)
-    # only the grid's shape is resolved here: translation_matrix builds the
+    # only the grid's side is resolved here: translation_matrix builds the
     # one Quadrature and stays the report's entry to the translation layer
-    nx, ny = _grid_shape(geometry, nx, ny)
-    tmat = translation_matrix(geometry, a, level, nx, ny)
+    side = default_resolution(geometry) if side is None else side
+    tmat = translation_matrix(geometry, a, level, side)
     indices = lattice_indices(a, geometry)
     dual = 1j * geometry.L2 / geometry.N
     phase_comm = commutator_phase(a, dual)
@@ -338,7 +337,7 @@ def translation_report(geometry: TorusGeometry, a, level: int = 0,
     return {
         "a": [a.real, a.imag],
         "level": level,
-        "grid": [nx, ny],
+        "grid": [side, side],
         "lattice": indices is not None,
         "lattice_indices": list(indices) if indices is not None else None,
         "unitarity_defect": tmat.unitarity_defect,

@@ -98,7 +98,6 @@ def check_flux_gate(n_max: int = 10) -> CheckResult:
 def check_ground_dimension(n_max: int = 10) -> CheckResult:
     tol = tolerances.get("gram_identity_abs")
     worst = 0.0
-    ok = True
     for n in range(1, n_max + 1):
         basis = normalized_basis(TorusGeometry.square(n))
         if len(basis) != n:
@@ -106,8 +105,7 @@ def check_ground_dimension(n_max: int = 10) -> CheckResult:
                                f"N={n} produced {len(basis)} sections")
         g = gram_matrix(basis)
         worst = max(worst, float(np.max(np.abs(g - np.eye(n)))))
-    ok = worst < tol
-    return CheckResult("ground-state dimension", ok,
+    return CheckResult("ground-state dimension", worst < tol,
                        f"N<={n_max}: N sections each, max |Gram - I| = {worst:.2e} "
                        f"(tol {tol:g})",
                        {"worst": worst})
@@ -386,9 +384,8 @@ def check_quadrature_convergence(n_max: int = 10) -> CheckResult:
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
         basis = normalized_basis(geo)
-        nx = default_resolution(geo)
-        g1 = gram_matrix(basis, nx, nx)
-        g2 = gram_matrix(basis, 2 * nx, 2 * nx)
+        g1 = gram_matrix(basis)
+        g2 = gram_matrix(basis, 2 * default_resolution(geo))
         worst = max(worst, float(np.max(np.abs(g1 - g2))))
     return CheckResult("quadrature convergence", worst < tol,
                        f"N<={n_max}: max inner-product change on doubling: {worst:.2e} "

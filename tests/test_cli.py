@@ -385,10 +385,19 @@ class TestUsageErrors:
         ["translate", "--N", "3", "--a-frac", "0.5,0", "--grid", "2"],
         ["translate", "--N", "3", "--a-frac", "0.5"],
         ["translate", "--N", "3", "--a", "0.1,0.2", "--a-frac", "0.1,0.1"],
-        ["cocycle", "--mesh-n", "2"]],
+        ["cocycle", "--mesh-n", "2"],
+        ["basis", "--L1", "inf", "--L2", "1"],
+        ["basis", "--L1", "1e308", "--L2", "1e308"],
+        ["translate", "--L1", "inf", "--L2", "2", "--a", "0,0"],
+        ["basis", "--units", "physical", "--B", "inf", "--L1", "1", "--L2", "1"],
+        ["basis", "--units", "physical", "--B", "1e-320", "--L1", "1", "--L2", "1"],
+        ["cocycle", "--L1", "1e-200", "--L2", "1e-200"],
+        ["cocycle", "--L1", "1e200", "--L2", "1e200"]],
         ids=["basis-grid", "basis-nu", "density-grid", "translate-grid",
              "translate-displacement", "translate-both-displacements",
-             "cocycle-mesh"])
+             "cocycle-mesh", "basis-infinite-side", "basis-flux-overflow",
+             "translate-infinite-side", "basis-infinite-field", "basis-field-underflow",
+             "cocycle-area-underflow", "cocycle-area-overflow"])
     def test_no_directory_on_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run(argv + ["--out-dir", str(out)]) == 2

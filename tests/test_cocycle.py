@@ -255,6 +255,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             Triangulation(1.0, 1.0, 1.0, verts, tris, wraps)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", [1e200, 1.5e154], ids=["triangles", "sum"])
+    def test_area_overflow_rejected(self, side):
+        # the triangle areas overflow, or only their sum does; either way no
+        # overflow warning escapes and the sum L1*L2 = inf is not accepted
+        with pytest.raises(ValueError, match="mesh area inf is not finite"):
+            uniform_mesh(3, side, side, 1.0)
+
 
 class TestJitteredMeshes:
     """The theorem claims any valid mesh, not only uniform_mesh's grid."""

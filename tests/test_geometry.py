@@ -36,6 +36,13 @@ class TestToNatural:
             to_natural(cfg)
         assert abs(err.value.flux_ratio - 1.5) < 1e-9
 
+    @pytest.mark.parametrize("B", [math.inf, 1e308, 1e-320])
+    def test_length_unit_zero_or_infinite_rejected(self, B):
+        # a field so strong that the unit is 0, or so weak that m*omega
+        # underflows and the unit is inf
+        with pytest.raises(ValueError, match="natural length unit"):
+            to_natural(PhysicalConfig(B=B, L1_phys=1.0, L2_phys=1.0))
+
     def test_result_satisfies_construction_invariant(self):
         # 1e-9 input noise must be snapped to the 1e-12 construction gate
         side = math.sqrt(2 * math.pi) * (1 + 3e-10)
@@ -71,6 +78,12 @@ class TestDiracQuantize:
         with pytest.raises(ValueError):
             dirac_quantize(-1.0, 1.0)
 
+    @pytest.mark.parametrize("L1, L2", [(math.inf, 1.0), (1.0, math.nan),
+                                        (1e308, 1e308)])
+    def test_nonfinite_sides_or_flux(self, L1, L2):
+        with pytest.raises(ValueError, match="finite|overflows"):
+            dirac_quantize(L1, L2)
+
 
 class TestTorusGeometry:
     def test_round_trip_property(self):
@@ -99,6 +112,12 @@ class TestTorusGeometry:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             TorusGeometry(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("L1, L2", [(math.inf, 1.0), (1.0, math.nan),
+                                        (1e200, 1e200)])
+    def test_nonfinite_sides_or_flux_rejected(self, L1, L2):
+        with pytest.raises(ValueError, match="finite|overflows"):
+            TorusGeometry(L1, L2, 1)
 
     def test_square_factory(self):
         geo = TorusGeometry.square(5)

@@ -18,7 +18,7 @@ from toruslandau import gridio, tolerances
 from toruslandau.errors import GeometryMismatch, ZeroNorm
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
-                                Quadrature, apply_hamiltonian, dbar_section,
+                                Quadrature, dbar_section,
                                 default_resolution, density_map, gram_matrix,
                                 ground_section, inner_product, level_basis,
                                 local_extrema, log_linear_fit, periodic_grid,
@@ -80,15 +80,15 @@ class TestInnerProduct:
     def test_doubling_resolution_stable(self, n):
         geo = TorusGeometry.square(n)
         basis = normalized_basis(geo)
-        nx = default_resolution(geo)
+        side = default_resolution(geo)
         pair = [basis[0], basis[-1]]
-        a = gram_matrix(pair, nx, nx)
-        b = gram_matrix(pair, 2 * nx, 2 * nx)
+        a = gram_matrix(pair, side)
+        b = gram_matrix(pair, 2 * side)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_resolution_floor(self, basis2):
         with pytest.raises(ValueError):
-            gram_matrix(basis2[:1], 2, 2)
+            gram_matrix(basis2[:1], 2)
 
 
 class TestGramMatrix:
@@ -187,31 +187,6 @@ class TestCreationOperator:
 
 
 class TestHamiltonian:
-    def test_annihilates_ground_level(self, basis2):
-        h = apply_hamiltonian(ground_section(basis2[0]))
-        assert h.is_zero
-        z = np.array([0.2 + 0.1j, 1.5 + 2.0j])
-        np.testing.assert_array_equal(h(z), 0)
-
-    def test_first_level_eigenvalue(self, basis2):
-        geo = basis2[0].geometry
-        rng = np.random.default_rng(5)
-        z = rng.random(40) * geo.L1 + 1j * rng.random(40) * geo.L2
-        for psi in basis2:
-            s = raise_section(ground_section(psi))
-            hs = apply_hamiltonian(s)
-            np.testing.assert_allclose(hs(z), 2.0 * s(z), rtol=1e-12)
-
-    def test_linearity(self, basis2):
-        s1 = raise_section(ground_section(basis2[0]))
-        s2 = raise_section(ground_section(basis2[1]))
-        a = 0.7 - 1.2j
-        combo = apply_hamiltonian(a * s1 + s2)
-        z = np.array([0.3 + 0.5j, 1.1 + 0.4j, 2.0 + 1.0j])
-        np.testing.assert_allclose(
-            combo(z), a * apply_hamiltonian(s1)(z) + apply_hamiltonian(s2)(z),
-            rtol=1e-12)
-
     def test_dbar_lowers_degree(self, basis2):
         s = raise_section(ground_section(basis2[0]))
         down = dbar_section(s)
@@ -279,12 +254,12 @@ class TestDensityMap:
     @pytest.mark.parametrize("level", [0, 1])
     def test_bumps_on_lattice(self, level):
         geo = TorusGeometry.square(3)
-        dm = density_map(geo, level, 66, 66)
+        dm = density_map(geo, level, 66)
         assert lattice_near_extremum(dm.deviation.values, 3)
 
     def test_lattice_shift_invariance(self):
         geo = TorusGeometry.square(4)
-        dm = density_map(geo, 0, 64, 64)
+        dm = density_map(geo, 0, 64)
         rho = dm.rho.values
         for axis in (0, 1):
             shifted = np.roll(rho, 64 // 4, axis=axis)

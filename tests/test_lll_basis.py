@@ -330,7 +330,7 @@ class TestNormalize:
     def test_matches_finer_quadrature(self):
         geo = TorusGeometry.square(1)
         psi = normalize(theta_basis(geo, 0))
-        fine = gram_matrix([psi], 256, 256)[0, 0]   # 4x default
+        fine = gram_matrix([psi], 256)[0, 0]   # 4x default
         assert math.sqrt(fine.real) == pytest.approx(1.0, rel=1e-12)
 
     def test_forgets_input_scale(self):
@@ -593,7 +593,7 @@ class TestStackedGridPath:
         # a level-1 section needs psi and psi': Quadrature.sample takes each
         # order of the whole level in one pass
         geo = TorusGeometry.square(n)
-        quad = Quadrature(geo, 48, 40)
+        quad = Quadrature(geo, 48)
         sections = [ground_section(psi) for psi in ground_basis(geo)]
         if level:
             sections = [raise_section(s) * 0.7 for s in sections]

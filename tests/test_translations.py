@@ -90,9 +90,9 @@ class TestDisplacementValidation:
         with pytest.raises(ValueError, match="finite"):
             translate_section(a, basis3[0], z)
         with pytest.raises(ValueError, match="finite"):
-            translation_matrix(geo3, a, nx=8)
+            translation_matrix(geo3, a, side=8)
         with pytest.raises(ValueError, match="finite"):
-            translation_report(geo3, a, nx=8)
+            translation_report(geo3, a, side=8)
 
 
 class TestLatticeClassification:
@@ -259,13 +259,13 @@ class TestCrossModuleConsistency:
         # defect < tol at lattice shifts <=> density shift-invariant there;
         # defect > tol at midpoints <=> density visibly moves
         geo = TorusGeometry.square(2)
-        nx = 64
-        rho = density_map(geo, 0, nx, nx).rho.values
-        lat_shift = np.roll(rho, nx // 2, axis=1)          # a = L1/2
+        side = 64
+        rho = density_map(geo, 0, side).rho.values
+        lat_shift = np.roll(rho, side // 2, axis=1)          # a = L1/2
         assert np.max(np.abs(lat_shift - rho)) < 1e-10
         tm = translation_matrix(geo, geo.L1 / 2)
         assert tm.max_projection_defect < 1e-10
-        half_shift = np.roll(rho, nx // 4, axis=1)          # a = L1/4
+        half_shift = np.roll(rho, side // 4, axis=1)          # a = L1/4
         move = np.max(np.abs(half_shift - rho))
         tm_half = translation_matrix(geo, geo.L1 / 4)
         assert float(np.min(tm_half.projection_defects)) > 1e-4
@@ -290,7 +290,7 @@ class TestCrossModuleConsistency:
 
 class TestOffSquareTorus:
     @pytest.mark.parametrize("level", [0, 1])
-    @pytest.mark.parametrize("ratio", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("ratio", [0.125, 0.25, 1.0, 4.0, 8.0])
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_level_quadrature_and_lattice_translation(self, n, ratio, level):
         # the half-lattice lower bound is not asserted here: on a long thin
@@ -314,14 +314,14 @@ class TestSamplingOnce:
     @pytest.mark.parametrize("call, count", [
         (lambda g: density_map(g, 0), 1),
         (lambda g: density_map(g, 1), 2),
-        (lambda g: translation_matrix(g, g.L1 / 3, nx=64), 1 + 1),
-        (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=64), 2 + 2),
+        (lambda g: translation_matrix(g, g.L1 / 3, side=64), 1 + 1),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1, side=64), 2 + 2),
         (lambda g: commutator_matrix_residual(*translation_matrices(
-            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], nx=64)), 1 + 4),
-        (lambda g: translation_matrix(g, g.L1 / 3, nx=48), 1),
-        (lambda g: translation_matrix(g, g.L1 / 6, level=1, nx=48), 2),
+            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], side=64)), 1 + 4),
+        (lambda g: translation_matrix(g, g.L1 / 3, side=48), 1),
+        (lambda g: translation_matrix(g, g.L1 / 6, level=1, side=48), 2),
         (lambda g: commutator_matrix_residual(*translation_matrices(
-            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], nx=48)), 1),
+            g, [g.L1 / 3, 1j * g.L2 / 3, -g.L1 / 3, -1j * g.L2 / 3], side=48)), 1),
         (lambda g: translation_matrix(g, g.L1 / 6, level=1), 2),
         (lambda g: normalized_basis(g), 0),
     ], ids=["density_L0", "density_L1", "lattice_L0", "half_lattice_L1",
@@ -343,7 +343,7 @@ class TestSamplingOnce:
         assert len(calls) == count
 
     @pytest.mark.parametrize("n, ratio, grid", [(3, 1.0, None), (6, 0.25, None),
-                                                (5, 4.0, (48, 80)), (12, 1.0, None)])
+                                                (5, 4.0, 48), (12, 1.0, None)])
     def test_stacked_norms_match_normalize(self, n, ratio, grid):
         # normalized_basis and normalize set the one closed-form constant;
         # on another grid the norms hold to quadrature accuracy
@@ -352,7 +352,7 @@ class TestSamplingOnce:
         one_by_one = [lll_basis.normalize(psi) for psi in lll_basis.ground_basis(geo)]
         assert [psi.norm_const for psi in stacked] == [psi.norm_const for psi in one_by_one]
         if grid:
-            g = gram_matrix(stacked, *grid)
+            g = gram_matrix(stacked, grid)
             assert np.max(np.abs(np.diag(g) - 1)) < tolerances.get("gram_identity_abs")
 
     def test_report_builds_one_quadrature(self, monkeypatch, geo3):
@@ -365,7 +365,7 @@ class TestSamplingOnce:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Quadrature, "__init__", counted)
-        report = translation_report(geo3, geo3.L1 / 3, nx=48)
+        report = translation_report(geo3, geo3.L1 / 3, side=48)
         assert len(built) == 1
         assert report["grid"] == [48, 48]
 
@@ -383,7 +383,7 @@ class TestBatches:
         displacements = [geo.L1 / 3, 8 * geo.L1 / nodes + 1j * geo.L2 / 2,
                          0.37 + 0.21j, (geo.L1 + 1j * geo.L2) / (2 * n),
                          -geo.L1 / n]
-        kinds = [translations._grid_shift(Quadrature(geo), a) is None
+        kinds = [translations._lattice_steps(a, geo, nodes) is None
                  for a in displacements]
         assert any(kinds) and not all(kinds)
         batch = translation_matrices(geo, displacements, level)

@@ -117,10 +117,10 @@ def cmd_basis(args) -> int:
     geo = resolve_geometry(_geometry_options(args))
     psi = normalize(theta_basis(geo, args.nu))
     quad = Quadrature(geo, args.grid)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     z = quad.z
     vals = eval_fourier(psi, z)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     weighted = quad.weight * np.abs(vals) ** 2
 
     stem = f"basis_N{geo.N}_nu{args.nu}"
@@ -168,7 +168,7 @@ def cmd_density(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     summary = {"levels": {}, "N": n_list}
-    ok = True
+    ok = finite = True
     for level, level_maps in zip(args.level, maps):
         rows = []
         for n, dm in zip(n_list, level_maps):
@@ -184,17 +184,20 @@ def cmd_density(args) -> int:
         ds = [r["d"] for r in rows]
         decreasing = all(b < a for a, b in zip(ds, ds[1:]))
         ok = ok and (decreasing or len(ds) < 2)
+        finite = finite and all(math.isfinite(d) for d in ds)
         summary["levels"][str(level)] = {"table": rows, "decreasing": decreasing}
     outputs.append(gridio.write_json(summary, out / "density_summary.json"))
     params = {"N": n_list, "level": args.level, "grid": args.grid,
               "format": args.format}
     _write_manifest(out, "density", params, outputs,
-                    {"d_decreasing": ok})
+                    {"d_decreasing": ok, "d_finite": finite})
     for level in args.level:
         table = summary["levels"][str(level)]["table"]
         print(f"level {level}: " + "  ".join(
             f"d({r['N']})={r['d']:.3e}" for r in table))
-    return 0 if ok else 1
+    if not finite:
+        print("d(N) is not finite: the density maps did not evaluate on this torus")
+    return 0 if ok and finite else 1
 
 
 def _parse_numbers(text: str, form: str, kind=float, count=None) -> list:

@@ -21,8 +21,8 @@ periodicity (with boundary phases delta1 = delta2 = 0)
 Exponents are assembled in extended precision and phases are reduced mod
 2pi.  This avoids overflow of e^{z^2/2} against the theta tail and keeps
 relative rounding near machine level even where exponent pieces reach
-several hundred.  The Fourier series factors out the peak before
-exponentiating in double precision, and has two paths:
+several hundred.  The Fourier series factors out its peak term before it
+sums in double precision, and has two paths:
 
   grid       z[j, i] = x[i] + i y[j] (any 2-D array whose real part is the
              same down each column and imaginary part the same along each
@@ -35,8 +35,13 @@ exponentiating in double precision, and has two paths:
              and the derivative weights are built once per block of rows
              and shared, and each section keeps its own row peaks, so its
              samples are bit-identical to those of a one-section call.
-  pointwise  any other z: every term's full exponent per point, with each
-             point's own peak factored out, a block of points at a time.
+  pointwise  any other z: per point, a Laurent polynomial in
+             w = e^{2 pi i N z/L1} times e^{-2 a N n0} about the term n0 of
+             the class nearest the point's peak (a = pi L2/(N L1)), with
+             coefficients e^{-L2^2 m^2} shared by every point and no term
+             above the centre one, summed by Horner's rule in complex
+             double (see _fourier_points).  It shares no loop with the
+             Gaussian comb, which checks it.
 
 eval_fourier_stack is the one evaluator of the package, and eval_fourier
 its one-section case: every section of the levels module, and every
@@ -75,6 +80,8 @@ from .geometry import TorusGeometry
 
 _LD = np.longdouble
 _TWO_PI = 2 * np.pi
+# 2pi to long-double precision; the double _TWO_PI is 2.45e-16 short of it
+_TWO_PI_LD = _LD("6.283185307179586476925286766559005768")
 
 # Tail threshold: dropped terms are smaller than e^-40 ~ 4e-18 relative to
 # the largest kept term anywhere in the evaluation domain.
@@ -108,13 +115,17 @@ def fourier_cutoff(geometry: TorusGeometry, y_extent: float) -> int:
     a = pi L2/(N L1); the cutoff solves
         a n^2 - 2 pi y_extent n / L1 - a N^2/4 > 40,
     where the a N^2/4 offset guards residue classes near N/2 whose largest
-    kept term is itself suppressed.
+    kept term is itself suppressed.  ValueError when the cutoff is not a
+    finite number (sides too far apart for a double to hold it).
     """
     L1, L2, n = geometry.L1, geometry.L2, geometry.N
     a = math.pi * L2 / (n * L1)
     b = _TWO_PI * y_extent / L1
     c = a * n * n / 4 + _TAIL_MARGIN
-    return int(math.ceil((b + math.sqrt(b * b + 4 * a * c)) / (2 * a)))
+    cutoff = (b + math.sqrt(b * b + 4 * a * c)) / (2 * a)
+    if not math.isfinite(cutoff):
+        raise ValueError(f"the Fourier cutoff for L1={L1!r}, L2={L2!r} is not finite")
+    return int(math.ceil(cutoff))
 
 
 @dataclass(frozen=True)
@@ -127,9 +138,10 @@ class ThetaBasisFunction:
         norm_const: overall constant, 1.0 until normalize() sets the
             closed-form unit-norm value
 
-    The Fourier window is sized at evaluation (fourier_cutoff), for the
-    fundamental rectangle padded by one period each way or the points'
-    largest |Im z|, whichever is wider.
+    The Fourier window is sized at evaluation: on a grid by fourier_cutoff,
+    for the fundamental rectangle padded by one period each way or the
+    points' largest |Im z|, whichever is wider; at scattered points about
+    each point's own peak term (_fourier_points).
 
     Instances are immutable; evaluation is pure and safe to share across
     threads.
@@ -174,21 +186,6 @@ def _prefactor_coeffs(order: int, slope: float) -> list[float]:
                 nxt[k - 1] += slope * k * c
         coeffs = nxt
     return coeffs
-
-
-def _peak_split_sum(re, ph, poly=None):
-    """sum_n poly(v_n) exp(re_n + i ph_n) with the peak factored out.
-
-    re, ph are long-double arrays of shape (..., K); the peak of re is
-    removed before exponentiating in double precision so the result is
-    finite whenever the true value fits in a double.
-    """
-    m = re.max(axis=-1, keepdims=True)
-    ph = np.mod(ph, _LD(_TWO_PI))
-    terms = np.exp(np.asarray(re - m, dtype=float) + 1j * np.asarray(ph, dtype=float))
-    if poly is not None:
-        terms = poly * terms
-    return np.exp(np.asarray(m[..., 0], dtype=float)) * terms.sum(axis=-1)
 
 
 def _eval_poly(coeffs, v):
@@ -311,33 +308,92 @@ def _by_points(arr, n_terms: int, evaluate) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def _fourier_points(psi: ThetaBasisFunction, arr, order: int):
-    """eval_fourier at arbitrary points: every term's full exponent per point.
+def _exp_split(re, ph):
+    """(e^re, e^{i ph}) in double from long-double arrays re and ph.
 
-    The term window is chosen from all the points, then the points are
-    summed a block at a time (_by_points).
+    e^re is e^hi (1 + lo), with hi the double nearest re and lo = re - hi,
+    so its rounding does not grow with |re|; ph is reduced by 2pi in long
+    double before the cast.
+    """
+    hi = np.asarray(re, dtype=float)
+    turns = np.rint(ph / _TWO_PI_LD)
+    return (np.exp(hi) * (1 + np.asarray(re - hi, dtype=float)),
+            np.exp(1j * np.asarray(ph - turns * _TWO_PI_LD, dtype=float)))
+
+
+def _fourier_points(psi: ThetaBasisFunction, arr, order: int):
+    """eval_fourier at arbitrary points: a Horner sum per point about its
+    peak term.
+
+    With a = pi L2/(N L1), the real exponent of term n peaks at
+    n* = -N y/L2.  About the index n0 = nu (mod N) nearest n*, n = n0 + N m
+    gives
+
+        psi(z) = C e^{E_0(z)} sum_{|m| <= M} c_m w^m,
+        E_0(z) = z^2/2 - a n0^2 + 2 pi i n0 z/L1,  c_m = e^{-a N^2 m^2},
+        w = e^{-2 a N n0 + 2 pi i N z/L1},
+
+    where a N^2 = L2^2 and |w| = e^{-2 L2^2 (n0 - n*)/N} with
+    |n0 - n*| <= N/2, so no term exceeds the m = 0 term, and
+    M = ceil(1/2 + sqrt(1/4 + 40/L2^2)) + 1 drops only terms below e^-40
+    of it, whatever Im z.  The c_m are shared by every point.  The
+    exponents of e^{E_0} and w are assembled in long double and cast to
+    double once (_exp_split); the two Horner loops, in w and in 1/w, run in
+    complex double.  A derivative of order k carries q_k(A + 2 pi i N m/L1)
+    per term, with A = z + 2 pi i n0/L1 and q_k from _prefactor_coeffs(k, 1);
+    expanding it in powers of 2 pi i N m/L1 gives k + 1 stacked Horner
+    sums.  The points are summed a block at a time (_by_points).
     """
     geo = psi.geometry
-    L1, L2, n_flux = geo.L1, geo.L2, geo.N
-    ns = _fourier_indices(psi, arr.imag)
-    nl = ns.astype(_LD)
-    L1l, L2l, pil = _LD(L1), _LD(L2), _LD(np.pi)
-    coeffs = _prefactor_coeffs(order, 1.0)
+    L1l, nf = _LD(geo.L1), _LD(geo.N)
+    a, k1 = _LD(np.pi) * _LD(geo.L2) / (nf * L1l), _LD(_TWO_PI) / L1l
+    big_m = int(math.ceil(0.5 + math.sqrt(0.25 + _TAIL_MARGIN / geo.L2 ** 2))) + 1
+    ms = np.arange(-big_m, big_m + 1).astype(_LD)
+    # coef[j, m]: c_m (2 pi N m/L1)^j; the factor i^j goes into the weights
+    coef = np.exp(-a * nf * nf * ms * ms) * (k1 * nf * ms) ** np.arange(order + 1)[:, None]
+    coef = np.asarray(coef, dtype=float)
+    q = _prefactor_coeffs(order, 1.0)
+    taylor = [[math.comb(p, j) * q[p] for p in range(j, len(q))] for j in range(len(q))]
+
+    def horner(coef_j, w, w_inv):
+        # sum_m coef_j[m] w^m: in w for m >= 0, in 1/w for m < 0, out of
+        # place on 1-D arrays, where numpy's complex products round alike
+        # whatever the number of points
+        up = coef_j[-1]
+        for m in range(big_m - 1, -1, -1):
+            up = up * w + coef_j[big_m + m]
+        down = coef_j[0]
+        for m in range(big_m - 1, 0, -1):
+            down = down * w_inv + coef_j[big_m - m]
+        return up + down * w_inv
 
     def block(points):
-        x = points.real.astype(_LD)[:, None]
-        y = points.imag.astype(_LD)[:, None]
-        # exponent E_n = z^2/2 - pi n^2 L2/(N L1) + 2 pi i n z / L1
-        re = (x * x - y * y) / 2 - pil * nl * nl * L2l / (n_flux * L1l) \
-            - _LD(_TWO_PI) * nl * y / L1l
-        ph = x * y + _LD(_TWO_PI) * nl * x / L1l
-        poly = None
-        if order > 0:
-            w = points[:, None] + 2j * np.pi * ns / L1   # dE/dz per term
-            poly = _eval_poly(coeffs, w)
-        return psi.norm_const * _peak_split_sum(re, ph, poly)
+        x = points.real.astype(_LD)
+        y = points.imag.astype(_LD)
+        # n0 = nu (mod N) nearest the peak n* = -N y/L2; the terms stay
+        # bounded by the m = 0 term to rounding whichever way a tie goes,
+        # so n0 is picked in double
+        n0 = psi.nu + geo.N * np.rint(-points.imag / geo.L2 - psi.nu / geo.N)
+        n0l = n0.astype(_LD)
+        # with b = a n0 + 2 pi y/L1,
+        # E_0 = (x^2 - y^2)/2 - n0 b + i x (y + 2 pi n0/L1) and
+        # log w = -N (b + a n0) + 2 pi i N x/L1
+        a_n0 = a * n0l
+        b = a_n0 + k1 * y
+        pre_abs, pre_turn = _exp_split((x * x - y * y) / 2 - n0l * b, x * (y + k1 * n0l))
+        w_abs, w_turn = _exp_split(-nf * (b + a_n0), nf * k1 * x)
+        w, w_inv = w_abs * w_turn, w_turn.conj() / w_abs
+        sums = [horner(coef_j, w, w_inv) for coef_j in coef]
+        if order:
+            # dE/dz at m = 0: A = z + 2 pi i n0/L1
+            big_a = points + 1j * (_TWO_PI / geo.L1) * n0
+            total = sum(_eval_poly(coeffs, big_a) * 1j**j * sums[j]
+                        for j, coeffs in enumerate(taylor))
+        else:
+            total = sums[0]
+        return psi.norm_const * (pre_abs * (pre_turn * total))
 
-    return _by_points(arr, len(ns), block)
+    return _by_points(arr, len(ms), block)
 
 
 def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
@@ -362,11 +418,11 @@ def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
     """Evaluate d^order/dz^order of psi at z through the Fourier series.
 
     z may be a complex scalar or array; the function is entire, so any
-    finite z is accepted (the term window adapts to Im z).  Truncation keeps
-    the largest dropped term below 1e-16 of the largest kept one.  This is
-    the one-section case of eval_fourier_stack: a 2-D tensor grid takes the
-    matrix-product path (_fourier_grid); any other z is evaluated point by
-    point.
+    finite z is accepted (the term window follows Im z).  Truncation keeps
+    the largest dropped term below e^-40 ~ 4e-18 of the largest kept one.
+    This is the one-section case of eval_fourier_stack: a 2-D tensor grid
+    takes the matrix-product path (_fourier_grid); any other z is one
+    Horner sum per point about that point's peak term (_fourier_points).
     """
     out = eval_fourier_stack((psi,), z, order)[0]
     return complex(out) if np.ndim(z) == 0 else out

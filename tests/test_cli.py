@@ -182,6 +182,15 @@ class TestDensityCommand:
         assert capsys.readouterr().err == f"error: expected --N N1,N2,..., got {n_list!r}\n"
         assert not out.exists()
 
+    def test_nonfinite_d_fails(self, tmp_path, capsys):
+        # on this long thin torus the density map overflows to nan; a d(N)
+        # that is not a number fails the run rather than passing as a table
+        with np.errstate(all="ignore"):
+            code = run(["density", "--N", "1", "--L1", "30", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "d(1)=nan" in capsys.readouterr().out
+        assert read_manifest(tmp_path)["checks"] == {"d_decreasing": True, "d_finite": False}
+
     def test_json_grid_format(self, tmp_path):
         code = run(["density", "--N", "2", "--grid", "48", "--format", "json",
                     "--out-dir", str(tmp_path)])
@@ -392,12 +401,15 @@ class TestUsageErrors:
         ["basis", "--units", "physical", "--B", "inf", "--L1", "1", "--L2", "1"],
         ["basis", "--units", "physical", "--B", "1e-320", "--L1", "1", "--L2", "1"],
         ["cocycle", "--L1", "1e-200", "--L2", "1e-200"],
-        ["cocycle", "--L1", "1e200", "--L2", "1e200"]],
+        ["cocycle", "--L1", "1e200", "--L2", "1e200"],
+        ["basis", "--N", "1", "--L1", "1e-150"],
+        ["translate", "--N", "1", "--L1", "1e-150", "--a", "0,0"]],
         ids=["basis-grid", "basis-nu", "density-grid", "translate-grid",
              "translate-displacement", "translate-both-displacements",
              "cocycle-mesh", "basis-infinite-side", "basis-flux-overflow",
              "translate-infinite-side", "basis-infinite-field", "basis-field-underflow",
-             "cocycle-area-underflow", "cocycle-area-overflow"])
+             "cocycle-area-underflow", "cocycle-area-overflow",
+             "basis-cutoff-overflow", "translate-cutoff-overflow"])
     def test_no_directory_on_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run(argv + ["--out-dir", str(out)]) == 2

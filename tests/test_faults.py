@@ -6,6 +6,7 @@ failing criteria, so that a check which stops failing is caught, and so is
 one which starts failing on a fault it should not see.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -33,6 +34,20 @@ def drop_gaussian_nu_squared(monkeypatch):
     monkeypatch.setattr(lll_basis, "eval_gaussian", faulty)
 
 
+def shift_fourier_class(monkeypatch):
+    """Both Fourier paths, grid and pointwise, sum the residue class nu + 1
+    (mod N) in place of nu: a relabelled basis."""
+    grid, points = lll_basis._fourier_grid, lll_basis._fourier_points
+
+    def relabel(psi):
+        return dataclasses.replace(psi, nu=(psi.nu + 1) % psi.geometry.N)
+
+    monkeypatch.setattr(lll_basis, "_fourier_grid",
+                        lambda psis, z, order: grid([relabel(p) for p in psis], z, order))
+    monkeypatch.setattr(lll_basis, "_fourier_points",
+                        lambda psi, arr, order: points(relabel(psi), arr, order))
+
+
 def failing(results):
     return {i for i, r in enumerate(results, 1) if not r.passed}
 
@@ -51,4 +66,13 @@ def test_gaussian_poisson_constant_fault(monkeypatch):
     # the comb keeps its own Poisson constant, not one derived from the
     # Fourier series, so only the duality check can see it go wrong
     drop_gaussian_nu_squared(monkeypatch)
+    assert failing(verify.run_acceptance(n_max=3)) == {3}
+
+
+def test_fourier_residue_class_fault(monkeypatch):
+    # a relabelled basis is still orthonormal and periodic, its density is
+    # the same sum, and its translation matrices are only permuted, so only
+    # the Gaussian series, which keeps its own nu, sees it: criterion 3
+    # compares that series with the pointwise Fourier sum
+    shift_fourier_class(monkeypatch)
     assert failing(verify.run_acceptance(n_max=3)) == {3}

@@ -105,6 +105,13 @@ class TestFourierValues:
         geo = TorusGeometry.square(2)
         assert fourier_cutoff(geo, 4 * geo.L2) > fourier_cutoff(geo, 2 * geo.L2)
 
+    def test_cutoff_that_no_double_holds_names_the_sides(self):
+        # L1 ~ 1.8e-150: the cutoff overflows to inf, a ValueError, not an
+        # OverflowError from int()
+        geo = TorusGeometry.with_aspect(1, 1e-300)
+        with pytest.raises(ValueError, match="Fourier cutoff for L1=.*, L2=.* is not finite"):
+            fourier_cutoff(geo, 2 * geo.L2)
+
 
 class TestGaussianRepresentation:
     def test_duality_residual_is_max_over_larger_scale(self):
@@ -239,6 +246,21 @@ class TestDualityOracle:
         zs = (rng.random(verify._DUALITY_POINTS) * geo.L1
               + 1j * rng.random(verify._DUALITY_POINTS) * geo.L2)
         (error,) = self.oracle_errors(geo, zs, (eval_gaussian,))
+        assert error < tol
+
+    @pytest.mark.parametrize("geo", [
+        TorusGeometry.square(20), TorusGeometry.square(30), TorusGeometry.square(45),
+        TorusGeometry.with_aspect(4, 1 / 8), TorusGeometry.with_aspect(4, 8)],
+        ids=["N20", "N30", "N45", "N4-aspect-eighth", "N4-aspect-eight"])
+    def test_fourier_beyond_criterion_scope(self, geo):
+        # criterion 3's seed and point count on tori past its N <= 10: the
+        # Fourier series sums about each point's peak term, so its error
+        # does not grow with N or with the aspect ratio
+        tol = tolerances.get("poisson_duality_rel") / 10
+        rng = np.random.default_rng(verify.DEFAULT_SEED)
+        zs = (rng.random(verify._DUALITY_POINTS) * geo.L1
+              + 1j * rng.random(verify._DUALITY_POINTS) * geo.L2)
+        (error,) = self.oracle_errors(geo, zs, (eval_fourier,))
         assert error < tol
 
 
@@ -513,6 +535,23 @@ class TestGridPath:
         for nu in sample_classes(n):
             for order in (0, 1, 2):
                 assert grid_vs_pointwise(theta_basis(geo, nu), w0, order) < GRID_BOUND
+
+    @pytest.mark.parametrize("n, ratio", [(1, 1.0), (4, 1.0), (6, 0.25), (6, 4.0),
+                                          (12, 1.0), (30, 1.0)])
+    def test_far_points_and_peak_ties(self, n, ratio):
+        # Re z in +-L1 and Im z in +-3 L2, far outside the cell,
+        # and rows where n* - nu = -N y/L2 - nu is an odd multiple of N/2,
+        # halfway between two indices of the class: the pointwise sum picks
+        # its centre term by rounding there, and either choice must agree
+        # with the grid path
+        geo = TorusGeometry.with_aspect(n, ratio)
+        xs = np.linspace(-1, 1, 25) * geo.L1
+        for nu in sample_classes(n):
+            ties = -(nu / n + np.arange(-3, 3) + 0.5) * geo.L2
+            ys = np.concatenate([np.linspace(-3, 3, 19) * geo.L2, ties])
+            z = xs[None, :] + 1j * ys[:, None]
+            for order in (0, 1, 2):
+                assert grid_vs_pointwise(theta_basis(geo, nu), z, order) < GRID_BOUND
 
     def test_normalization_carried(self):
         geo = TorusGeometry.square(6)

@@ -13,8 +13,7 @@ from .errors import (GeometryMismatch, NonIntegralFlux, NotAPeriod,
 from .geometry import (PhysicalConfig, TorusGeometry, dirac_quantize,
                        parse_config, resolve_geometry, to_natural)
 from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
-                        boundary_residual, boundary_residuals,
-                        double_shift_factors,
+                        boundary_residuals, double_shift_factors,
                         duality_residual, eval_fourier, eval_fourier_stack,
                         eval_gaussian, ground_basis, normalize,
                         normalized_basis, theta_basis)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import GeometryMismatch, ZeroNorm
 from .geometry import TorusGeometry
-from .lll_basis import ThetaBasisFunction, eval_fourier_stack, normalized_basis
+from .lll_basis import ThetaBasisFunction, _check_torus, eval_fourier_stack, normalized_basis
 
 
 # bytes of default-grid sample stacks that one _sharing_stacks block keeps
@@ -111,10 +111,12 @@ class Quadrature:
     periodic_grid, weight = exp(-|z|^2) at its points and cell the area per
     point; all are read-only after construction.  Sample stacks have shape
     (n, side, side); on the default grid inside a _sharing_stacks block they
-    may be kept, read-only, stacks.
+    may be kept, read-only, stacks.  ValueError for a torus that
+    lll_basis._check_torus rejects, before any grid is built.
     """
 
     def __init__(self, geometry: TorusGeometry, side: int | None = None):
+        _check_torus(geometry)
         default = default_resolution(geometry)
         side = default if side is None else side
         if side < 4:

@@ -21,8 +21,11 @@ periodicity (with boundary phases delta1 = delta2 = 0)
 Exponents are assembled in extended precision and phases are reduced mod
 2pi.  This avoids overflow of e^{z^2/2} against the theta tail and keeps
 relative rounding near machine level even where exponent pieces reach
-several hundred.  The Fourier series factors out its peak term before it
-sums in double precision, and has two paths:
+several hundred.  Both series reject a torus whose sections overflow a
+double on its cell (_check_torus).  The Fourier series factors out its peak
+term before it sums in double; both of its paths keep the same terms about
+each point's peak (_fourier_reach), and each takes a stack of sections of
+one torus in one pass, bit for bit the one-section calls:
 
   grid       z[j, i] = x[i] + i y[j] (any 2-D array whose real part is the
              same down each column and imaginary part the same along each
@@ -30,16 +33,11 @@ sums in double precision, and has two paths:
              (n, x) and the phase e^{i x y} of e^{z^2/2}, so a section is
              one (rows x K) @ (K x columns) matrix product times that
              phase, formed a block of rows at a time, with each row's peak
-             factored out.  A stack of sections of one torus and one
-             derivative order is one pass: the column factors, the phase
-             and the derivative weights are built once per block of rows
-             and shared, and each section keeps its own row peaks, so its
-             samples are bit-identical to those of a one-section call.
+             factored out.
   pointwise  any other z: per point, a Laurent polynomial in
-             w = e^{2 pi i N z/L1} times e^{-2 a N n0} about the term n0 of
-             the class nearest the point's peak (a = pi L2/(N L1)), with
-             coefficients e^{-L2^2 m^2} shared by every point and no term
-             above the centre one, summed by Horner's rule in complex
+             w = e^{2 pi i N z/L1} times e^{-2 a N n0} (a = pi L2/(N L1)),
+             with coefficients e^{-L2^2 m^2} shared by every point and no
+             term above the centre one, summed by Horner's rule in complex
              double (see _fourier_points).  It shares no loop with the
              Gaussian comb, which checks it.
 
@@ -58,7 +56,7 @@ duality_residual and boundary_residuals are the one measure each of the two
 representations' disagreement and of the twisted periodicity: acceptance
 criteria 3 and 4 and the `basis` command all report these values.
 boundary_residuals takes a whole basis in one stacked pass per shifted point
-set, and boundary_residual is its one-section case.
+set.
 
 normalize and normalized_basis set the closed-form unit-norm constant
 (_unit_norm_const), (L1 sqrt(pi/2))^(-1/2) on every flux-quantized torus;
@@ -84,8 +82,11 @@ _TWO_PI = 2 * np.pi
 _TWO_PI_LD = _LD("6.283185307179586476925286766559005768")
 
 # Tail threshold: dropped terms are smaller than e^-40 ~ 4e-18 relative to
-# the largest kept term anywhere in the evaluation domain.
+# the largest kept term at the same point.
 _TAIL_MARGIN = 40.0
+
+# ln of the largest double, the bound on (L1^2 + L2^2)/2 (_check_torus)
+_LN_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 # The grid path works on blocks of about this many points, and the pointwise
 # paths on blocks of about this many (point, term) pairs, so their
@@ -108,26 +109,6 @@ class BoundaryPhases:
 TRIVIAL_PHASES = BoundaryPhases(0.0, 0.0)
 
 
-def fourier_cutoff(geometry: TorusGeometry, y_extent: float) -> int:
-    """Smallest Fourier cutoff that keeps the truncation error below e^-40.
-
-    The real exponent of term n is -a n^2 + (linear in n*y) with
-    a = pi L2/(N L1); the cutoff solves
-        a n^2 - 2 pi y_extent n / L1 - a N^2/4 > 40,
-    where the a N^2/4 offset guards residue classes near N/2 whose largest
-    kept term is itself suppressed.  ValueError when the cutoff is not a
-    finite number (sides too far apart for a double to hold it).
-    """
-    L1, L2, n = geometry.L1, geometry.L2, geometry.N
-    a = math.pi * L2 / (n * L1)
-    b = _TWO_PI * y_extent / L1
-    c = a * n * n / 4 + _TAIL_MARGIN
-    cutoff = (b + math.sqrt(b * b + 4 * a * c)) / (2 * a)
-    if not math.isfinite(cutoff):
-        raise ValueError(f"the Fourier cutoff for L1={L1!r}, L2={L2!r} is not finite")
-    return int(math.ceil(cutoff))
-
-
 @dataclass(frozen=True)
 class ThetaBasisFunction:
     """One ground-state section psi_nu, with truncation and norm metadata.
@@ -138,10 +119,9 @@ class ThetaBasisFunction:
         norm_const: overall constant, 1.0 until normalize() sets the
             closed-form unit-norm value
 
-    The Fourier window is sized at evaluation: on a grid by fourier_cutoff,
-    for the fundamental rectangle padded by one period each way or the
-    points' largest |Im z|, whichever is wider; at scattered points about
-    each point's own peak term (_fourier_points).
+    The Fourier window is sized at evaluation by one rule on both paths:
+    the terms within M classes (_fourier_reach) of the one nearest each
+    point's peak term, about each scattered point or over a grid's rows.
 
     Instances are immutable; evaluation is pure and safe to share across
     threads.
@@ -171,21 +151,22 @@ def ground_basis(geometry: TorusGeometry) -> list[ThetaBasisFunction]:
     return [theta_basis(geometry, nu) for nu in range(geometry.N)]
 
 
-def _prefactor_coeffs(order: int, slope: float) -> list[float]:
-    """Coefficients of the polynomial q_m(v) with d^m e^E = q_m(E') e^E.
+def _taylor_rows(order: int, slope: float) -> list[list[float]]:
+    """Taylor rows of the polynomial q(v) with d^order e^E = q(E') e^E: row j
+    holds the coefficients of q^(j)(v)/j!, so q(v + b) = sum_j b^j row_j(v).
 
-    Built from q_{m+1} = v q_m + slope * q_m' where slope = dv/dz is the
+    q is built from q_{m+1} = v q_m + slope * q_m' where slope = dv/dz is the
     (constant) second derivative of the exponent.
     """
-    coeffs = [1.0]
+    q = [1.0]
     for _ in range(order):
-        nxt = [0.0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
+        nxt = [0.0] * (len(q) + 1)
+        for k, c in enumerate(q):
             nxt[k + 1] += c
             if k >= 1:
                 nxt[k - 1] += slope * k * c
-        coeffs = nxt
-    return coeffs
+        q = nxt
+    return [[math.comb(p, j) * q[p] for p in range(j, len(q))] for j in range(len(q))]
 
 
 def _eval_poly(coeffs, v):
@@ -195,12 +176,37 @@ def _eval_poly(coeffs, v):
     return acc
 
 
-def _fourier_indices(psi: ThetaBasisFunction, y) -> np.ndarray:
-    """Indices n = nu (mod N) of the Fourier terms kept for points with Im z in y."""
-    geo = psi.geometry
-    cutoff = fourier_cutoff(geo, max(float(np.max(np.abs(y))), 2 * geo.L2))
-    ns = np.arange(-cutoff, cutoff + 1)
-    return ns[(ns - psi.nu) % geo.N == 0]
+def _check_torus(geometry: TorusGeometry) -> None:
+    """ValueError naming L1 and L2 when (L1^2 + L2^2)/2 >= ln(max double):
+    |psi| ~ e^{|z|^2/2} then overflows a double on the section's own cell."""
+    L1, L2 = geometry.L1, geometry.L2
+    if not (L1 * L1 + L2 * L2) / 2 < _LN_MAX_DOUBLE:
+        raise ValueError(f"the sections of the torus L1={L1!r}, L2={L2!r} overflow a double "
+                         f"on its cell: (L1^2 + L2^2)/2 must be below {_LN_MAX_DOUBLE:.2f}")
+
+
+def _fourier_reach(geometry: TorusGeometry) -> int:
+    """M of the Fourier window: about the index n0 = nu (mod N) nearest a
+    point's peak term n*, the terms n0 + N m, |m| <= M, keep all above e^-40
+    of it, since term n0 + N m is at most e^{-L2^2 (m^2 - |m|)} of term n0
+    (|n0 - n*| <= N/2; see _fourier_points).  ValueError from _check_torus.
+    """
+    _check_torus(geometry)
+    return int(math.ceil(0.5 + math.sqrt(0.25 + _TAIL_MARGIN / geometry.L2 ** 2))) + 1
+
+
+def _peak_class(psi: ThetaBasisFunction, y) -> np.ndarray:
+    """k of the index nu + N k nearest the peak term n* = -N y/L2, for each y;
+    picked in double, as either way a tie goes no term exceeds that one."""
+    return np.rint(-y / psi.geometry.L2 - psi.nu / psi.geometry.N)
+
+
+def _fourier_indices(psi: ThetaBasisFunction, y, reach: int) -> np.ndarray:
+    """Indices nu + N k, k_lo - M <= k <= k_hi + M, of the Fourier terms kept
+    for points with Im z in y, where k_lo and k_hi bound their peak classes
+    (_peak_class) and M = reach."""
+    k = _peak_class(psi, y)
+    return psi.nu + psi.geometry.N * np.arange(int(k.min()) - reach, int(k.max()) + reach + 1)
 
 
 def _is_grid(arr) -> bool:
@@ -222,7 +228,7 @@ def _fourier_grid(psis, z, order: int):
     phase.  Exponents are assembled in long double; each row's peak is
     factored out of the row factor, and phases are reduced mod 2pi, before
     the cast to double.  A derivative carries the factor q(z + b_n) with
-    b_n = 2 pi i n/L1 (see _prefactor_coeffs); expanding it as
+    b_n = 2 pi i n/L1 (see _taylor_rows); expanding it as
     sum_j q^(j)(z)/j! b_n^j costs one more product per power of b_n.
 
     The column factors of every index in the sections' windows are built
@@ -235,7 +241,8 @@ def _fourier_grid(psis, z, order: int):
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
     ny, nx = z.shape
     ys = z[:, 0].imag
-    windows = [_fourier_indices(psi, ys) for psi in psis]
+    reach = _fourier_reach(geo)
+    windows = [_fourier_indices(psi, ys, reach) for psi in psis]
     every = np.array(sorted(set(np.concatenate(windows).tolist())))
     picks = [np.searchsorted(every, ns) for ns in windows]
     nl = every.astype(_LD)
@@ -249,9 +256,7 @@ def _fourier_grid(psis, z, order: int):
     cols = [col[pick] for pick in picks]
     quad = -pil * nl * nl * L2l / (n_flux * L1l)
 
-    q = _prefactor_coeffs(order, 1.0)
-    taylor = [[math.comb(p, j) * q[p] for p in range(j, len(q))]
-              for j in range(len(q))]
+    taylor = _taylor_rows(order, 1.0)
     b = _TWO_PI * every / L1         # b_n / i
 
     out = np.empty((len(psis), ny, nx), dtype=complex)
@@ -291,39 +296,39 @@ def _points(z) -> np.ndarray:
     return arr
 
 
-def _by_points(arr, n_terms: int, evaluate) -> np.ndarray:
+def _by_points(arr, n_terms: int, evaluate, count: int = 1) -> np.ndarray:
     """evaluate(points) over arr, a block of about _BLOCK_POINTS point-term
-    pairs at a time, reshaped to arr.
+    pairs at a time, reshaped to (count,) + arr.shape.
 
-    evaluate maps a 1-D block of points to one value per point, through
-    elementwise operations and reductions per point only, so the values do
-    not depend on the blocking and the (points x terms) temporaries stay a
-    few MB.
+    evaluate maps a 1-D block of points to count values per point (one
+    when count is 1), through elementwise operations and reductions per
+    point only, so the values do not depend on the blocking and the
+    (points x terms) temporaries stay a few MB.
     """
     flat = arr.ravel()
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty((count, flat.size), dtype=complex)
     step = max(1, _BLOCK_POINTS // n_terms)
     for start in range(0, flat.size, step):
-        out[start:start + step] = evaluate(flat[start:start + step])
-    return out.reshape(arr.shape)
+        out[:, start:start + step] = evaluate(flat[start:start + step])
+    return out.reshape((count,) + arr.shape)
 
 
-def _exp_split(re, ph):
-    """(e^re, e^{i ph}) in double from long-double arrays re and ph.
-
-    e^re is e^hi (1 + lo), with hi the double nearest re and lo = re - hi,
-    so its rounding does not grow with |re|; ph is reduced by 2pi in long
-    double before the cast.
-    """
+def _exp_ld(re):
+    """e^re in double from long-double re, as e^hi (1 + (re - hi)) with hi the
+    double nearest re, so that its rounding does not grow with |re|."""
     hi = np.asarray(re, dtype=float)
+    return np.exp(hi) * (1 + np.asarray(re - hi, dtype=float))
+
+
+def _cis_ld(ph):
+    """e^{i ph} in double from long-double ph, reduced by 2pi before the cast."""
     turns = np.rint(ph / _TWO_PI_LD)
-    return (np.exp(hi) * (1 + np.asarray(re - hi, dtype=float)),
-            np.exp(1j * np.asarray(ph - turns * _TWO_PI_LD, dtype=float)))
+    return np.exp(1j * np.asarray(ph - turns * _TWO_PI_LD, dtype=float))
 
 
-def _fourier_points(psi: ThetaBasisFunction, arr, order: int):
-    """eval_fourier at arbitrary points: a Horner sum per point about its
-    peak term.
+def _fourier_points(psis, arr, order: int):
+    """eval_fourier_stack at arbitrary points: a Horner sum per point about
+    its peak term, for each section of psis (one torus).
 
     With a = pi L2/(N L1), the real exponent of term n peaks at
     n* = -N y/L2.  About the index n0 = nu (mod N) nearest n*, n = n0 + N m
@@ -334,26 +339,30 @@ def _fourier_points(psi: ThetaBasisFunction, arr, order: int):
         w = e^{-2 a N n0 + 2 pi i N z/L1},
 
     where a N^2 = L2^2 and |w| = e^{-2 L2^2 (n0 - n*)/N} with
-    |n0 - n*| <= N/2, so no term exceeds the m = 0 term, and
-    M = ceil(1/2 + sqrt(1/4 + 40/L2^2)) + 1 drops only terms below e^-40
-    of it, whatever Im z.  The c_m are shared by every point.  The
-    exponents of e^{E_0} and w are assembled in long double and cast to
-    double once (_exp_split); the two Horner loops, in w and in 1/w, run in
-    complex double.  A derivative of order k carries q_k(A + 2 pi i N m/L1)
-    per term, with A = z + 2 pi i n0/L1 and q_k from _prefactor_coeffs(k, 1);
-    expanding it in powers of 2 pi i N m/L1 gives k + 1 stacked Horner
-    sums.  The points are summed a block at a time (_by_points).
+    |n0 - n*| <= N/2, so no term exceeds the m = 0 term; M is
+    _fourier_reach's.  The exponents of e^{E_0} and w are assembled in long
+    double and cast to double once (_exp_ld, _cis_ld); the two Horner loops,
+    in w and in 1/w, run in complex double.  A derivative of order k carries
+    q_k(A + 2 pi i N m/L1) per term, with A = z + 2 pi i n0/L1 and q_k as in
+    _taylor_rows(k, 1); expanding it in powers of 2 pi i N m/L1 gives
+    k + 1 stacked Horner sums.
+
+    The points are summed a block at a time (_by_points).  The c_m, the
+    Taylor rows, and per block the long-double points and the phase
+    e^{2 pi i N x/L1} of w are built once for the stack; the rest is per
+    section, on the same 1-D arrays as a one-section call, so each
+    section's values are that call's bit for bit.  Returns an array of
+    shape (len(psis),) + arr.shape.
     """
-    geo = psi.geometry
+    geo = psis[0].geometry
+    big_m = _fourier_reach(geo)
     L1l, nf = _LD(geo.L1), _LD(geo.N)
     a, k1 = _LD(np.pi) * _LD(geo.L2) / (nf * L1l), _LD(_TWO_PI) / L1l
-    big_m = int(math.ceil(0.5 + math.sqrt(0.25 + _TAIL_MARGIN / geo.L2 ** 2))) + 1
     ms = np.arange(-big_m, big_m + 1).astype(_LD)
     # coef[j, m]: c_m (2 pi N m/L1)^j; the factor i^j goes into the weights
     coef = np.exp(-a * nf * nf * ms * ms) * (k1 * nf * ms) ** np.arange(order + 1)[:, None]
     coef = np.asarray(coef, dtype=float)
-    q = _prefactor_coeffs(order, 1.0)
-    taylor = [[math.comb(p, j) * q[p] for p in range(j, len(q))] for j in range(len(q))]
+    taylor = _taylor_rows(order, 1.0)
 
     def horner(coef_j, w, w_inv):
         # sum_m coef_j[m] w^m: in w for m >= 0, in 1/w for m < 0, out of
@@ -370,48 +379,49 @@ def _fourier_points(psi: ThetaBasisFunction, arr, order: int):
     def block(points):
         x = points.real.astype(_LD)
         y = points.imag.astype(_LD)
-        # n0 = nu (mod N) nearest the peak n* = -N y/L2; the terms stay
-        # bounded by the m = 0 term to rounding whichever way a tie goes,
-        # so n0 is picked in double
-        n0 = psi.nu + geo.N * np.rint(-points.imag / geo.L2 - psi.nu / geo.N)
-        n0l = n0.astype(_LD)
-        # with b = a n0 + 2 pi y/L1,
-        # E_0 = (x^2 - y^2)/2 - n0 b + i x (y + 2 pi n0/L1) and
-        # log w = -N (b + a n0) + 2 pi i N x/L1
-        a_n0 = a * n0l
-        b = a_n0 + k1 * y
-        pre_abs, pre_turn = _exp_split((x * x - y * y) / 2 - n0l * b, x * (y + k1 * n0l))
-        w_abs, w_turn = _exp_split(-nf * (b + a_n0), nf * k1 * x)
-        w, w_inv = w_abs * w_turn, w_turn.conj() / w_abs
-        sums = [horner(coef_j, w, w_inv) for coef_j in coef]
-        if order:
-            # dE/dz at m = 0: A = z + 2 pi i n0/L1
-            big_a = points + 1j * (_TWO_PI / geo.L1) * n0
-            total = sum(_eval_poly(coeffs, big_a) * 1j**j * sums[j]
-                        for j, coeffs in enumerate(taylor))
-        else:
-            total = sums[0]
-        return psi.norm_const * (pre_abs * (pre_turn * total))
+        w_turn = _cis_ld(nf * k1 * x)
+        out = np.empty((len(psis), len(points)), dtype=complex)
+        for i, psi in enumerate(psis):
+            n0 = psi.nu + geo.N * _peak_class(psi, points.imag)
+            n0l = n0.astype(_LD)
+            # with b = a n0 + 2 pi y/L1,
+            # E_0 = (x^2 - y^2)/2 - n0 b + i x (y + 2 pi n0/L1) and
+            # log w = -N (b + a n0) + 2 pi i N x/L1
+            a_n0 = a * n0l
+            b = a_n0 + k1 * y
+            pre_abs = _exp_ld((x * x - y * y) / 2 - n0l * b)
+            pre_turn = _cis_ld(x * (y + k1 * n0l))
+            w_abs = _exp_ld(-nf * (b + a_n0))
+            w, w_inv = w_abs * w_turn, w_turn.conj() / w_abs
+            sums = [horner(coef_j, w, w_inv) for coef_j in coef]
+            if order:
+                # dE/dz at m = 0: A = z + 2 pi i n0/L1
+                big_a = points + 1j * (_TWO_PI / geo.L1) * n0
+                total = sum(_eval_poly(coeffs, big_a) * 1j**j * sums[j]
+                            for j, coeffs in enumerate(taylor))
+            else:
+                total = sums[0]
+            out[i] = psi.norm_const * (pre_abs * (pre_turn * total))
+        return out
 
-    return _by_points(arr, len(ms), block)
+    return _by_points(arr, len(ms), block, len(psis))
 
 
 def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
     """d^order/dz^order of each section of psis at z, shape (len(psis),) + z.shape.
 
-    On a 2-D tensor grid the whole stack is one pass of _fourier_grid, so the
-    sections must share one geometry (GeometryMismatch otherwise); any other
-    z is evaluated point by point, one section at a time.
+    The sections must share one geometry (GeometryMismatch otherwise).  The
+    whole stack is one pass: of _fourier_grid on a 2-D tensor grid, of
+    _fourier_points at any other z.  ValueError for a non-finite point or a
+    torus that _check_torus rejects.
     """
     arr = _points(z)
     if not psis:
         return np.empty((0,) + np.shape(z), dtype=complex)
-    if _is_grid(arr):
-        if any(psi.geometry != psis[0].geometry for psi in psis):
-            raise GeometryMismatch("stacked sections live on different tori")
-        return _fourier_grid(psis, arr, order)
-    out = np.stack([_fourier_points(psi, arr, order) for psi in psis])
-    return out.reshape((len(psis),) + np.shape(z))
+    if any(psi.geometry != psis[0].geometry for psi in psis):
+        raise GeometryMismatch("stacked sections live on different tori")
+    fill = _fourier_grid if _is_grid(arr) else _fourier_points
+    return fill(psis, arr, order).reshape((len(psis),) + np.shape(z))
 
 
 def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
@@ -420,9 +430,7 @@ def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
     z may be a complex scalar or array; the function is entire, so any
     finite z is accepted (the term window follows Im z).  Truncation keeps
     the largest dropped term below e^-40 ~ 4e-18 of the largest kept one.
-    This is the one-section case of eval_fourier_stack: a 2-D tensor grid
-    takes the matrix-product path (_fourier_grid); any other z is one
-    Horner sum per point about that point's peak term (_fourier_points).
+    This is the one-section case of eval_fourier_stack.
     """
     out = eval_fourier_stack((psi,), z, order)[0]
     return complex(out) if np.ndim(z) == 0 else out
@@ -466,15 +474,16 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
     prefactor e^{ln C + z^2/2 + 2 pi i nu z/L1 - (t + i v)^2} is one
     long-double exp per point, and the value is cast to double once.
     _comb_coeffs sets the window M and the c_m.  A derivative of order
-    k carries q_k(A - 2 h m) per term, with A = dE/dz at m = 0 and q_k from
-    _prefactor_coeffs(k, -1); expanding it in powers of -2 h m gives k + 1
+    k carries q_k(A - 2 h m) per term, with A = dE/dz at m = 0 and q_k as in
+    _taylor_rows(k, -1); expanding it in powers of -2 h m gives k + 1
     stacked Horner sums.  The points are summed a block at a time
-    (_by_points).
+    (_by_points).  ValueError for a torus that _check_torus rejects, checked
+    before _comb_coeffs sizes the comb.
     """
     geo = psi.geometry
     L1, L2, n_flux = geo.L1, geo.L2, geo.N
     arr = _points(z)
-
+    _check_torus(geo)
     comb = _comb_coeffs(geo)
     big_m = len(comb) // 2
     ms = np.arange(-big_m, big_m + 1)
@@ -485,8 +494,7 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
     ln_const = np.log(pil) / 2 - np.log(L2l) - nul * nul * L2l * L2l / (nf * nf)
     # coef[j, m]: c_m (-2 h m)^j, the j-th power of the term's dE/dz offset
     coef = comb * (-2 * hl * ms.astype(_LD)) ** np.arange(order + 1)[:, None]
-    q = _prefactor_coeffs(order, -1.0)
-    taylor = [[math.comb(p, j) * q[p] for p in range(j, len(q))] for j in range(len(q))]
+    taylor = _taylor_rows(order, -1.0)
 
     def block(points):
         x = points.real.astype(_LD)
@@ -514,7 +522,7 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
             sums = sums[0]
         return np.asarray(prefactor * sums, dtype=complex)
 
-    out = psi.norm_const * _by_points(arr, len(ms), block)
+    out = psi.norm_const * _by_points(arr, len(ms), block)[0]
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -549,14 +557,12 @@ def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,
     boundary_factors); each entry is the larger of the two.  It is at
     rounding level for the constructed basis with trivial phases.  The stack
     is one eval_fourier_stack pass at each of z, z + L1 and z + i L2, so
-    each entry is bit-identical to boundary_residual of its section alone.
+    each entry is bit-identical to a call on its section alone.
     `base` takes the stack's samples at z already held, so that they are not
     evaluated again.
     """
     z = np.asarray(z, dtype=complex)
     geo = psis[0].geometry
-    if any(psi.geometry != geo for psi in psis):
-        raise GeometryMismatch("sections live on different tori")
     if base is None:
         base = eval_fourier_stack(psis, z)
     points = tuple(range(1, base.ndim))
@@ -567,13 +573,6 @@ def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,
                            np.max(np.abs(expected), axis=points))
         worst = np.maximum(worst, np.max(np.abs(shifted - expected), axis=points) / scale)
     return worst.tolist()
-
-
-def boundary_residual(psi: ThetaBasisFunction, z,
-                      phases: BoundaryPhases = TRIVIAL_PHASES, base=None) -> float:
-    """boundary_residuals of one ground state; `base` holds its samples at z."""
-    stack = None if base is None else np.asarray(base)[None]
-    return boundary_residuals([psi], z, phases, stack)[0]
 
 
 def double_shift_factors(geometry: TorusGeometry, z):

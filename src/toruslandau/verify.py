@@ -6,8 +6,7 @@ acceptance module and the CLI `verify` command both run these functions, so
 there is a single source of truth for what the package promises.  Criteria 3,
 4 and 9 measure through lll_basis.duality_residual,
 lll_basis.boundary_residuals and cocycle.total_flux, the same functions the
-`basis` and `cocycle` commands report (boundary_residual is the
-one-section case of boundary_residuals).  The scope of each check that no
+`basis` and `cocycle` commands report.  The scope of each check that no
 caller varies (sample points, grid, levels, meshes, and the largest N
 run_acceptance lets a check reach) is a module constant.
 
@@ -151,9 +150,9 @@ def check_boundary(n_max: int = 10,
                           abs(via_xy / via_yx - 1.0),
                           abs(via_xy / sym - (-1.0) ** n))
         psi0 = basis[0]
-        both = psi0(zpt + geo.L1 + 1j * geo.L2)
-        ref = max(abs(both), abs(psi0(zpt) * via_xy))
-        worst_shift = max(worst_shift, abs(both - psi0(zpt) * via_xy) / ref)
+        both, expected = psi0(zpt + geo.L1 + 1j * geo.L2), psi0(zpt) * via_xy
+        ref = max(abs(both), abs(expected))
+        worst_shift = max(worst_shift, abs(both - expected) / ref)
     worst_shift = float(worst_shift)     # the shift factors are numpy scalars
     ok = worst < tol and worst_shift < tol_shift
     return CheckResult(

@@ -12,7 +12,7 @@ from toruslandau.cocycle import (cocycle_constant, total_flux, triangle_identity
                                  uniform_mesh)
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import periodic_grid
-from toruslandau.lll_basis import (boundary_residual, duality_residual, normalize,
+from toruslandau.lll_basis import (boundary_residuals, duality_residual, normalize,
                                    theta_basis)
 
 
@@ -52,8 +52,8 @@ class TestBasisCommand:
         rng = np.random.default_rng(7)
         zs = rng.random(500) * geo.L1 + 1j * rng.random(500) * geo.L2
         assert report["duality_max_rel"] == duality_residual(psi, zs)
-        assert report["boundary_residual_rel"] == boundary_residual(
-            psi, periodic_grid(geo, 32, 32))
+        assert report["boundary_residual_rel"] == boundary_residuals(
+            [psi], periodic_grid(geo, 32, 32))[0]
 
     def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
         # the 32^2 grid and its L1 and iL2 shifts; normalize samples nothing
@@ -403,13 +403,17 @@ class TestUsageErrors:
         ["cocycle", "--L1", "1e-200", "--L2", "1e-200"],
         ["cocycle", "--L1", "1e200", "--L2", "1e200"],
         ["basis", "--N", "1", "--L1", "1e-150"],
-        ["translate", "--N", "1", "--L1", "1e-150", "--a", "0,0"]],
+        ["translate", "--N", "1", "--L1", "1e-150", "--a", "0,0"],
+        ["basis", "--N", "1", "--L2", "1e-170"],
+        ["basis", "--N", "1", "--L2", "40"],
+        ["density", "--N", "1", "--L1", "40"]],
         ids=["basis-grid", "basis-nu", "density-grid", "translate-grid",
              "translate-displacement", "translate-both-displacements",
              "cocycle-mesh", "basis-infinite-side", "basis-flux-overflow",
              "translate-infinite-side", "basis-infinite-field", "basis-field-underflow",
              "cocycle-area-underflow", "cocycle-area-overflow",
-             "basis-cutoff-overflow", "translate-cutoff-overflow"])
+             "basis-cutoff-overflow", "translate-cutoff-overflow",
+             "basis-side-underflow", "basis-cell-overflow", "density-cell-overflow"])
     def test_no_directory_on_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run(argv + ["--out-dir", str(out)]) == 2

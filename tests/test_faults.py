@@ -45,7 +45,7 @@ def shift_fourier_class(monkeypatch):
     monkeypatch.setattr(lll_basis, "_fourier_grid",
                         lambda psis, z, order: grid([relabel(p) for p in psis], z, order))
     monkeypatch.setattr(lll_basis, "_fourier_points",
-                        lambda psi, arr, order: points(relabel(psi), arr, order))
+                        lambda psis, arr, order: points([relabel(p) for p in psis], arr, order))
 
 
 def failing(results):

@@ -14,10 +14,10 @@ from toruslandau.levels import (Quadrature, default_resolution, gram_matrix,
                                 ground_section, inner_product, periodic_grid,
                                 raise_section)
 from toruslandau.lll_basis import (BoundaryPhases, _is_grid,
-                                   boundary_factors, boundary_residual,
+                                   boundary_factors, boundary_residuals,
                                    double_shift_factors, duality_residual,
                                    eval_fourier, eval_fourier_stack,
-                                   eval_gaussian, fourier_cutoff, ground_basis,
+                                   eval_gaussian, ground_basis,
                                    normalize, normalized_basis, theta_basis)
 from toruslandau.translations import reduce_to_fundamental
 
@@ -90,27 +90,59 @@ class TestFourierValues:
                 with pytest.raises(ValueError, match="evaluation point must be finite"):
                     evaluate(psi, z)
 
-    def test_cutoff_tail_negligible(self, monkeypatch):
+    @pytest.mark.parametrize("z", [periodic_grid(TorusGeometry.square(3), 12, 10) - 0.4j,
+                                   np.array([0.1 + 1.9j, 2.8 + 0.7j, -1.3 - 4.1j])],
+                             ids=["grid", "points"])
+    def test_window_tail_negligible(self, monkeypatch, z):
         # widening the window beyond the rule must not move the value
         geo = TorusGeometry.square(3)
         psi = theta_basis(geo, 1)
-        z = np.array([0.1 + 1.9j, geo.L1 - 0.3 + 0.7j])
-        cutoff, a = fourier_cutoff(geo, 2 * geo.L2), eval_fourier(psi, z)
+        reach, a = lll_basis._fourier_reach(geo), eval_fourier(psi, z)
         monkeypatch.setattr(lll_basis, "_TAIL_MARGIN", 2 * lll_basis._TAIL_MARGIN)
-        assert fourier_cutoff(geo, 2 * geo.L2) > cutoff
+        assert lll_basis._fourier_reach(geo) > reach
         b = eval_fourier(psi, z)
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
 
-    def test_cutoff_rule_scales_with_domain(self):
-        geo = TorusGeometry.square(2)
-        assert fourier_cutoff(geo, 4 * geo.L2) > fourier_cutoff(geo, 2 * geo.L2)
+    @pytest.mark.parametrize("geo", [
+        TorusGeometry.with_aspect(1, 1e-300), TorusGeometry.with_aspect(1, 1e300),
+        TorusGeometry(40.0, math.pi / 40, 1)], ids=["L1-tiny", "L2-tiny", "L1-40"])
+    def test_torus_past_the_double_range_rejected(self, geo):
+        # (L1^2 + L2^2)/2 >= ln(max double): both series raise one ValueError
+        # naming the sides, before anything sized by the torus is allocated
+        # (at L1 ~ 1e-150 the comb alone would take ~1e300 coefficients)
+        psi = theta_basis(geo, 0)
+        grid = periodic_grid(geo, 8, 8)
+        points = grid.ravel()[1:]
+        messages = []
+        for evaluate, z in ((eval_fourier, grid), (eval_fourier, points),
+                            (eval_gaussian, points)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"torus L1=.*, L2=.* overflow") as info:
+                    evaluate(psi, z)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            messages.append(str(info.value))
+            assert peak < 16_384
+        assert messages == [f"the sections of the torus L1={geo.L1!r}, L2={geo.L2!r} "
+                            "overflow a double on its cell: (L1^2 + L2^2)/2 must be "
+                            "below 709.78"] * 3
 
-    def test_cutoff_that_no_double_holds_names_the_sides(self):
-        # L1 ~ 1.8e-150: the cutoff overflows to inf, a ValueError, not an
-        # OverflowError from int()
-        geo = TorusGeometry.with_aspect(1, 1e-300)
-        with pytest.raises(ValueError, match="Fourier cutoff for L1=.*, L2=.* is not finite"):
-            fourier_cutoff(geo, 2 * geo.L2)
+    def test_torus_just_inside_the_double_range(self):
+        # (L1^2 + L2^2)/2 = 705: |psi| grows like e^{|z|^2/2} to about e^684
+        # at the grid's last node, and every path stays finite and agrees
+        L1 = math.sqrt(705 + math.sqrt(705 ** 2 - math.pi ** 2))
+        geo = TorusGeometry(L1, math.pi / L1, 1)
+        assert (geo.L1 ** 2 + geo.L2 ** 2) / 2 == pytest.approx(705)
+        psi = normalize(theta_basis(geo, 0))
+        grid = periodic_grid(geo, 64, 64)
+        on_grid, at_points = eval_fourier(psi, grid), eval_fourier(psi, grid.ravel())
+        assert np.all(np.isfinite(on_grid)) and np.all(np.isfinite(at_points))
+        last = on_grid[-1, -1]
+        assert np.log(abs(last)) > 680
+        assert at_points[-1] == pytest.approx(last, rel=1e-12)
+        assert eval_gaussian(psi, grid[-1, -1]) == pytest.approx(last, rel=1e-12)
 
 
 class TestGaussianRepresentation:
@@ -269,7 +301,7 @@ class TestBoundaryConditions:
         geo = TorusGeometry.square(2)
         z = 0.3 + 0.4j
         for psi in ground_basis(geo):
-            assert boundary_residual(psi, z) < 1e-12
+            assert boundary_residuals([psi], z)[0] < 1e-12
 
     def test_flipped_phase_breaks_x_condition(self):
         # a sign flip makes s(z+P) = -s(z) F: the difference is twice the
@@ -277,8 +309,8 @@ class TestBoundaryConditions:
         geo = TorusGeometry.square(2)
         psi = theta_basis(geo, 0)
         z = 0.3 + 0.4j
-        assert boundary_residual(psi, z, BoundaryPhases(math.pi, 0.0)) == pytest.approx(2.0)
-        assert boundary_residual(psi, z, BoundaryPhases(0.0, math.pi)) == pytest.approx(2.0)
+        assert boundary_residuals([psi], z, BoundaryPhases(math.pi, 0.0))[0] == pytest.approx(2.0)
+        assert boundary_residuals([psi], z, BoundaryPhases(0.0, math.pi))[0] == pytest.approx(2.0)
 
     def test_residual_scale_is_pointwise_max_of_both_sides(self):
         geo = TorusGeometry.square(3)
@@ -290,9 +322,9 @@ class TestBoundaryConditions:
                                   (psi(z + 1j * geo.L2), psi(z) * f2)):
             scale = np.max(np.maximum(np.abs(shifted), np.abs(expected)))
             direct = max(direct, float(np.max(np.abs(shifted - expected))) / scale)
-        assert boundary_residual(psi, z) == direct
+        assert boundary_residuals([psi], z) == [direct]
         # held samples stand in for s(z) and give the same number
-        assert boundary_residual(psi, z, base=psi(z)) == direct
+        assert boundary_residuals([psi], z, base=psi(z)[None]) == [direct]
 
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("z", [periodic_grid(TorusGeometry.square(4), 12, 10),
@@ -303,16 +335,16 @@ class TestBoundaryConditions:
     def test_stacked_residuals_match_one_section_calls(self, n, z, phases):
         # one stacked pass per point set, bit for bit the one-section values
         psis = normalized_basis(TorusGeometry.square(n))
-        stacked = lll_basis.boundary_residuals(psis, z, phases)
-        assert stacked == [boundary_residual(psi, z, phases) for psi in psis]
+        stacked = boundary_residuals(psis, z, phases)
+        assert stacked == [boundary_residuals([psi], z, phases)[0] for psi in psis]
         base = eval_fourier_stack(psis, z)
-        assert lll_basis.boundary_residuals(psis, z, phases, base=base) == stacked
+        assert boundary_residuals(psis, z, phases, base=base) == stacked
 
     def test_stacked_residuals_reject_mixed_tori(self):
         mixed = [theta_basis(TorusGeometry.square(2), 0),
                  theta_basis(TorusGeometry.square(3), 0)]
         with pytest.raises(GeometryMismatch):
-            lll_basis.boundary_residuals(mixed, np.array([0.3 + 0.4j]))
+            boundary_residuals(mixed, np.array([0.3 + 0.4j]))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_double_shift_consistency(self, n):
@@ -652,10 +684,33 @@ class TestStackedGridPath:
         assert eval_fourier_stack(psis, 0.3 + 0.1j).shape == (3,)
         assert eval_fourier_stack([], periodic_grid(geo, 8, 6)).shape == (0, 6, 8)
 
+    @pytest.mark.parametrize("geo", [TorusGeometry.square(3), TorusGeometry.with_aspect(4, 1 / 8)],
+                             ids=["square", "aspect-eighth"])
+    def test_scattered_points_every_order(self, geo):
+        # the stack shares the points' casts, w's phase, the coefficients and
+        # the Taylor rows; each section's values stay its own call's
+        psis = normalized_basis(geo)
+        rng = np.random.default_rng(6)
+        z = (rng.random((5, 7)) * 3 - 1) * geo.L1 + 1j * (rng.random((5, 7)) * 3 - 1) * geo.L2
+        assert not _is_grid(z)
+        for order in (0, 1, 2):
+            stack = eval_fourier_stack(psis, z, order)
+            assert stack.shape == (geo.N, 5, 7)
+            for psi, got in zip(psis, stack):
+                np.testing.assert_array_equal(got, eval_fourier(psi, z, order))
+                np.testing.assert_array_equal(got[2, 3], eval_fourier(psi, z[2, 3], order))
+        assert eval_fourier_stack(psis, 0.3 + 0.1j).shape == (geo.N,)
+        assert eval_fourier_stack([], periodic_grid(geo, 8, 6)).shape == (0, 6, 8)
+
     def test_mixed_geometries_rejected_on_a_grid(self):
         a, b = TorusGeometry.square(2), TorusGeometry.square(3)
         with pytest.raises(GeometryMismatch):
             eval_fourier_stack([theta_basis(a, 0), theta_basis(b, 0)], periodic_grid(a, 8, 8))
+
+    def test_mixed_geometries_rejected_at_points(self):
+        a, b = TorusGeometry.square(2), TorusGeometry.square(3)
+        with pytest.raises(GeometryMismatch):
+            eval_fourier_stack([theta_basis(a, 0), theta_basis(b, 0)], np.array([0.3 + 0.4j]))
 
     def test_level_one_holds_one_stack_at_a_time(self):
         # the psi' stack is added into the sections and released before the

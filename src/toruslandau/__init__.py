@@ -14,9 +14,9 @@ from .geometry import (PhysicalConfig, TorusGeometry, dirac_quantize,
                        parse_config, resolve_geometry, to_natural)
 from .lll_basis import (BoundaryPhases, ThetaBasisFunction, boundary_factors,
                         boundary_residuals, double_shift_factors,
-                        duality_residual, eval_fourier, eval_fourier_stack,
-                        eval_gaussian, ground_basis, normalize,
-                        normalized_basis, theta_basis)
+                        duality_residuals, eval_fourier, eval_fourier_stack,
+                        eval_gaussian, eval_gaussian_stack, ground_basis,
+                        normalize, normalized_basis, theta_basis)
 from .levels import (DensityMap, GridField, PolynomialSection,
                      as_section, dbar_section,
                      density_map, gram_matrix, ground_section, inner_product,

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, gridio, tolerances, verify
 from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
-from .lll_basis import (BoundaryPhases, boundary_residuals, duality_residual,
+from .lll_basis import (BoundaryPhases, boundary_residuals, duality_residuals,
                         eval_fourier, normalize, theta_basis)
 from .levels import GridField, Quadrature, density_map
 from .cocycle import total_flux, uniform_mesh
@@ -132,7 +132,7 @@ def cmd_basis(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     zs = rng.random(500) * geo.L1 + 1j * rng.random(500) * geo.L2
-    duality = duality_residual(psi, zs)
+    (duality,) = duality_residuals([psi], zs)
     resid = boundary_residuals([psi], z, base=vals[None])[0]
     checks = {
         "duality_max_rel": duality,

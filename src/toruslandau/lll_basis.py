@@ -43,20 +43,21 @@ one torus in one pass, bit for bit the one-section calls:
 
 eval_fourier_stack is the one evaluator of the package, and eval_fourier
 its one-section case: every section of the levels module, and every
-z-derivative (the `order` argument), is sampled through it.  eval_gaussian,
-always pointwise, is the independent reference that the tests and the
-Poisson-duality check compare it with.  Per point it is a Laurent
-polynomial in w = e^{-2 h (t + i v)} about the comb's nearest term, with
-coefficients e^{-m^2 h^2} shared by every point, summed by Horner's rule
-in complex long double (see eval_gaussian).  The comb can be e^{L2^2/4}
-smaller than its terms, so its long-double rounding, not its window, sets
-its accuracy at large N.
+z-derivative (the `order` argument), is sampled through it.
+eval_gaussian_stack, with eval_gaussian its one-section case, is the
+independent reference that the tests and the Poisson-duality check compare
+it with.  It sums every section of one torus in one pointwise pass: per
+point a Laurent polynomial in w = e^{-2 h (t + i v)} about the comb's
+nearest term, with coefficients e^{-m^2 h^2} shared by every point and
+section, summed by Horner's rule in complex long double (see
+eval_gaussian_stack).  The comb can be e^{L2^2/4} smaller than its terms,
+so its long-double rounding, not its window, sets its accuracy at large N.
 
-duality_residual and boundary_residuals are the one measure each of the two
-representations' disagreement and of the twisted periodicity: acceptance
-criteria 3 and 4 and the `basis` command all report these values.
-boundary_residuals takes a whole basis in one stacked pass per shifted point
-set.
+duality_residuals and boundary_residuals are the one measure each of the
+two representations' disagreement and of the twisted periodicity:
+acceptance criteria 3 and 4 and the `basis` command all report these
+values.  Each takes a whole basis, duality_residuals in one stacked pass of
+each series, boundary_residuals in one per shifted point set.
 
 normalize and normalized_basis set the closed-form unit-norm constant
 (_unit_norm_const), (L1 sqrt(pi/2))^(-1/2) on every flux-quantized torus;
@@ -458,11 +459,12 @@ def _comb_coeffs(geometry: TorusGeometry) -> np.ndarray:
     return comb
 
 
-def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
-    """Evaluate d^order/dz^order of psi at z through the Gaussian series.
+def eval_gaussian_stack(psis, z, order: int = 0) -> np.ndarray:
+    """d^order/dz^order of each section of psis at z through the Gaussian
+    series, shape (len(psis),) + z.shape.
 
     Includes the Poisson conversion constant sqrt(pi)/L2 * e^{-nu^2 L2^2/N^2}
-    so the result matches eval_fourier identically (up to rounding).  With
+    so that each row matches eval_fourier_stack's (up to rounding).  With
     h = L1/N and s = z + i nu L2/N = x + i v, the comb is summed about the
     term nearest each point, n0 = rint(-x/h), t = x + n0 h:
 
@@ -470,28 +472,46 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
         c_m = e^{-m^2 h^2},  w = e^{-2 h (t + i v)},
 
     a Laurent polynomial in w with coefficients shared by every point,
-    summed by Horner's rule in w and in 1/w in complex long double.  The
-    prefactor e^{ln C + z^2/2 + 2 pi i nu z/L1 - (t + i v)^2} is one
-    long-double exp per point, and the value is cast to double once.
-    _comb_coeffs sets the window M and the c_m.  A derivative of order
-    k carries q_k(A - 2 h m) per term, with A = dE/dz at m = 0 and q_k as in
-    _taylor_rows(k, -1); expanding it in powers of -2 h m gives k + 1
-    stacked Horner sums.  The points are summed a block at a time
-    (_by_points).  ValueError for a torus that _check_torus rejects, checked
-    before _comb_coeffs sizes the comb.
+    summed by Horner's rule in w and in 1/w in complex long double.
+    _comb_coeffs sets the window M and the c_m.  n0 and t do not depend on
+    nu, so per block of points the nu-free factor e^{-2 h t - 2 i h y} of w
+    is one long-double exp per point for the whole stack, and each section
+    multiplies it by its own constant e^{-2 i h nu L2/N}.  The exponent
+    ln C + z^2/2 + 2 pi i nu z/L1 - (t + i v)^2 of the prefactor is
+    assembled in long double, its nu-free parts once per block, and cast
+    to double once, as e^hi (1 + (re - hi)) e^{i ph}, with hi the double
+    nearest its real part re and ph its imaginary part reduced mod 2pi.  A
+    derivative of order k carries q_k(A - 2 h m) per term, with A = dE/dz
+    at m = 0 and q_k as in _taylor_rows(k, -1); expanding it in powers of
+    -2 h m gives k + 1 stacked Horner sums.
+
+    The points are summed a block at a time (_by_points), the Horner loops
+    over (k + 1, sections, points) arrays.  Each section's values are
+    those of a one-section call, bit for bit.  The sections must share one
+    geometry (GeometryMismatch otherwise).  ValueError for a non-finite
+    point, or for a torus that _check_torus rejects, checked before
+    _comb_coeffs sizes the comb.
     """
-    geo = psi.geometry
-    L1, L2, n_flux = geo.L1, geo.L2, geo.N
     arr = _points(z)
+    if not psis:
+        return np.empty((0,) + np.shape(z), dtype=complex)
+    if any(psi.geometry != psis[0].geometry for psi in psis):
+        raise GeometryMismatch("stacked sections live on different tori")
+    geo = psis[0].geometry
     _check_torus(geo)
     comb = _comb_coeffs(geo)
     big_m = len(comb) // 2
     ms = np.arange(-big_m, big_m + 1)
 
-    L1l, L2l, pil, two_pi = _LD(L1), _LD(L2), _LD(np.pi), _LD(_TWO_PI)
-    nul, nf = _LD(psi.nu), _LD(n_flux)
+    L1l, L2l, pil, two_pi = _LD(geo.L1), _LD(geo.L2), _LD(np.pi), _LD(_TWO_PI)
+    nf = _LD(geo.N)
     hl = L1l / nf
+    # per section (rows): nu, the shift nu L2/N of v, ln C and the constant of w
+    nul = np.array([psi.nu for psi in psis], dtype=_LD)[:, None]
+    shift = nul * L2l / nf
     ln_const = np.log(pil) / 2 - np.log(L2l) - nul * nul * L2l * L2l / (nf * nf)
+    w_nu = np.exp(1j * np.mod(-2 * hl * shift, two_pi))
+    k_nu = two_pi * nul / L1l
     # coef[j, m]: c_m (-2 h m)^j, the j-th power of the term's dE/dz offset
     coef = comb * (-2 * hl * ms.astype(_LD)) ** np.arange(order + 1)[:, None]
     taylor = _taylor_rows(order, -1.0)
@@ -499,39 +519,61 @@ def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
     def block(points):
         x = points.real.astype(_LD)
         y = points.imag.astype(_LD)
-        v = y + nul * L2l / nf
         t = x + np.rint(-x / hl) * hl
-        w = np.exp(-2 * hl * t + 1j * np.mod(-2 * hl * v, two_pi))
+        v = y + shift
+        w = np.exp(-2 * hl * t + 1j * np.mod(-2 * hl * y, two_pi)) * w_nu
         w_inv = 1 / w
         # exponent: ln C + z^2/2 + 2 pi i nu z/L1 - (t + i v)^2
-        re = ln_const + (x * x - y * y) / 2 - two_pi * nul * y / L1l - (t * t - v * v)
-        ph = x * y + two_pi * nul * x / L1l - 2 * t * v
-        prefactor = np.exp(re + 1j * np.mod(ph, two_pi))
-        up = np.broadcast_to(coef[:, -1:], (order + 1, len(points)))
+        re = ((x * x - y * y) / 2 - t * t) + (ln_const - k_nu * y + v * v)
+        ph = x * y + (k_nu * x - 2 * t * v)
+        hi = np.asarray(re, dtype=float)
+        prefactor = np.exp(hi) * (1 + np.asarray(re - hi, dtype=float)) \
+            * np.exp(1j * np.asarray(np.mod(ph, two_pi), dtype=float))
+        # sums = up + down/w, Horner's rule in w and in 1/w, in place
+        up, down = np.empty((2, order + 1) + w.shape, dtype=w.dtype)
+        up[...], down[...] = coef[:, -1:, None], coef[:, :1, None]
         for m in range(big_m - 1, -1, -1):
-            up = up * w + coef[:, big_m + m, None]
-        down = np.broadcast_to(coef[:, :1], up.shape)
+            up *= w
+            up += coef[:, big_m + m, None, None]
         for m in range(big_m - 1, 0, -1):
-            down = down * w_inv + coef[:, big_m - m, None]
-        sums = up + down * w_inv
+            down *= w_inv
+            down += coef[:, big_m - m, None, None]
+        down *= w_inv
+        sums = up + down
         if order:
             # dE/dz at m = 0: z + 2 pi i nu/L1 - 2 (t + i v)
-            a = x - 2 * t + 1j * (y + two_pi * nul / L1l - 2 * v)
+            a = x - 2 * t + 1j * (y + k_nu - 2 * v)
             sums = sum(_eval_poly(coeffs, a) * sums[j] for j, coeffs in enumerate(taylor))
         else:
             sums = sums[0]
         return np.asarray(prefactor * sums, dtype=complex)
 
-    out = psi.norm_const * _by_points(arr, len(ms), block)[0]
-    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+    norms = np.array([psi.norm_const for psi in psis])
+    out = norms[:, None] * _by_points(arr, len(ms), block, len(psis)).reshape(len(psis), -1)
+    return out.reshape((len(psis),) + np.shape(z))
 
 
-def duality_residual(psi: ThetaBasisFunction, z) -> float:
-    """Largest |Fourier - Gaussian| of psi at the points z, relative to the
-    larger of the two representations' largest magnitudes there."""
-    f, g = eval_fourier(psi, z), eval_gaussian(psi, z)
-    scale = max(float(np.max(np.abs(f))), float(np.max(np.abs(g))))
-    return float(np.max(np.abs(f - g))) / scale
+def eval_gaussian(psi: ThetaBasisFunction, z, order: int = 0):
+    """Evaluate d^order/dz^order of psi at z through the Gaussian series,
+    the independent reference for eval_fourier.
+
+    This is the one-section case of eval_gaussian_stack, which states the
+    sum and its precision.
+    """
+    out = eval_gaussian_stack((psi,), z, order)[0]
+    return complex(out) if np.ndim(z) == 0 else out
+
+
+def duality_residuals(psis, z) -> list[float]:
+    """Largest |Fourier - Gaussian| at the points z, one per section of psis
+    (one torus), relative to the larger of the two representations' largest
+    magnitudes there.  The stack is one eval_fourier_stack and one
+    eval_gaussian_stack pass, so each entry is that of a call on its section
+    alone."""
+    f, g = eval_fourier_stack(psis, z), eval_gaussian_stack(psis, z)
+    points = tuple(range(1, f.ndim))
+    scale = np.maximum(np.max(np.abs(f), axis=points), np.max(np.abs(g), axis=points))
+    return (np.max(np.abs(f - g), axis=points) / scale).tolist()
 
 
 def boundary_factors(geometry: TorusGeometry, z, phases: BoundaryPhases = TRIVIAL_PHASES):

@@ -23,15 +23,19 @@ def scale_grid_values(monkeypatch, factor):
 
 def drop_gaussian_nu_squared(monkeypatch):
     """The Gaussian series without the nu^2 term of its Poisson constant
-    e^{-nu^2 L2^2/N^2}.  The criteria reach the series only through
-    lll_basis.duality_residual, which looks it up in lll_basis."""
-    gaussian = lll_basis.eval_gaussian
+    e^{-nu^2 L2^2/N^2}: each row of the stack times its own e^{(nu L2/N)^2}.
+    The criteria reach the series only through lll_basis.duality_residuals,
+    which looks up eval_gaussian_stack in lll_basis."""
+    stack = lll_basis.eval_gaussian_stack
 
-    def faulty(psi, z, order=0):
-        geo = psi.geometry
-        return gaussian(psi, z, order) * math.exp((psi.nu * geo.L2 / geo.N) ** 2)
+    def faulty(psis, z, order=0):
+        out = stack(psis, z, order)
+        for row, psi in zip(out, psis):
+            geo = psi.geometry
+            row *= math.exp((psi.nu * geo.L2 / geo.N) ** 2)
+        return out
 
-    monkeypatch.setattr(lll_basis, "eval_gaussian", faulty)
+    monkeypatch.setattr(lll_basis, "eval_gaussian_stack", faulty)
 
 
 def shift_fourier_class(monkeypatch):

@@ -15,9 +15,9 @@ from toruslandau.levels import (Quadrature, default_resolution, gram_matrix,
                                 raise_section)
 from toruslandau.lll_basis import (BoundaryPhases, _is_grid,
                                    boundary_factors, boundary_residuals,
-                                   double_shift_factors, duality_residual,
+                                   double_shift_factors, duality_residuals,
                                    eval_fourier, eval_fourier_stack,
-                                   eval_gaussian, ground_basis,
+                                   eval_gaussian, eval_gaussian_stack, ground_basis,
                                    normalize, normalized_basis, theta_basis)
 from toruslandau.translations import reduce_to_fundamental
 
@@ -153,8 +153,8 @@ class TestGaussianRepresentation:
         z = rng.random(300) * geo.L1 + 1j * rng.random(300) * geo.L2
         f, g = eval_fourier(psi, z), eval_gaussian(psi, z)
         scale = max(np.max(np.abs(f)), np.max(np.abs(g)))
-        assert duality_residual(psi, z) == np.max(np.abs(f - g)) / scale
-        assert duality_residual(psi, z) < 1e-12
+        assert duality_residuals([psi], z) == [np.max(np.abs(f - g)) / scale]
+        assert duality_residuals([psi], z)[0] < 1e-12
 
     def test_matches_fourier_at_reference_point(self):
         geo = TorusGeometry.square(1)
@@ -187,6 +187,57 @@ class TestGaussianRepresentation:
         z = 0.4 + 0.3j
         assert eval_fourier(scaled, z) == pytest.approx(2.5 * eval_fourier(psi, z))
         assert eval_gaussian(scaled, z) == pytest.approx(2.5 * eval_gaussian(psi, z))
+
+
+def criterion_3_points(n_max):
+    """Criterion 3's points on the square tori N = 1..n_max, drawn as it
+    draws them: its seed, its point count, one torus after another."""
+    rng = np.random.default_rng(verify.DEFAULT_SEED)
+    points = {}
+    for n in range(1, n_max + 1):
+        geo = TorusGeometry.square(n)
+        points[n] = (rng.random(verify._DUALITY_POINTS) * geo.L1
+                     + 1j * rng.random(verify._DUALITY_POINTS) * geo.L2)
+    return points
+
+
+class TestStackedGaussian:
+    """A stack of sections through the comb is bit-identical to one section
+    at a time."""
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 16])
+    def test_stack_rows_equal_one_section_calls(self, n):
+        psis = normalized_basis(TorusGeometry.square(n))
+        zs = criterion_3_points(n)[n]
+        for order in (0, 1):
+            stack = eval_gaussian_stack(psis, zs, order)
+            assert stack.shape == (n, len(zs))
+            scalar = eval_gaussian_stack(psis, zs[7], order)
+            assert scalar.shape == (n,)
+            for psi, row, value in zip(psis, stack, scalar):
+                np.testing.assert_array_equal(row, eval_gaussian(psi, zs, order))
+                assert value == eval_gaussian(psi, zs[7], order)
+
+    def test_mixed_tori_rejected(self):
+        mixed = [theta_basis(TorusGeometry.square(2), 0),
+                 theta_basis(TorusGeometry.square(3), 0)]
+        with pytest.raises(GeometryMismatch):
+            eval_gaussian_stack(mixed, np.array([0.3 + 0.4j]))
+
+    def test_empty_stack(self):
+        z = periodic_grid(TorusGeometry.square(3), 8, 6)
+        assert eval_gaussian_stack([], z).shape == (0,) + z.shape == (0, 6, 8)
+
+    def test_criterion_3_is_its_worst_section(self):
+        # one residual per section from one stacked pass per torus, each that
+        # of its section alone; the criterion reads the largest of them
+        per_section = []
+        for n, zs in criterion_3_points(3).items():
+            psis = normalized_basis(TorusGeometry.square(n))
+            residuals = duality_residuals(psis, zs)
+            assert residuals == [duality_residuals([psi], zs)[0] for psi in psis]
+            per_section += residuals
+        assert verify.check_poisson_duality(n_max=3).data["worst"] == max(per_section)
 
 
 def mp_fourier_sums(geo: TorusGeometry, zs) -> np.ndarray:

@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass
 
 from . import tolerances
-from .errors import NonIntegralFlux
+from .errors import GeometryMismatch, NonIntegralFlux
 
 # CGS-Gaussian constants of the carrier, an electron
 E_CHARGE = 4.80320425e-10   # statC
@@ -65,8 +65,7 @@ class TorusGeometry:
 
     def __post_init__(self):
         _flux_ratio(self.L1, self.L2)
-        if not (isinstance(self.N, numbers.Integral) and not isinstance(self.N, bool)
-                and self.N >= 1):
+        if not (_is_integer(self.N) and self.N >= 1):
             raise ValueError("flux quantum count N must be a positive integer")
         object.__setattr__(self, "N", int(self.N))
         area, target = self.L1 * self.L2, self.N * math.pi
@@ -99,6 +98,21 @@ def _flux_ratio(L1: float, L2: float) -> float:
     if not math.isfinite(ratio):
         raise ValueError(f"flux L1*L2/pi overflows for L1={L1}, L2={L2}")
     return ratio
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool or anything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _one_torus(items, geometry: TorusGeometry | None = None) -> TorusGeometry | None:
+    """The one torus of a stack's items (sections or ground states) and of geometry
+    if given, or None for neither; GeometryMismatch, raised nowhere else, if two differ."""
+    for item in items:
+        if geometry not in (None, item.geometry):
+            raise GeometryMismatch(f"sections live on tori {geometry} and {item.geometry}")
+        geometry = item.geometry
+    return geometry
 
 
 def dirac_quantize(L1: float, L2: float) -> int:

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatch, ZeroNorm
-from .geometry import TorusGeometry
+from .errors import ZeroNorm
+from .geometry import TorusGeometry, _is_integer, _one_torus
 from .lll_basis import ThetaBasisFunction, _check_torus, eval_fourier_stack, normalized_basis
 
 
@@ -107,7 +107,7 @@ class Quadrature:
     """The periodic trapezoid rule with the Hermitian weight on one grid.
 
     The grid is side x side points; side defaults to
-    default_resolution(geometry) and must be at least 4.  z is the
+    default_resolution(geometry) and must be an integer >= 4.  z is the
     periodic_grid, weight = exp(-|z|^2) at its points and cell the area per
     point; all are read-only after construction.  Sample stacks have shape
     (n, side, side); on the default grid inside a _sharing_stacks block they
@@ -119,8 +119,8 @@ class Quadrature:
         _check_torus(geometry)
         default = default_resolution(geometry)
         side = default if side is None else side
-        if side < 4:
-            raise ValueError("grid resolution must be at least 4")
+        if not (_is_integer(side) and side >= 4):
+            raise ValueError(f"grid resolution must be an integer >= 4, got {side!r}")
         self.geometry, self.side = geometry, side
         # the store key of this grid's stacks; only default grids are kept
         self._grid = (geometry, side) if side == default else None
@@ -135,8 +135,9 @@ class Quadrature:
         and the stack is the result.  Otherwise the distinct (psi, k) of all
         the sections are sampled once, one stacked grid pass per derivative
         order, and each stack is added into the sections before the next is
-        taken.
+        taken.  GeometryMismatch unless every section is on this torus.
         """
+        _one_torus(sections, self.geometry)
         if all(isinstance(s, ThetaBasisFunction) for s in sections):
             return _kept(self._grid, sections, 0,
                          lambda: eval_fourier_stack(sections, self.z))
@@ -174,16 +175,17 @@ class PolynomialSection:
     terms holds (p, psi, k, weight) tuples: p the power of zbar, psi a
     ground-state ThetaBasisFunction, k the order of its z-derivative.  Like
     terms are merged and zero weights dropped at construction, so the empty
-    tuple is the zero section.  The degree is the largest p: degree-0
-    sections span the holomorphic ground level, and each application of the
-    creation operator raises the degree by one.  Immutable; evaluation is
-    pure.
+    tuple is the zero section, and each psi must live on the section's torus.
+    The degree is the largest p: degree-0 sections span the holomorphic
+    ground level, and each application of the creation operator raises the
+    degree by one.  Immutable; evaluation is pure.
     """
 
     geometry: TorusGeometry
     terms: tuple = ()
 
     def __post_init__(self):
+        _one_torus((psi for _, psi, _, _ in self.terms), self.geometry)
         merged = {}
         for p, psi, k, w in self.terms:
             merged[p, psi, k] = merged.get((p, psi, k), 0j) + complex(w)
@@ -207,9 +209,7 @@ class PolynomialSection:
         return acc
 
     def __add__(self, other: "PolynomialSection") -> "PolynomialSection":
-        if other.geometry != self.geometry:
-            raise GeometryMismatch("sections live on different tori")
-        return PolynomialSection(self.geometry, self.terms + other.terms)
+        return PolynomialSection(_one_torus((self, other)), self.terms + other.terms)
 
     def __mul__(self, scalar) -> "PolynomialSection":
         c = complex(scalar)
@@ -225,11 +225,11 @@ class PolynomialSection:
 def _sample_sections(sections, z, grid=None) -> np.ndarray:
     """Values of each section at the points z, shape (len(sections),) + z.shape.
 
-    The distinct (psi, k) of all the sections are sampled once, one stacked
-    pass per derivative order, and each stack is added into the sections
-    before the next is taken, so a section's values do not depend on the
-    sections sampled with it.  grid is the (geometry, side) of a default
-    quadrature grid z, whose stacks may be kept (_kept), or None.
+    The distinct (psi, k) of the sections, all on one torus, are sampled
+    once, one stacked pass per derivative order, and each stack is added
+    into the sections before the next is taken, so a section's values do
+    not depend on the sections sampled with it.  grid is the (geometry, side)
+    of a default quadrature grid z, whose stacks may be kept (_kept), or None.
     """
     sections = [as_section(s) for s in sections]
     out = np.zeros((len(sections),) + z.shape, dtype=complex)
@@ -244,16 +244,16 @@ def _sample_sections(sections, z, grid=None) -> np.ndarray:
 def _term_stacks(keys, z, grid=None):
     """Yield {(psi, k): psi^(k)(z)} for the distinct (psi, k) of keys.
 
-    One dict per geometry and derivative order, the highest order first (the
-    term order of a raised section), so the order in which a section's terms
-    are added does not depend on the other keys.  Its ground states are
+    One dict per derivative order, the highest first (the term order of a
+    raised section), so the order in which a section's terms are added does
+    not depend on the other keys.  Its ground states are
     evaluated as one stack, on a tensor grid one grid pass; on a default
     grid (grid not None) the stack may be kept or read back (_kept).
     """
     groups = {}
     for psi, k in dict.fromkeys(keys):
-        groups.setdefault((psi.geometry, k), []).append(psi)
-    for (_, k), psis in sorted(groups.items(), key=lambda group: -group[0][1]):
+        groups.setdefault(k, []).append(psi)
+    for k, psis in sorted(groups.items(), key=lambda group: -group[0]):
         yield dict(zip(((psi, k) for psi in psis),
                        _kept(grid, psis, k, lambda: eval_fourier_stack(psis, z, k))))
 
@@ -295,11 +295,6 @@ def dbar_section(s: PolynomialSection) -> PolynomialSection:
 # Hermitian structure and quadrature
 # ---------------------------------------------------------------------------
 
-def _check_same_geometry(s1, s2):
-    if s1.geometry != s2.geometry:
-        raise GeometryMismatch("operands live on different tori")
-
-
 def inner_product(s1, s2) -> complex:
     """<s1|s2> by the periodic trapezoid rule on the default grid.
 
@@ -307,7 +302,6 @@ def inner_product(s1, s2) -> complex:
     changes the result only at rounding level once resolved (the default
     grid, default_resolution, is well past that point).
     """
-    _check_same_geometry(s1, s2)
     quad = Quadrature(s1.geometry)
     v1 = quad.sample([s1])
     v2 = v1 if s1 is s2 else quad.sample([s2])
@@ -319,8 +313,6 @@ def gram_matrix(basis, side: int | None = None) -> np.ndarray:
     None), Hermitized by averaging with the adjoint."""
     if not basis:
         return np.zeros((0, 0), dtype=complex)
-    for s in basis[1:]:
-        _check_same_geometry(basis[0], s)
     quad = Quadrature(basis[0].geometry, side)
     vals = quad.sample(basis)
     g = quad.gram(vals, vals)
@@ -336,8 +328,8 @@ def rayleigh_quotients(sections) -> list[float]:
     one quad.sample.  ZeroNorm if any section has a vanishing norm.
     """
     sections = [as_section(s) for s in sections]
-    for s in sections[1:]:
-        _check_same_geometry(sections[0], s)
+    if not sections:
+        return []
     quad = Quadrature(sections[0].geometry)
     norms = quad.norms(quad.sample(sections + [dbar_section(s) for s in sections])) ** 2
     den, num = np.split(norms, 2)

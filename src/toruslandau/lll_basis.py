@@ -74,8 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatch
-from .geometry import TorusGeometry
+from .geometry import TorusGeometry, _is_integer, _one_torus
 
 _LD = np.longdouble
 _TWO_PI = 2 * np.pi
@@ -116,7 +115,7 @@ class ThetaBasisFunction:
 
     Fields:
         geometry: the torus
-        nu: residue class in [0, N)
+        nu: residue class, an integer in [0, N), stored as an int
         norm_const: overall constant, 1.0 until normalize() sets the
             closed-form unit-norm value
 
@@ -133,8 +132,9 @@ class ThetaBasisFunction:
     norm_const: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.nu < self.geometry.N:
-            raise ValueError(f"nu={self.nu} outside [0, {self.geometry.N})")
+        if not (_is_integer(self.nu) and 0 <= self.nu < self.geometry.N):
+            raise ValueError(f"nu={self.nu!r} must be an integer in [0, {self.geometry.N})")
+        object.__setattr__(self, "nu", int(self.nu))
         if not self.norm_const > 0:
             raise ValueError("norm_const must be positive")
 
@@ -417,10 +417,8 @@ def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
     torus that _check_torus rejects.
     """
     arr = _points(z)
-    if not psis:
+    if _one_torus(psis) is None:
         return np.empty((0,) + np.shape(z), dtype=complex)
-    if any(psi.geometry != psis[0].geometry for psi in psis):
-        raise GeometryMismatch("stacked sections live on different tori")
     fill = _fourier_grid if _is_grid(arr) else _fourier_points
     return fill(psis, arr, order).reshape((len(psis),) + np.shape(z))
 
@@ -493,11 +491,9 @@ def eval_gaussian_stack(psis, z, order: int = 0) -> np.ndarray:
     _comb_coeffs sizes the comb.
     """
     arr = _points(z)
-    if not psis:
+    geo = _one_torus(psis)
+    if geo is None:
         return np.empty((0,) + np.shape(z), dtype=complex)
-    if any(psi.geometry != psis[0].geometry for psi in psis):
-        raise GeometryMismatch("stacked sections live on different tori")
-    geo = psis[0].geometry
     _check_torus(geo)
     comb = _comb_coeffs(geo)
     big_m = len(comb) // 2
@@ -604,7 +600,9 @@ def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,
     evaluated again.
     """
     z = np.asarray(z, dtype=complex)
-    geo = psis[0].geometry
+    geo = _one_torus(psis)
+    if geo is None:
+        return []
     if base is None:
         base = eval_fourier_stack(psis, z)
     points = tuple(range(1, base.ndim))

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import GeometryMismatch, NotAPeriod
-from .geometry import TorusGeometry
+from .errors import NotAPeriod
+from .geometry import TorusGeometry, _one_torus
 from .levels import (Quadrature, as_section, default_resolution, _sampled_level,
                      _sample_sections)
 from .lll_basis import _BLOCK_POINTS
@@ -134,9 +134,9 @@ def translate_sections(a, sections, z) -> np.ndarray:
     a = _displacement(a)
     sections = [as_section(s) for s in sections]
     z = np.asarray(z, dtype=complex)
-    geometry = sections[0].geometry
-    if any(s.geometry != geometry for s in sections):
-        raise GeometryMismatch("translated sections live on different tori")
+    geometry = _one_torus(sections)
+    if geometry is None:
+        return np.empty((0,) + z.shape, dtype=complex)
     w0, exponent = reduce_to_fundamental(geometry, z - a)
     factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
     out = _sample_sections(sections, w0)

@@ -420,6 +420,11 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_basis_grid_side_is_checked_by_quadrature(self, tmp_path, capsys):
+        # the same check, and message, as every library entry point that takes a side
+        assert run(["basis", "--N", "2", "--grid", "3", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: grid resolution must be an integer >= 4, got 3\n"
+
     @pytest.mark.parametrize("command", [["basis", "--N", "3"], ["verify", "--n-max", "1"]],
                              ids=["basis", "verify"])
     def test_negative_seed_names_its_flag(self, tmp_path, capsys, monkeypatch, command):
@@ -517,3 +522,21 @@ def test_cli_imports_no_private_name():
              and (node.level or node.module.startswith("toruslandau"))
              for alias in node.names]
     assert not [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def test_geometry_mismatch_raised_by_one_check_only():
+    # geometry._one_torus is the one check that a stack or a section holds
+    # one torus: no other function of the package raises GeometryMismatch
+    def raisers(node, function=None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "GeometryMismatch":
+                yield function
+        for child in ast.iter_child_nodes(node):
+            yield from raisers(child, function)
+
+    found = [(path.name, function) for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for function in raisers(ast.parse(path.read_text()))]
+    assert found == [("geometry.py", "_one_torus")]

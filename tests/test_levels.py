@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from toruslandau import gridio, tolerances
-from toruslandau.errors import GeometryMismatch, ZeroNorm
+from toruslandau.errors import ZeroNorm
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
                                 Quadrature, dbar_section,
@@ -26,7 +26,8 @@ from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
                                 rayleigh_quotients)
 from toruslandau.lll_basis import (boundary_factors, eval_fourier,
                                    eval_gaussian, ground_basis,
-                                   normalized_basis, theta_basis)
+                                   normalized_basis)
+from toruslandau.translations import translation_matrix, translation_report
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,20 @@ class TestInnerProduct:
     def test_resolution_floor(self, basis2):
         with pytest.raises(ValueError):
             gram_matrix(basis2[:1], 2)
+
+    @pytest.mark.parametrize("side", [3, 4.5, 40.5, 48.7, 64.0, np.float64(64), True])
+    @pytest.mark.parametrize("entry", [
+        lambda geo, side: Quadrature(geo, side),
+        lambda geo, side: gram_matrix(normalized_basis(geo), side),
+        lambda geo, side: density_map(geo, 0, side),
+        lambda geo, side: translation_matrix(geo, geo.L1 / 2, side=side),
+        lambda geo, side: translation_report(geo, geo.L1 / 2, side=side)],
+        ids=["Quadrature", "gram_matrix", "density_map", "translation_matrix",
+             "translation_report"])
+    def test_grid_side_must_be_an_integer(self, geo2, entry, side):
+        # every grid side reaches Quadrature, which checks it once
+        with pytest.raises(ValueError, match="grid resolution must be an integer >= 4"):
+            entry(geo2, side)
 
 
 class TestGramMatrix:
@@ -570,11 +585,6 @@ class TestGridFieldAndSerialization:
 
 
 class TestSectionAlgebraValidation:
-    def test_mismatched_addition(self, basis2):
-        other = ground_section(theta_basis(TorusGeometry.square(3), 0))
-        with pytest.raises(GeometryMismatch):
-            ground_section(basis2[0]) + other
-
     def test_periodic_grid_layout(self, geo2):
         z = periodic_grid(geo2, 8, 6)
         assert z.shape == (6, 8)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslandau import lll_basis, numdiff, tolerances, verify
-from toruslandau.errors import GeometryMismatch
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, default_resolution, gram_matrix,
                                 ground_section, inner_product, periodic_grid,
@@ -218,16 +217,6 @@ class TestStackedGaussian:
                 np.testing.assert_array_equal(row, eval_gaussian(psi, zs, order))
                 assert value == eval_gaussian(psi, zs[7], order)
 
-    def test_mixed_tori_rejected(self):
-        mixed = [theta_basis(TorusGeometry.square(2), 0),
-                 theta_basis(TorusGeometry.square(3), 0)]
-        with pytest.raises(GeometryMismatch):
-            eval_gaussian_stack(mixed, np.array([0.3 + 0.4j]))
-
-    def test_empty_stack(self):
-        z = periodic_grid(TorusGeometry.square(3), 8, 6)
-        assert eval_gaussian_stack([], z).shape == (0,) + z.shape == (0, 6, 8)
-
     def test_criterion_3_is_its_worst_section(self):
         # one residual per section from one stacked pass per torus, each that
         # of its section alone; the criterion reads the largest of them
@@ -391,12 +380,6 @@ class TestBoundaryConditions:
         base = eval_fourier_stack(psis, z)
         assert boundary_residuals(psis, z, phases, base=base) == stacked
 
-    def test_stacked_residuals_reject_mixed_tori(self):
-        mixed = [theta_basis(TorusGeometry.square(2), 0),
-                 theta_basis(TorusGeometry.square(3), 0)]
-        with pytest.raises(GeometryMismatch):
-            boundary_residuals(mixed, np.array([0.3 + 0.4j]))
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_double_shift_consistency(self, n):
         geo = TorusGeometry.square(n)
@@ -551,6 +534,17 @@ class TestThetaBasisValidation:
         geo = TorusGeometry.square(3)
         with pytest.raises(ValueError):
             theta_basis(geo, 3)
+
+    @pytest.mark.parametrize("nu", [-1, 0.5, 1.0, np.float64(1.0), True, "1"])
+    def test_nu_must_be_an_integer_in_range(self, nu):
+        with pytest.raises(ValueError, match="must be an integer in"):
+            theta_basis(TorusGeometry.square(3), nu)
+
+    @pytest.mark.parametrize("nu", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_nu(self, nu):
+        psi = theta_basis(TorusGeometry.square(3), nu)
+        assert psi == theta_basis(TorusGeometry.square(3), 2)
+        assert type(psi.nu) is int
 
     def test_basis_count(self):
         for n in (1, 4, 7):
@@ -753,16 +747,6 @@ class TestStackedGridPath:
         assert eval_fourier_stack(psis, 0.3 + 0.1j).shape == (geo.N,)
         assert eval_fourier_stack([], periodic_grid(geo, 8, 6)).shape == (0, 6, 8)
 
-    def test_mixed_geometries_rejected_on_a_grid(self):
-        a, b = TorusGeometry.square(2), TorusGeometry.square(3)
-        with pytest.raises(GeometryMismatch):
-            eval_fourier_stack([theta_basis(a, 0), theta_basis(b, 0)], periodic_grid(a, 8, 8))
-
-    def test_mixed_geometries_rejected_at_points(self):
-        a, b = TorusGeometry.square(2), TorusGeometry.square(3)
-        with pytest.raises(GeometryMismatch):
-            eval_fourier_stack([theta_basis(a, 0), theta_basis(b, 0)], np.array([0.3 + 0.4j]))
-
     def test_level_one_holds_one_stack_at_a_time(self):
         # the psi' stack is added into the sections and released before the
         # psi stack is taken: the output plus one stack, not plus two
@@ -801,7 +785,7 @@ class TestPointwiseBlocks:
     def test_memory_bounded_at_200k_points(self, psi12, evaluate, order):
         # in one piece each (points x terms) long-double temporary was about
         # 176 MB here; blocked, the peak is a few times the 3.2 MB output
-        # (measured 3.5x for eval_fourier at order 1, 3.0x for eval_gaussian)
+        # (tracemalloc reads 1.9x for eval_fourier at order 1, 2.0x for eval_gaussian)
         geo = psi12.geometry
         rng = np.random.default_rng(12)
         z = rng.random(200_000) * geo.L1 + 1j * rng.random(200_000) * geo.L2

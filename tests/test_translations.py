@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toruslandau import lll_basis, tolerances, translations, verify
-from toruslandau.errors import GeometryMismatch, NotAPeriod
+from toruslandau.errors import NotAPeriod
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, _sampled_level, default_resolution,
                                 density_map, gram_matrix, ground_section,
@@ -416,11 +416,6 @@ class TestBatches:
         entries, defects = reference_projection(quad, geo.L1 / 5, basis, vals)
         assert np.max(np.abs(tm.entries - entries)) <= 1e-13
         assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
-
-    def test_translate_sections_geometry_mismatch(self, geo3):
-        mixed = [level_basis(geo3, 0)[0], level_basis(TorusGeometry.square(2), 0)[0]]
-        with pytest.raises(GeometryMismatch):
-            translate_sections(0.1, mixed, Quadrature(geo3).z)
 
 
 def reference_projection(quad, a, basis, vals):

@@ -24,7 +24,7 @@ from . import __version__, gridio, tolerances, verify
 from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
 from .lll_basis import (BoundaryPhases, boundary_residuals, duality_residuals,
-                        eval_fourier, normalize, theta_basis)
+                        normalize, theta_basis)
 from .levels import GridField, Quadrature, density_map
 from .cocycle import total_flux, uniform_mesh
 from .translations import translation_report
@@ -117,23 +117,19 @@ def cmd_basis(args) -> int:
     geo = resolve_geometry(_geometry_options(args))
     psi = normalize(theta_basis(geo, args.nu))
     quad = Quadrature(geo, args.grid)
-    z = quad.z
-    vals = eval_fourier(psi, z)
+    vals = quad.sample([psi])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    weighted = quad.weight * np.abs(vals) ** 2
 
     stem = f"basis_N{geo.N}_nu{args.nu}"
-    outputs = [
-        _write_field(GridField(geo, f"{stem}_re", vals.real), out / f"{stem}_re", args.format),
-        _write_field(GridField(geo, f"{stem}_im", vals.imag), out / f"{stem}_im", args.format),
-        _write_field(GridField(geo, f"{stem}_density", weighted), out / f"{stem}_density", args.format),
-    ]
+    fields = {"re": vals[0].real, "im": vals[0].imag, "density": quad.density(vals)}
+    outputs = [_write_field(GridField(geo, f"{stem}_{key}", values), out / f"{stem}_{key}",
+                            args.format) for key, values in fields.items()]
 
     rng = np.random.default_rng(args.seed)
     zs = rng.random(500) * geo.L1 + 1j * rng.random(500) * geo.L2
     (duality,) = duality_residuals([psi], zs)
-    resid = boundary_residuals([psi], z, base=vals[None])[0]
+    resid = boundary_residuals([psi], quad.z, base=vals)[0]
     checks = {
         "duality_max_rel": duality,
         "duality_ok": duality < tolerances.get("poisson_duality_rel"),

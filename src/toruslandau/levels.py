@@ -6,7 +6,9 @@ pair of sections obeying the twisted periodicity, so the inner product
 <s1|s2> = integral of h over the fundamental domain is computed with the
 equal-weight periodic trapezoid rule, which converges spectrally here.  A
 Quadrature holds that rule on one square grid of side x side points: the
-points, the weight exp(-|z|^2) at them and the cell area.
+points, the weight exp(-|z|^2) at them and the cell area.  Its gram, norms
+and density are the only code that weights grid samples: every inner
+product, norm and density of the package is integrated by them.
 
 Higher levels are built from the ground states with the covariant creation
 operator (d/dz - zbar).  A section is a flat sum of terms
@@ -103,24 +105,29 @@ def periodic_grid(geometry: TorusGeometry, nx: int, ny: int):
     return x[None, :] + 1j * y[:, None]
 
 
+def _check_side(side) -> None:
+    """ValueError unless side is None (the default grid) or an integer >= 4."""
+    if side is not None and not (_is_integer(side) and side >= 4):
+        raise ValueError(f"grid resolution must be an integer >= 4, got {side!r}")
+
+
 class Quadrature:
     """The periodic trapezoid rule with the Hermitian weight on one grid.
 
-    The grid is side x side points; side defaults to
-    default_resolution(geometry) and must be an integer >= 4.  z is the
-    periodic_grid, weight = exp(-|z|^2) at its points and cell the area per
-    point; all are read-only after construction.  Sample stacks have shape
-    (n, side, side); on the default grid inside a _sharing_stacks block they
-    may be kept, read-only, stacks.  ValueError for a torus that
-    lll_basis._check_torus rejects, before any grid is built.
+    The grid is side x side points, side an integer >= 4 that defaults to
+    default_resolution(geometry).  z is the periodic_grid, weight =
+    exp(-|z|^2) at its points and cell the area per point, all read-only
+    after construction; only gram, norms and density read weight and cell.
+    Sample stacks have shape (n, side, side); on the default grid inside a
+    _sharing_stacks block they may be kept, read-only, stacks.  ValueError
+    for a torus that lll_basis._check_torus rejects, before any grid is built.
     """
 
     def __init__(self, geometry: TorusGeometry, side: int | None = None):
         _check_torus(geometry)
+        _check_side(side)
         default = default_resolution(geometry)
         side = default if side is None else side
-        if not (_is_integer(side) and side >= 4):
-            raise ValueError(f"grid resolution must be an integer >= 4, got {side!r}")
         self.geometry, self.side = geometry, side
         # the store key of this grid's stacks; only default grids are kept
         self._grid = (geometry, side) if side == default else None
@@ -159,9 +166,15 @@ class Quadrature:
         return out
 
     def norms(self, values: np.ndarray) -> np.ndarray:
-        """Norms sqrt(<v_i|v_i>) of a sample stack, one sample at a time."""
-        return np.sqrt(np.array([np.sum(self.weight * np.abs(v) ** 2) for v in values])
-                       * self.cell)
+        """Norms sqrt(<v_i|v_i>): each sample's density, summed over the grid."""
+        return np.sqrt([np.sum(self.density(v[None])) * self.cell for v in values])
+
+    def density(self, values: np.ndarray) -> np.ndarray:
+        """sum_i exp(-|z|^2) |v_i|^2 of a sample stack, one sample at a time."""
+        rho = np.zeros(self.z.shape)
+        for v in values:
+            rho += self.weight * np.abs(v) ** 2
+        return rho
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +259,9 @@ def _term_stacks(keys, z, grid=None):
 
     One dict per derivative order, the highest first (the term order of a
     raised section), so the order in which a section's terms are added does
-    not depend on the other keys.  Its ground states are
-    evaluated as one stack, on a tensor grid one grid pass; on a default
-    grid (grid not None) the stack may be kept or read back (_kept).
+    not depend on the other keys.  Its ground states are evaluated as one
+    stack, on a tensor grid one grid pass; on a default grid (grid not
+    None) the stack may be kept or read back (_kept).
     """
     groups = {}
     for psi, k in dict.fromkeys(keys):
@@ -309,9 +322,10 @@ def inner_product(s1, s2) -> complex:
 
 
 def gram_matrix(basis, side: int | None = None) -> np.ndarray:
-    """Pairwise inner products on a side x side grid (default_resolution if
-    None), Hermitized by averaging with the adjoint."""
+    """Pairwise inner products, Hermitized by averaging with the adjoint, on a
+    side x side grid (default_resolution if None); (0, 0) for an empty basis."""
     if not basis:
+        _check_side(side)
         return np.zeros((0, 0), dtype=complex)
     quad = Quadrature(basis[0].geometry, side)
     vals = quad.sample(basis)
@@ -421,9 +435,7 @@ def density_map(geometry: TorusGeometry, level: int = 0,
     points and half-lattice midpoints are grid nodes.
     """
     quad = Quadrature(geometry, side)
-    rho = np.zeros(quad.z.shape, dtype=float)
-    for v in _sampled_level(quad, level)[1]:
-        rho += quad.weight * np.abs(v) ** 2
+    rho = quad.density(_sampled_level(quad, level)[1])
     mean = float(rho.mean())
     dev = rho / mean - 1.0
     return DensityMap(

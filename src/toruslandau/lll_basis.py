@@ -572,17 +572,26 @@ def duality_residuals(psis, z) -> list[float]:
     return (np.max(np.abs(f - g), axis=points) / scale).tolist()
 
 
+def _wrap_exponent(geometry: TorusGeometry, w0, n1, n2):
+    """E with s(w0 + n1 L1 + i n2 L2) = s(w0) exp(E) at trivial phases, for
+    integers or integer arrays n1, n2: the twisted periodicity stepped one
+    period at a time (the path order is immaterial once L1 L2 = N pi)."""
+    L1, L2 = geometry.L1, geometry.L2
+    return (n1 * L1 - 1j * n2 * L2) * w0 \
+        + (n1**2 * L1**2 + n2**2 * L2**2) / 2 \
+        + 1j * (n1 * n2 * geometry.N) * math.pi
+
+
 def boundary_factors(geometry: TorusGeometry, z, phases: BoundaryPhases = TRIVIAL_PHASES):
     """The two twisted-periodicity factors at z.
 
     Returns (F1, F2) with  psi(z + L1) = psi(z) F1  and
-    psi(z + i L2) = psi(z) F2  for a section with the given phases.
+    psi(z + i L2) = psi(z) F2  for a section with the given phases: the
+    _wrap_exponent of one step along L1 or i L2, plus i delta1 or i delta2.
     """
     z = np.asarray(z, dtype=complex)
-    L1, L2 = geometry.L1, geometry.L2
-    f1 = np.exp(L1 * z + L1 * L1 / 2 + 1j * phases.delta1)
-    f2 = np.exp(-1j * L2 * z + L2 * L2 / 2 + 1j * phases.delta2)
-    return f1, f2
+    return (np.exp(_wrap_exponent(geometry, z, 1, 0) + 1j * phases.delta1),
+            np.exp(_wrap_exponent(geometry, z, 0, 1) + 1j * phases.delta2))
 
 
 def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,

@@ -24,15 +24,15 @@ for a grid of n x n points, z - a is again a grid point up to whole periods.
 That lattice is the Z_N lattice with n in place of N, and one test
 (_lattice_steps) classifies a on either.  Every lattice and half-lattice
 point is a grid node when n is a multiple of 2N, as the default side is
-(default_resolution).  T_a s_nu on the grid is then
-the held samples of s_nu, index-rolled, times one factor exp(conj(a) z -
-|a|^2/2 + E) shared by the whole level, with E the boundary exponent of the
-integer wrap counts; no section is evaluated again.  Any other a falls back
+(default_resolution).  T_a s_nu on the grid is then the held samples of
+s_nu, index-rolled, times one factor exp(conj(a) z - |a|^2/2 + E) shared by
+the whole level, with E the boundary exponent (lll_basis._wrap_exponent) of
+the integer wrap counts; no section is evaluated again.  Any other a falls back
 to translate_sections, a chunk of at least _BLOCK_POINTS grid points of the
 level at a time (all of it on a small grid), sampled in one stacked grid
 pass per derivative order.  Either way the shifted sections are projected a
-block of nu at a time, one matrix product for the entries and one for the
-residual, so the temporaries stay a fraction of the samples.
+block of nu at a time, through Quadrature.gram and Quadrature.norms, so the
+temporaries stay a fraction of the samples.
 translation_matrices projects one sampled level for several displacements,
 and translation_matrix is its one-displacement case.
 commutator_matrix_residual multiplies four such matrices, of a, b, -a and
@@ -59,7 +59,7 @@ from .errors import NotAPeriod
 from .geometry import TorusGeometry, _one_torus
 from .levels import (Quadrature, as_section, default_resolution, _sampled_level,
                      _sample_sections)
-from .lll_basis import _BLOCK_POINTS
+from .lll_basis import _BLOCK_POINTS, _wrap_exponent
 
 
 def _displacement(a) -> complex:
@@ -98,12 +98,8 @@ def reduce_to_fundamental(geometry: TorusGeometry, w):
     """Reduce points into [0,L1) x [0,L2), returning (w0, log of the factor).
 
     For any section obeying the trivial-phase boundary conditions,
-    s(w) = s(w0) * exp(E) with w = w0 + n1 L1 + i n2 L2 and
-
-        E = (n1 L1 - i n2 L2) w0 + (n1^2 L1^2 + n2^2 L2^2)/2 + i n1 n2 N pi,
-
-    the exponent accumulated by stepping one period at a time (the path
-    order is immaterial once L1 L2 = N pi).
+    s(w) = s(w0) * exp(E) with w = w0 + n1 L1 + i n2 L2 and E the
+    lll_basis._wrap_exponent of the integer wraps n1, n2.
     """
     w = np.asarray(w, dtype=complex)
     L1, L2 = geometry.L1, geometry.L2
@@ -111,14 +107,6 @@ def reduce_to_fundamental(geometry: TorusGeometry, w):
     n2 = np.floor(w.imag / L2).astype(int)
     w0 = w - n1 * L1 - 1j * n2 * L2
     return w0, _wrap_exponent(geometry, w0, n1, n2)
-
-
-def _wrap_exponent(geometry: TorusGeometry, w0, n1, n2):
-    """E with s(w0 + n1 L1 + i n2 L2) = s(w0) exp(E), see reduce_to_fundamental."""
-    L1, L2 = geometry.L1, geometry.L2
-    return (n1 * L1 - 1j * n2 * L2) * w0 \
-        + (n1**2 * L1**2 + n2**2 * L2**2) / 2 \
-        + 1j * (n1 * n2 * geometry.N) * math.pi
 
 
 def translate_sections(a, sections, z) -> np.ndarray:
@@ -218,21 +206,18 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     factor.  Elsewhere translate_sections evaluates the T_a s_nu a chunk of
     whole blocks at a time, at least _BLOCK_POINTS grid points, so on a
     small grid the whole level is one pass per derivative order.  The
-    shifted sections are projected a block of nu at a time: one product for
-    the entries and one for the residual, conjugating only the block.
+    shifted sections are projected a block of nu at a time: quad.gram gives
+    the entries, and quad.norms the defects of the residual, formed in place.
     """
     n = len(basis)
     shift = _lattice_steps(a, quad.geometry, quad.side)
-    flat = vals.reshape(n, -1)
-    weight = quad.weight.ravel()
     entries = np.empty((n, n), dtype=complex)
     defects = np.empty(n)
-    # an eighth of the level at a time: the two block temporaries stay
-    # within a quarter of the size of the samples.  The block also fixes the
-    # shape of the BLAS products, and so how the entries round.
+    # an eighth of the level at a time, so the block's temporaries stay a
+    # fraction of the size of the samples
     step = max(1, n // 8)
     if shift is None:
-        chunk = step * -(-_BLOCK_POINTS // (step * flat.shape[1]))
+        chunk = step * -(-_BLOCK_POINTS // (step * quad.side**2))
     else:
         factor = _roll_factor(quad, a, *shift)
     for start in range(0, n, step):
@@ -244,14 +229,10 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
         else:
             shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))
             shifted *= factor
-        shifted = shifted.reshape(len(shifted), -1)
-        # <s_mu|T_a s_nu> = cell * conj(sum_p s_mu conj(weight T_a s_nu))
-        work = np.multiply(shifted, weight)
-        np.conjugate(work, out=work)
-        entries[block] = (flat @ work.T).T.conj() * quad.cell
-        np.matmul(entries[block], flat, out=work)
-        np.subtract(shifted, work, out=work)
-        defects[block] = quad.norms(work.reshape(-1, quad.side, quad.side))
+        # <s_mu|T_a s_nu> = conj(<T_a s_nu|s_mu>)
+        entries[block] = quad.gram(shifted, vals).conj()
+        shifted -= np.tensordot(entries[block], vals, axes=1)
+        defects[block] = quad.norms(shifted)
     return TranslationMatrix(quad.geometry, a, level, entries, defects)
 
 
@@ -267,16 +248,17 @@ def commutator_matrix_residual(t_a: TranslationMatrix, t_b: TranslationMatrix,
     """Check the commutator phase on the level matrices of T_a, T_b, T_-a, T_-b.
 
     The four matrices are projections onto one level of one torus, as one
-    translation_matrices call gives them; ValueError unless t_ma is at -a
-    and t_mb at -b.  Multiplies them in the operator order T_a T_b T_-a T_-b
-    (rightmost acting first; in the row convention of TranslationMatrix the
-    product is t(-b) t(-a) t(b) t(a)) and returns
-    (phase, max |product - phase * I|).
+    translation_matrices call gives them: GeometryMismatch for two tori,
+    ValueError for two levels, or unless t_ma is at -a and t_mb at -b.
+    Multiplies them in the operator order T_a T_b T_-a T_-b (rightmost
+    acting first; in the row convention of TranslationMatrix the product is
+    t(-b) t(-a) t(b) t(a)) and returns (phase, max |product - phase * I|).
     """
     if t_ma.a != -t_a.a or t_mb.a != -t_b.a:
         raise ValueError("commutator needs the matrices of T_a, T_b, T_-a and T_-b")
-    if len({(t.geometry, t.level) for t in (t_a, t_b, t_ma, t_mb)}) != 1:
-        raise ValueError("commutator matrices must share one torus and one level")
+    _one_torus((t_a, t_b, t_ma, t_mb))
+    if len({t.level for t in (t_a, t_b, t_ma, t_mb)}) != 1:
+        raise ValueError("commutator matrices must share one level")
     product = t_mb.entries @ t_ma.entries @ t_b.entries @ t_a.entries
     phase = commutator_phase(t_a.a, t_b.a)
     return phase, float(np.max(np.abs(product - phase * np.eye(len(product)))))
@@ -322,8 +304,7 @@ def translation_report(geometry: TorusGeometry, a, level: int = 0,
                        side: int | None = None) -> dict:
     """JSON-ready record of the translation diagnostics for one displacement."""
     a = _displacement(a)
-    # only the grid's side is resolved here: translation_matrix builds the
-    # one Quadrature and stays the report's entry to the translation layer
+    # resolve only the side: translation_matrix builds the one Quadrature
     side = default_resolution(geometry) if side is None else side
     tmat = translation_matrix(geometry, a, level, side)
     indices = lattice_indices(a, geometry)

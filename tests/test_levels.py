@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from toruslandau import gridio, tolerances
+from toruslandau import gridio, levels, tolerances
 from toruslandau.errors import ZeroNorm
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
@@ -95,15 +96,20 @@ class TestInnerProduct:
     @pytest.mark.parametrize("entry", [
         lambda geo, side: Quadrature(geo, side),
         lambda geo, side: gram_matrix(normalized_basis(geo), side),
+        lambda geo, side: gram_matrix([], side),
         lambda geo, side: density_map(geo, 0, side),
         lambda geo, side: translation_matrix(geo, geo.L1 / 2, side=side),
         lambda geo, side: translation_report(geo, geo.L1 / 2, side=side)],
-        ids=["Quadrature", "gram_matrix", "density_map", "translation_matrix",
-             "translation_report"])
+        ids=["Quadrature", "gram_matrix", "empty_gram_matrix", "density_map",
+             "translation_matrix", "translation_report"])
     def test_grid_side_must_be_an_integer(self, geo2, entry, side):
-        # every grid side reaches Quadrature, which checks it once
+        # every grid side is checked by the one rule, an empty basis's too
         with pytest.raises(ValueError, match="grid resolution must be an integer >= 4"):
             entry(geo2, side)
+
+    @pytest.mark.parametrize("side", [None, 4, 16])
+    def test_empty_basis_on_a_valid_side(self, side):
+        assert gram_matrix([], side).shape == (0, 0)
 
 
 class TestGramMatrix:
@@ -289,6 +295,19 @@ class TestDensityMap:
     def test_symmetry_visibly_broken_at_unit_flux(self):
         dm = density_map(TorusGeometry.square(1), 0)
         assert dm.relative_deviation > 0.5   # order-one bumps at N=1
+
+    def test_density_sums_the_weighted_samples(self):
+        # rho = sum_i e^{-|z|^2} |v_i|^2; density_map is it on the level, and
+        # the squared norms integrate it one sample at a time
+        geo = TorusGeometry.square(3)
+        quad = Quadrature(geo, 48)
+        vals = quad.sample(normalized_basis(geo))
+        rho = sum(np.exp(-np.abs(quad.z) ** 2) * np.abs(v) ** 2 for v in vals)
+        np.testing.assert_allclose(quad.density(vals), rho, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(quad.density(vals), density_map(geo, 0, 48).rho.values)
+        assert np.sum(quad.norms(vals) ** 2) == pytest.approx(
+            np.sum(rho) * geo.area / 48**2, rel=1e-14)
+        np.testing.assert_array_equal(quad.density(vals[:0]), np.zeros((48, 48)))
 
     def test_representations_agree(self):
         # the density rebuilt from the Gaussian series, term by term, matches;
@@ -590,3 +609,27 @@ class TestSectionAlgebraValidation:
         assert z.shape == (6, 8)
         assert z[0, 1] == pytest.approx(geo2.L1 / 8)
         assert z[1, 0] == pytest.approx(1j * geo2.L2 / 6)
+
+
+def test_only_quadrature_weights_grid_samples():
+    # gram, norms and density are the one Hermitian product: no other
+    # code of the package reads a quadrature's weight or cell.  Criterion
+    # 8's probe weighs its own points, independently, by a local weight.
+    def reads(node, owner=None):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("weight", "cell") \
+                and not (owner == "Quadrature" and getattr(node.value, "id", None) == "self"):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from reads(child, owner)
+
+    package = Path(levels.__file__).parent
+    found = [(path.name, line) for path in sorted(package.glob("*.py"))
+             for line in reads(ast.parse(path.read_text()))]
+    assert found == []
+    verify_tree = ast.parse((package / "verify.py").read_text())
+    probe = next(node for node in ast.walk(verify_tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_eigen_residuals")
+    assert "weight" in {target.id for node in ast.walk(probe) if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name)}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toruslandau import lll_basis, tolerances, translations, verify
-from toruslandau.errors import NotAPeriod
+from toruslandau.errors import GeometryMismatch, NotAPeriod
 from toruslandau.geometry import TorusGeometry
 from toruslandau.levels import (Quadrature, _sampled_level, default_resolution,
                                 density_map, gram_matrix, ground_section,
@@ -179,6 +179,18 @@ class TestGroupAlgebra:
         level_one = translation_matrix(geo3, -b, level=1)
         with pytest.raises(ValueError, match="one level"):
             commutator_matrix_residual(t_a, t_b, t_ma, level_one)
+
+    def test_commutator_matrices_of_two_tori(self, geo3):
+        # the torus is checked by the one geometry check; two levels of one
+        # torus stay a ValueError
+        a, b = 0.5, 0.5j
+        t_a, t_b = translation_matrices(TorusGeometry.square(2), [a, b])
+        t_ma, t_mb = translation_matrices(geo3, [-a, -b])
+        with pytest.raises(GeometryMismatch):
+            commutator_matrix_residual(t_a, t_b, t_ma, t_mb)
+        t_ma, t_mb = translation_matrices(TorusGeometry.square(2), [-a, -b], level=1)
+        with pytest.raises(ValueError, match="one level"):
+            commutator_matrix_residual(t_a, t_b, t_ma, t_mb)
 
     def test_lattice_subgroup_closure(self, geo3):
         # T_a T_b = exp((conj(a) b - a conj(b))/2) T_{a+b}
@@ -490,6 +502,21 @@ class TestRolledProjection:
         calls = count_translations(monkeypatch)
         tm = translations._project(quad, a, 0, basis, vals)
         assert calls == [geo3.N]
+        entries, defects = reference_projection(quad, a, basis, vals)
+        assert np.max(np.abs(tm.entries - entries)) <= 1e-13
+        assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_off_grid_blocks_of_two_sections(self, monkeypatch, level):
+        # at N = 17 a block holds two sections; 68^2 points per section make
+        # a chunk of eight blocks, so the level is translated as 16 + 1
+        geo = TorusGeometry.square(17)
+        quad = Quadrature(geo, 68)
+        a = 0.37 + 0.21j
+        basis, vals = _sampled_level(quad, level)
+        calls = count_translations(monkeypatch)
+        tm = translations._project(quad, a, level, basis, vals)
+        assert calls == [16, 1]
         entries, defects = reference_projection(quad, a, basis, vals)
         assert np.max(np.abs(tm.entries - entries)) <= 1e-13
         assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13

@@ -7,8 +7,8 @@ pair of sections obeying the twisted periodicity, so the inner product
 equal-weight periodic trapezoid rule, which converges spectrally here.  A
 Quadrature holds that rule on one square grid of side x side points: the
 points, the weight exp(-|z|^2) at them and the cell area.  Its gram, norms
-and density are the only code that weights grid samples: every inner
-product, norm and density of the package is integrated by them.
+and density integrate every inner product, norm and density of the package,
+and its _block is the one rule for taking a level's samples in blocks.
 
 Higher levels are built from the ground states with the covariant creation
 operator (d/dz - zbar).  A section is a flat sum of terms
@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import ZeroNorm
 from .geometry import TorusGeometry, _is_integer, _one_torus
-from .lll_basis import ThetaBasisFunction, _check_torus, eval_fourier_stack, normalized_basis
+from .lll_basis import (_BLOCK_POINTS, ThetaBasisFunction, _check_torus, eval_fourier_stack,
+                        normalized_basis)
 
 
 # bytes of default-grid sample stacks that one _sharing_stacks block keeps
@@ -116,11 +117,13 @@ class Quadrature:
 
     The grid is side x side points, side an integer >= 4 that defaults to
     default_resolution(geometry).  z is the periodic_grid, weight =
-    exp(-|z|^2) at its points and cell the area per point, all read-only
-    after construction; only gram, norms and density read weight and cell.
-    Sample stacks have shape (n, side, side); on the default grid inside a
-    _sharing_stacks block they may be kept, read-only, stacks.  ValueError
-    for a torus that lll_basis._check_torus rejects, before any grid is built.
+    exp(-|z|^2) at its points and cell the area per point, all read-only;
+    only gram, norms and density read weight and cell.  Sample stacks have
+    shape (n, side, side); on the default grid inside a _sharing_stacks
+    block they may be kept, read-only, stacks.  gram and the translation
+    projection take a level of n samples _block(n) at a time: whole samples,
+    at least n // 8 and at least _BLOCK_POINTS grid values.  ValueError for
+    a torus that lll_basis._check_torus rejects, before any grid is built.
     """
 
     def __init__(self, geometry: TorusGeometry, side: int | None = None):
@@ -133,7 +136,12 @@ class Quadrature:
         self._grid = (geometry, side) if side == default else None
         self.z = periodic_grid(geometry, side, side)
         self.weight = np.exp(-np.abs(self.z) ** 2)
+        self.z.flags.writeable = self.weight.flags.writeable = False
         self.cell = (geometry.L1 / side) * (geometry.L2 / side)
+
+    def _block(self, n: int) -> int:
+        """Samples per block of a level of n: the one block rule (class docstring)."""
+        return max(n // 8, -(-_BLOCK_POINTS // self.side**2), 1)
 
     def sample(self, sections) -> np.ndarray:
         """Values of each section at the grid points.
@@ -153,16 +161,17 @@ class Quadrature:
     def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Matrix of inner products <u_i|v_j> of two sample stacks.
 
-        u is conjugated and weighted an eighth of the stack at a time, so the
-        temporary stays a fraction of the samples.
+        u is conjugated and weighted into one reused buffer, _block(len(v))
+        samples at a time, so a block of the level v is one product.
         """
+        step = self._block(len(v))
         v = v.reshape(len(v), -1).T
         out = np.empty((len(u), v.shape[1]), dtype=complex)
-        step = max(1, len(u) // 8)
+        buffer = np.empty((min(step, len(u)),) + self.z.shape, dtype=complex)
         for start in range(0, len(u), step):
-            wu = np.conj(u[start:start + step]).reshape(-1, v.shape[0])
-            wu *= self.weight.ravel()
-            out[start:start + step] = wu @ v * self.cell
+            wu = np.conjugate(u[start:start + step], out=buffer[:len(u) - start])
+            wu *= self.weight
+            out[start:start + step] = wu.reshape(len(wu), -1) @ v * self.cell
         return out
 
     def norms(self, values: np.ndarray) -> np.ndarray:

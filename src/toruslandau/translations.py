@@ -28,11 +28,10 @@ point is a grid node when n is a multiple of 2N, as the default side is
 s_nu, index-rolled, times one factor exp(conj(a) z - |a|^2/2 + E) shared by
 the whole level, with E the boundary exponent (lll_basis._wrap_exponent) of
 the integer wrap counts; no section is evaluated again.  Any other a falls back
-to translate_sections, a chunk of at least _BLOCK_POINTS grid points of the
-level at a time (all of it on a small grid), sampled in one stacked grid
-pass per derivative order.  Either way the shifted sections are projected a
-block of nu at a time, through Quadrature.gram and Quadrature.norms, so the
-temporaries stay a fraction of the samples.
+to translate_sections, one stacked grid pass per derivative order.  Either way
+the level goes by Quadrature._block: whole sections, at least an eighth of
+the level and lll_basis's block of grid values (all of it on a small grid),
+each block projected by one Quadrature.gram product and Quadrature.norms.
 translation_matrices projects one sampled level for several displacements,
 and translation_matrix is its one-displacement case.
 commutator_matrix_residual multiplies four such matrices, of a, b, -a and
@@ -59,7 +58,7 @@ from .errors import NotAPeriod
 from .geometry import TorusGeometry, _one_torus
 from .levels import (Quadrature, as_section, default_resolution, _sampled_level,
                      _sample_sections)
-from .lll_basis import _BLOCK_POINTS, _wrap_exponent
+from .lll_basis import _wrap_exponent
 
 
 def _displacement(a) -> complex:
@@ -200,32 +199,22 @@ def _roll_factor(quad: Quadrature, a: complex, m1: int, m2: int) -> np.ndarray:
 
 
 def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> TranslationMatrix:
-    """translation_matrix on a basis already sampled on quad (vals).
-
-    On the grid lattice, T_a s_nu is the held samples index-rolled times one
-    factor.  Elsewhere translate_sections evaluates the T_a s_nu a chunk of
-    whole blocks at a time, at least _BLOCK_POINTS grid points, so on a
-    small grid the whole level is one pass per derivative order.  The
-    shifted sections are projected a block of nu at a time: quad.gram gives
-    the entries, and quad.norms the defects of the residual, formed in place.
+    """translation_matrix on a basis already sampled on quad (vals), a block
+    of quad._block(n) sections at a time: whole sections, at least an eighth
+    of them and lll_basis's block of grid values.  A block's T_a s_nu are its
+    held samples index-rolled times one factor on the grid lattice, else
+    translate_sections's; quad.gram gives its entries in one product, and
+    quad.norms the defects of the residual, formed in place.
     """
     n = len(basis)
     shift = _lattice_steps(a, quad.geometry, quad.side)
-    entries = np.empty((n, n), dtype=complex)
-    defects = np.empty(n)
-    # an eighth of the level at a time, so the block's temporaries stay a
-    # fraction of the size of the samples
-    step = max(1, n // 8)
-    if shift is None:
-        chunk = step * -(-_BLOCK_POINTS // (step * quad.side**2))
-    else:
-        factor = _roll_factor(quad, a, *shift)
+    entries, defects = np.empty((n, n), dtype=complex), np.empty(n)
+    factor = None if shift is None else _roll_factor(quad, a, *shift)
+    step = quad._block(n)
     for start in range(0, n, step):
         block = slice(start, start + step)
         if shift is None:
-            if start % chunk == 0:
-                translated = translate_sections(a, basis[start:start + chunk], quad.z)
-            shifted = translated[start % chunk:start % chunk + step]
+            shifted = translate_sections(a, basis[block], quad.z)
         else:
             shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))
             shifted *= factor

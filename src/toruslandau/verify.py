@@ -331,6 +331,8 @@ def check_energy_ladder(n_max: int = 6) -> CheckResult:
         eigs = _eigen_residuals((geo.L1 + 1j * geo.L2) / (2 * n), s0s + s1s,
                                 [0.0] * n + [2.0] * n)
         for psi, rq0, rq1, r0, r1 in zip(basis, rqs[:n], rqs[n:], eigs[:n], eigs[n:]):
+            # cannot fail: dbar of a degree-0 section is the empty section, so
+            # rq0 is exactly 0.0; the eigen residual r0 tests level 0
             if abs(rq0) > tol0:
                 problems.append(f"N={n} nu={psi.nu}: level-0 RQ {rq0:.1e}")
             if abs(rq1 - 2.0) > tol1:

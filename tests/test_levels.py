@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
                                 local_extrema, log_linear_fit, periodic_grid,
                                 raise_section, rayleigh_quotient,
                                 rayleigh_quotients)
-from toruslandau.lll_basis import (boundary_factors, eval_fourier,
-                                   eval_gaussian, ground_basis,
+from toruslandau.lll_basis import (_BLOCK_POINTS, boundary_factors,
+                                   eval_fourier, eval_gaussian, ground_basis,
                                    normalized_basis)
 from toruslandau.translations import translation_matrix, translation_report
 
@@ -111,6 +112,13 @@ class TestInnerProduct:
     def test_empty_basis_on_a_valid_side(self, side):
         assert gram_matrix([], side).shape == (0, 0)
 
+    @pytest.mark.parametrize("name", ["z", "weight"])
+    def test_quadrature_arrays_are_read_only(self, geo2, name):
+        # every later integral of the quadrature reads them
+        quad = Quadrature(geo2)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(quad, name)[0, 0] = 0
+
 
 class TestGramMatrix:
     def test_identity_for_normalized(self):
@@ -155,6 +163,39 @@ class TestGramMatrix:
             tracemalloc.stop()
         assert np.max(np.abs(g - np.eye(12))) < tolerances.get("gram_identity_abs")
         assert peak < 0.3 * vals.nbytes
+
+    def test_level_block_is_the_off_grid_chunk(self):
+        # arithmetic only: on every default grid (N = 1 to 225) a block is the
+        # fewest whole eighths of the level (at least one section each) that
+        # hold _BLOCK_POINTS grid values
+        for n in range(1, 226):
+            side = default_resolution(TorusGeometry.square(n))
+            step = max(1, n // 8)
+            chunk = step * -(-_BLOCK_POINTS // (step * side**2))
+            assert Quadrature._block(SimpleNamespace(side=side), n) == chunk
+
+    @pytest.mark.parametrize("n", [3, 12, 17])
+    def test_gram_takes_a_level_block_in_one_product(self, n):
+        # a block of the level v is conjugated, weighted and multiplied once,
+        # whatever the length of u; the level takes ceil(n / block) products
+        geo = TorusGeometry.square(n)
+        quad = Quadrature(geo)
+        vals = quad.sample(normalized_basis(geo))
+        block = quad._block(n)
+        taken = []
+
+        class Sliced(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    taken.append(key)
+                return super().__getitem__(key)
+
+        for u, products in ((vals[:block], 1), (vals, -(-n // block))):
+            taken.clear()
+            g = quad.gram(u.view(Sliced), vals)
+            assert len(taken) == products
+            np.testing.assert_array_equal(g, quad.gram(u, vals))
+        assert np.max(np.abs(g - np.eye(n))) < tolerances.get("gram_identity_abs")
 
     def test_gram_one_row_unchanged(self):
         # inner_product takes one row; it is the whole-stack

@@ -321,7 +321,8 @@ class TestOffSquareTorus:
 class TestSamplingOnce:
     """A level is one grid pass per derivative order, and on the grid lattice
     a translation adds none; elsewhere a translation adds one pass per order
-    for each chunk of the level, and at N = 3 the whole level is one chunk."""
+    for each Quadrature block of the level, and at N = 3 the whole level is
+    one block."""
 
     @pytest.mark.parametrize("call, count", [
         (lambda g: density_map(g, 0), 1),
@@ -418,7 +419,7 @@ class TestBatches:
                     batch, np.stack([translate_section(a, s, z) for s in sections]))
 
     def test_chunks_cover_a_large_level(self, monkeypatch):
-        # 192^2 points per section at N = 12: two sections fill a chunk
+        # 192^2 points per section at N = 12: two sections fill a block
         geo = TorusGeometry.square(12)
         quad = Quadrature(geo)
         basis, vals = _sampled_level(quad, 0)
@@ -444,15 +445,15 @@ def reference_projection(quad, a, basis, vals):
 
 def count_translations(monkeypatch):
     """Record the number of sections of each translate_sections call."""
-    chunks = []
+    blocks = []
     original = translations.translate_sections
 
     def counted(a, sections, z):
-        chunks.append(len(sections))
+        blocks.append(len(sections))
         return original(a, sections, z)
 
     monkeypatch.setattr(translations, "translate_sections", counted)
-    return chunks
+    return blocks
 
 
 class TestRolledProjection:
@@ -495,7 +496,7 @@ class TestRolledProjection:
     def test_off_grid_uses_translate_section(self, monkeypatch, geo3, a):
         # L1/3 is a lattice point, but not a node of a 64-wide grid; the
         # 64^2 grid holds fewer than _BLOCK_POINTS points per section, so
-        # the whole level is translated in one chunk
+        # the whole level is translated in one block
         a = geo3.L1 / 3 if a == "lattice_off_grid" else a
         quad = Quadrature(geo3, 64)
         basis, vals = _sampled_level(quad, 0)
@@ -507,16 +508,17 @@ class TestRolledProjection:
         assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
 
     @pytest.mark.parametrize("level", [0, 1])
-    def test_off_grid_blocks_of_two_sections(self, monkeypatch, level):
-        # at N = 17 a block holds two sections; 68^2 points per section make
-        # a chunk of eight blocks, so the level is translated as 16 + 1
+    def test_off_grid_quadrature_blocks_at_n17(self, monkeypatch, level):
+        # pins the block structure, not a bound: at N = 17 on a 68-wide grid
+        # a Quadrature block is 15 sections (68^2 = 4624 points each, at
+        # least _BLOCK_POINTS together), so the level is translated as 15 + 2
         geo = TorusGeometry.square(17)
         quad = Quadrature(geo, 68)
         a = 0.37 + 0.21j
         basis, vals = _sampled_level(quad, level)
         calls = count_translations(monkeypatch)
         tm = translations._project(quad, a, level, basis, vals)
-        assert calls == [16, 1]
+        assert calls == [15, 2]
         entries, defects = reference_projection(quad, a, basis, vals)
         assert np.max(np.abs(tm.entries - entries)) <= 1e-13
         assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13

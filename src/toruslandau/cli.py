@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, gridio, tolerances, verify
+from . import __version__, gridio, lll_basis, tolerances, verify
 from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
 from .lll_basis import (BoundaryPhases, boundary_residuals, duality_residuals,
-                        normalize, theta_basis)
+                        eval_fourier_stack, normalize, theta_basis)
 from .levels import GridField, Quadrature, density_map
 from .cocycle import total_flux, uniform_mesh
 from .translations import translation_report
@@ -67,6 +67,15 @@ def _geometry_options(args, n_value=None):
     if n is not None:
         options["N"] = int(n)
     return options
+
+
+def _torus(args, n_value=None):
+    """The torus of the geometry flags; ValueError if its sections overflow a
+    double on its cell (lll_basis._check_torus), for every command that
+    samples sections."""
+    geo = resolve_geometry(_geometry_options(args, n_value))
+    lll_basis._check_torus(geo)
+    return geo
 
 
 def _write_field(field: GridField, stem: Path, fmt: str) -> Path:
@@ -114,15 +123,18 @@ def _check_seed(seed: int) -> None:
 
 def cmd_basis(args) -> int:
     _check_seed(args.seed)
-    geo = resolve_geometry(_geometry_options(args))
+    geo = _torus(args)
     psi = normalize(theta_basis(geo, args.nu))
     quad = Quadrature(geo, args.grid)
-    vals = quad.sample([psi])
+    # psi itself for its re and im files and the boundary check; the
+    # quadrature's weighted samples for its density
+    vals = eval_fourier_stack([psi], quad.z)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     stem = f"basis_N{geo.N}_nu{args.nu}"
-    fields = {"re": vals[0].real, "im": vals[0].imag, "density": quad.density(vals)}
+    fields = {"re": vals[0].real, "im": vals[0].imag,
+              "density": quad.density(quad.sample([psi]))}
     outputs = [_write_field(GridField(geo, f"{stem}_{key}", values), out / f"{stem}_{key}",
                             args.format) for key, values in fields.items()]
 
@@ -158,7 +170,7 @@ def cmd_density(args) -> int:
         raise ValueError(f"--N must be strictly increasing, got {args.N}")
     if len(set(args.level)) < len(args.level):
         raise ValueError(f"--level repeats a level: {' '.join(map(str, args.level))}")
-    geos = [resolve_geometry(_geometry_options(args, n_value=n)) for n in n_list]
+    geos = [_torus(args, n) for n in n_list]
     maps = [[density_map(geo, level, args.grid) for geo in geos] for level in args.level]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,7 +233,7 @@ def _parse_displacement(args, geo) -> complex:
 
 
 def cmd_translate(args) -> int:
-    geo = resolve_geometry(_geometry_options(args))
+    geo = _torus(args)
     a = _parse_displacement(args, geo)
     report = translation_report(geo, a, level=args.level, side=args.grid)
     out = Path(args.out_dir)

@@ -6,9 +6,13 @@ pair of sections obeying the twisted periodicity, so the inner product
 <s1|s2> = integral of h over the fundamental domain is computed with the
 equal-weight periodic trapezoid rule, which converges spectrally here.  A
 Quadrature holds that rule on one square grid of side x side points: the
-points, the weight exp(-|z|^2) at them and the cell area.  Its gram, norms
-and density integrate every inner product, norm and density of the package,
-and its _block is the one rule for taking a level's samples in blocks.
+points and the cell area.  It samples sections in the weighted frame
+e^{-|z|^2/2} s(z), bounded with a doubly periodic modulus on every torus
+(where s itself grows like e^{|z|^2/2}), so h(s1, s2) is the plain product
+conj(u1) u2 of weighted samples.  Its gram, norms and density integrate
+every inner product, norm and density of the package as plain sums times
+the cell, and its _block is the one rule for taking a level's samples in
+blocks.
 
 Higher levels are built from the ground states with the covariant creation
 operator (d/dz - zbar).  A section is a flat sum of terms
@@ -25,8 +29,9 @@ H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
 A level basis is normalized by the ground states' closed-form unit-norm
 constant (lll_basis.normalize), which the creation operator preserves; the
 quadrature reproduces that norm to about 1e-14.  The basis is sampled on the
-quadrature grid once, one stacked grid pass per derivative order of its
-terms, and the density map and the translation matrices reuse those samples.
+quadrature grid once, one stacked weighted grid pass per derivative order of
+its terms, and the density map and the translation matrices reuse those
+samples.
 rayleigh_quotients likewise samples a list of sections and their dbar images
 in one pass per order, and rayleigh_quotient is its one-section case.
 
@@ -35,10 +40,10 @@ length of a run) every stack sampled on a default quadrature grid, side =
 default_resolution, is kept, keyed by (sections, derivative order, geometry,
 side): the ground-state stacks of Quadrature.sample and the per-order
 stacks of _term_stacks.  A later sample of the same key reads the kept stack
-instead of taking another grid pass.  Kept stacks are read-only, other grids
-and scattered points are never kept, the store stops taking stacks once they
-would exceed _STACK_BUDGET bytes, and it is dropped when the block exits.
-Outside a block nothing is kept.
+instead of taking another grid pass.  Kept stacks are weighted samples,
+read-only; other grids and scattered points are never kept, the store stops
+taking stacks once they would exceed _STACK_BUDGET bytes, and it is dropped
+when the block exits.  Outside a block nothing is kept.
 """
 
 from __future__ import annotations
@@ -51,8 +56,7 @@ import numpy as np
 
 from .errors import ZeroNorm
 from .geometry import TorusGeometry, _is_integer, _one_torus
-from .lll_basis import (_BLOCK_POINTS, ThetaBasisFunction, _check_torus, eval_fourier_stack,
-                        normalized_basis)
+from .lll_basis import _BLOCK_POINTS, ThetaBasisFunction, eval_fourier_stack, normalized_basis
 
 
 # bytes of default-grid sample stacks that one _sharing_stacks block keeps
@@ -113,21 +117,22 @@ def _check_side(side) -> None:
 
 
 class Quadrature:
-    """The periodic trapezoid rule with the Hermitian weight on one grid.
+    """The periodic trapezoid rule on one grid, in the weighted frame.
 
     The grid is side x side points, side an integer >= 4 that defaults to
-    default_resolution(geometry).  z is the periodic_grid, weight =
-    exp(-|z|^2) at its points and cell the area per point, all read-only;
-    only gram, norms and density read weight and cell.  Sample stacks have
-    shape (n, side, side); on the default grid inside a _sharing_stacks
-    block they may be kept, read-only, stacks.  gram and the translation
-    projection take a level of n samples _block(n) at a time: whole samples,
-    at least n // 8 and at least _BLOCK_POINTS grid values.  ValueError for
-    a torus that lll_basis._check_torus rejects, before any grid is built.
+    default_resolution(geometry).  z is the periodic_grid and cell the area
+    per point, both read-only; only the methods of Quadrature read cell.
+    sample returns weighted samples e^{-|z|^2/2} s(z), stacks of shape
+    (n, side, side), so the Hermitian weight e^{-|z|^2} is the product of
+    two samples' and no weight array is held: gram, norms and density are
+    plain sums times the cell.  The samples are bounded on every torus,
+    thin ones and N > 225 included.  On the default grid inside a
+    _sharing_stacks block they may be kept, read-only, stacks.  gram and the
+    translation projection take a level of n samples _block(n) at a time:
+    whole samples, at least n // 8 and at least _BLOCK_POINTS grid values.
     """
 
     def __init__(self, geometry: TorusGeometry, side: int | None = None):
-        _check_torus(geometry)
         _check_side(side)
         default = default_resolution(geometry)
         side = default if side is None else side
@@ -135,8 +140,7 @@ class Quadrature:
         # the store key of this grid's stacks; only default grids are kept
         self._grid = (geometry, side) if side == default else None
         self.z = periodic_grid(geometry, side, side)
-        self.weight = np.exp(-np.abs(self.z) ** 2)
-        self.z.flags.writeable = self.weight.flags.writeable = False
+        self.z.flags.writeable = False
         self.cell = (geometry.L1 / side) * (geometry.L2 / side)
 
     def _block(self, n: int) -> int:
@@ -144,7 +148,7 @@ class Quadrature:
         return max(n // 8, -(-_BLOCK_POINTS // self.side**2), 1)
 
     def sample(self, sections) -> np.ndarray:
-        """Values of each section at the grid points.
+        """Weighted values e^{-|z|^2/2} s(z) of each section at the grid points.
 
         Ground states alone (ThetaBasisFunction) are one stacked grid pass,
         and the stack is the result.  Otherwise the distinct (psi, k) of all
@@ -155,23 +159,23 @@ class Quadrature:
         _one_torus(sections, self.geometry)
         if all(isinstance(s, ThetaBasisFunction) for s in sections):
             return _kept(self._grid, sections, 0,
-                         lambda: eval_fourier_stack(sections, self.z))
-        return _sample_sections(sections, self.z, self._grid)
+                         lambda: eval_fourier_stack(sections, self.z, _weighted=True))
+        return _sample_sections(sections, self.z, self._grid, _weighted=True)
 
     def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Matrix of inner products <u_i|v_j> of two sample stacks.
+        """Matrix of inner products <u_i|v_j> of two weighted sample stacks,
+        conj(u) @ v times the cell.
 
-        u is conjugated and weighted into one reused buffer, _block(len(v))
-        samples at a time, so a block of the level v is one product.
+        u is conjugated into one reused buffer, _block(len(v)) samples at a
+        time, so a block of the level v is one product.
         """
         step = self._block(len(v))
         v = v.reshape(len(v), -1).T
         out = np.empty((len(u), v.shape[1]), dtype=complex)
         buffer = np.empty((min(step, len(u)),) + self.z.shape, dtype=complex)
         for start in range(0, len(u), step):
-            wu = np.conjugate(u[start:start + step], out=buffer[:len(u) - start])
-            wu *= self.weight
-            out[start:start + step] = wu.reshape(len(wu), -1) @ v * self.cell
+            cu = np.conjugate(u[start:start + step], out=buffer[:len(u) - start])
+            out[start:start + step] = cu.reshape(len(cu), -1) @ v * self.cell
         return out
 
     def norms(self, values: np.ndarray) -> np.ndarray:
@@ -179,10 +183,10 @@ class Quadrature:
         return np.sqrt([np.sum(self.density(v[None])) * self.cell for v in values])
 
     def density(self, values: np.ndarray) -> np.ndarray:
-        """sum_i exp(-|z|^2) |v_i|^2 of a sample stack, one sample at a time."""
+        """sum_i |v_i|^2 of a weighted sample stack, one sample at a time."""
         rho = np.zeros(self.z.shape)
         for v in values:
-            rho += self.weight * np.abs(v) ** 2
+            rho += np.abs(v) ** 2
         return rho
 
 
@@ -244,27 +248,30 @@ class PolynomialSection:
         return self + other * (-1.0)
 
 
-def _sample_sections(sections, z, grid=None) -> np.ndarray:
-    """Values of each section at the points z, shape (len(sections),) + z.shape.
+def _sample_sections(sections, z, grid=None, *, _weighted=False) -> np.ndarray:
+    """Values of each section at the points z, shape (len(sections),) + z.shape,
+    times e^{-|z|^2/2} if _weighted (the frame of Quadrature.sample).
 
     The distinct (psi, k) of the sections, all on one torus, are sampled
     once, one stacked pass per derivative order, and each stack is added
     into the sections before the next is taken, so a section's values do
     not depend on the sections sampled with it.  grid is the (geometry, side)
-    of a default quadrature grid z, whose stacks may be kept (_kept), or None.
+    of a default quadrature grid z, whose weighted stacks may be kept
+    (_kept), or None.
     """
     sections = [as_section(s) for s in sections]
     out = np.zeros((len(sections),) + z.shape, dtype=complex)
     keys = ((psi, k) for s in sections for _, psi, k, _ in s.terms)
-    for samples in _term_stacks(keys, z, grid):
+    for samples in _term_stacks(keys, z, grid, _weighted=_weighted):
         for i, s in enumerate(sections):
             s._add_terms(z, samples, out[i, ...])
         del samples  # free this stack before the next one is taken
     return out
 
 
-def _term_stacks(keys, z, grid=None):
-    """Yield {(psi, k): psi^(k)(z)} for the distinct (psi, k) of keys.
+def _term_stacks(keys, z, grid=None, *, _weighted=False):
+    """Yield {(psi, k): psi^(k)(z)} for the distinct (psi, k) of keys, each
+    times e^{-|z|^2/2} if _weighted.
 
     One dict per derivative order, the highest first (the term order of a
     raised section), so the order in which a section's terms are added does
@@ -276,8 +283,8 @@ def _term_stacks(keys, z, grid=None):
     for psi, k in dict.fromkeys(keys):
         groups.setdefault(k, []).append(psi)
     for k, psis in sorted(groups.items(), key=lambda group: -group[0]):
-        yield dict(zip(((psi, k) for psi in psis),
-                       _kept(grid, psis, k, lambda: eval_fourier_stack(psis, z, k))))
+        yield dict(zip(((psi, k) for psi in psis), _kept(
+            grid, psis, k, lambda: eval_fourier_stack(psis, z, k, _weighted=_weighted))))
 
 
 def ground_section(psi: ThetaBasisFunction) -> PolynomialSection:
@@ -437,9 +444,10 @@ def density_map(geometry: TorusGeometry, level: int = 0,
                 side: int | None = None) -> DensityMap:
     """rho(z) = sum_nu h(s_nu, s_nu)(z) for the normalized level basis.
 
-    The Hermitian weight is included, making rho a genuine function on the
-    torus.  Breaking of continuous translation symmetry shows up as bumps of
-    the deviation field on the lattice (n1 L1 + i n2 L2)/N.  The grid is
+    The Hermitian weight is included (rho sums the squared moduli of the
+    weighted samples), making rho a genuine function on the torus.
+    Breaking of continuous translation symmetry shows up as bumps of the
+    deviation field on the lattice (n1 L1 + i n2 L2)/N.  The grid is
     side x side; side defaults to default_resolution, on which lattice
     points and half-lattice midpoints are grid nodes.
     """

@@ -25,7 +25,10 @@ several hundred.  Both series reject a torus whose sections overflow a
 double on its cell (_check_torus).  The Fourier series factors out its peak
 term before it sums in double; both of its paths keep the same terms about
 each point's peak (_fourier_reach), and each takes a stack of sections of
-one torus in one pass, bit for bit the one-section calls:
+one torus in one pass, bit for bit the one-section calls.  The grid path
+can instead return the weighted values e^{-|z|^2/2} psi^(k)(z), the frame in
+which levels.Quadrature integrates: they are bounded, with a doubly periodic
+modulus, on every torus, so that frame checks no torus.
 
   grid       z[j, i] = x[i] + i y[j] (any 2-D array whose real part is the
              same down each column and imaginary part the same along each
@@ -190,9 +193,8 @@ def _fourier_reach(geometry: TorusGeometry) -> int:
     """M of the Fourier window: about the index n0 = nu (mod N) nearest a
     point's peak term n*, the terms n0 + N m, |m| <= M, keep all above e^-40
     of it, since term n0 + N m is at most e^{-L2^2 (m^2 - |m|)} of term n0
-    (|n0 - n*| <= N/2; see _fourier_points).  ValueError from _check_torus.
+    (|n0 - n*| <= N/2; see _fourier_points).  The same in either frame.
     """
-    _check_torus(geometry)
     return int(math.ceil(0.5 + math.sqrt(0.25 + _TAIL_MARGIN / geometry.L2 ** 2))) + 1
 
 
@@ -217,8 +219,9 @@ def _is_grid(arr) -> bool:
             and np.array_equal(arr.imag, np.broadcast_to(arr.imag[:, :1], arr.shape)))
 
 
-def _fourier_grid(psis, z, order: int):
-    """d^order psi on a tensor grid z[j, i] = x[i] + 1j*y[j], for each psi of psis.
+def _fourier_grid(psis, z, order: int, weighted: bool):
+    """d^order psi on a tensor grid z[j, i] = x[i] + 1j*y[j], for each psi of psis,
+    times e^{-|z|^2/2} if weighted.
 
     The sections share one geometry.  With e^{z^2/2} = e^{x^2/2} e^{-y^2/2}
     e^{i x y}, the term for index n is
@@ -226,9 +229,12 @@ def _fourier_grid(psis, z, order: int):
       * [exp{x^2/2 + 2 pi i n x/L1}]                       column (n, x)
       * exp{i x y},
     so each sum over n is a (rows x K) @ (K x nx) product times a pointwise
-    phase.  Exponents are assembled in long double; each row's peak is
-    factored out of the row factor, and phases are reduced mod 2pi, before
-    the cast to double.  A derivative carries the factor q(z + b_n) with
+    phase.  The weight e^{-|z|^2/2} drops the column's e^{x^2/2} and turns
+    the row's e^{-y^2/2} into e^{-y^2}, so that no factor grows with |z|:
+    each row is scaled by exp(peak - y^2) in place of exp(peak - y^2/2).
+    Exponents are assembled in long double; each row's peak is factored
+    out of the row factor, and phases are reduced mod 2pi, before the cast
+    to double.  A derivative carries the factor q(z + b_n) with
     b_n = 2 pi i n/L1 (see _taylor_rows); expanding it as
     sum_j q^(j)(z)/j! b_n^j costs one more product per power of b_n.
 
@@ -251,8 +257,9 @@ def _fourier_grid(psis, z, order: int):
 
     x = z[0].real.astype(_LD)
     col_phase = np.mod(two_pi * nl[:, None] * x / L1l, two_pi)
-    col = np.asarray(np.exp(x * x / 2), dtype=float) \
-        * np.exp(1j * np.asarray(col_phase, dtype=float))
+    col = np.exp(1j * np.asarray(col_phase, dtype=float))
+    if not weighted:
+        col = np.asarray(np.exp(x * x / 2), dtype=float) * col
     col = col.view(float)            # (K, 2 nx): real and imaginary parts
     cols = [col[pick] for pick in picks]
     quad = -pil * nl * nl * L2l / (n_flux * L1l)
@@ -266,7 +273,7 @@ def _fourier_grid(psis, z, order: int):
         rows = slice(start, start + step)
         y = ys[rows].astype(_LD)[:, None]
         re = quad - two_pi * nl * y / L1l
-        half_y2 = y * y / 2
+        row_y2 = y * y if weighted else y * y / 2
         weights = [(coeffs[0] if len(coeffs) == 1 else _eval_poly(coeffs, z[rows])) * 1j**j
                    for j, coeffs in enumerate(taylor)]
         gauge = np.exp(1j * np.asarray(np.mod(x * y, two_pi), dtype=float))
@@ -283,7 +290,7 @@ def _fourier_grid(psis, z, order: int):
                 np.matmul(row * b[pick]**j, col_i, out=product.view(float))
                 np.multiply(weight, product, out=product)
                 np.add(sums if j else 0, product, out=sums)
-            scale = psi.norm_const * np.asarray(np.exp(peak - half_y2), dtype=float)
+            scale = psi.norm_const * np.asarray(np.exp(peak - row_y2), dtype=float)
             np.multiply(scale, gauge, out=out[i, rows])
             out[i, rows] *= sums
     return out
@@ -408,19 +415,27 @@ def _fourier_points(psis, arr, order: int):
     return _by_points(arr, len(ms), block, len(psis))
 
 
-def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
+def eval_fourier_stack(psis, z, order: int = 0, *, _weighted: bool = False) -> np.ndarray:
     """d^order/dz^order of each section of psis at z, shape (len(psis),) + z.shape.
 
     The sections must share one geometry (GeometryMismatch otherwise).  The
     whole stack is one pass: of _fourier_grid on a 2-D tensor grid, of
     _fourier_points at any other z.  ValueError for a non-finite point or a
-    torus that _check_torus rejects.
+    torus that _check_torus rejects.  The private _weighted returns the
+    weighted frame e^{-|z|^2/2} d^order psi instead, on any torus; it is
+    sampled on tensor grids only (ValueError at other points).
     """
     arr = _points(z)
-    if _one_torus(psis) is None:
+    geo = _one_torus(psis)
+    if geo is None:
         return np.empty((0,) + np.shape(z), dtype=complex)
-    fill = _fourier_grid if _is_grid(arr) else _fourier_points
-    return fill(psis, arr, order).reshape((len(psis),) + np.shape(z))
+    grid = _is_grid(arr)
+    if _weighted and not grid:
+        raise ValueError("the weighted frame is sampled on tensor grids only")
+    if not _weighted:
+        _check_torus(geo)
+    out = _fourier_grid(psis, arr, order, _weighted) if grid else _fourier_points(psis, arr, order)
+    return out.reshape((len(psis),) + np.shape(z))
 
 
 def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):

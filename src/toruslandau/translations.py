@@ -24,11 +24,13 @@ for a grid of n x n points, z - a is again a grid point up to whole periods.
 That lattice is the Z_N lattice with n in place of N, and one test
 (_lattice_steps) classifies a on either.  Every lattice and half-lattice
 point is a grid node when n is a multiple of 2N, as the default side is
-(default_resolution).  T_a s_nu on the grid is then the held samples of
-s_nu, index-rolled, times one factor exp(conj(a) z - |a|^2/2 + E) shared by
-the whole level, with E the boundary exponent (lll_basis._wrap_exponent) of
-the integer wrap counts; no section is evaluated again.  Any other a falls back
-to translate_sections, one stacked grid pass per derivative order.  Either way
+(default_resolution).  The level is held in the quadrature's weighted frame
+e^{-|z|^2/2} s(z) (levels.Quadrature), in which T_a s_nu on the grid is the
+held samples of s_nu, index-rolled, times one phase exp(i Im(conj(a) z + E))
+shared by the whole level, with E the boundary exponent
+(lll_basis._wrap_exponent) of the integer wrap counts (_weighted_factor); no
+section is evaluated again.  Any other a falls back to translate_sections
+in the same frame, one stacked grid pass per derivative order.  Either way
 the level goes by Quadrature._block: whole sections, at least an eighth of
 the level and lll_basis's block of grid values (all of it on a small grid),
 each block projected by one Quadrature.gram product and Quadrature.norms.
@@ -108,7 +110,18 @@ def reduce_to_fundamental(geometry: TorusGeometry, w):
     return w0, _wrap_exponent(geometry, w0, n1, n2)
 
 
-def translate_sections(a, sections, z) -> np.ndarray:
+def _weighted_factor(a: complex, z, exponent):
+    """exp(i Im(conj(a) z + E)): the factor of T_a in the weighted frame.
+
+    With w0 = z - a less whole periods and E their wrap exponent,
+    (T_a s)(z) = exp(conj(a) z - |a|^2/2 + E) s(w0), whose factor has the
+    modulus e^{(|z|^2 - |w0|^2)/2}.  The frame's e^{-|z|^2/2} and the
+    e^{|w0|^2/2} of the weighted sample at w0 cancel it, leaving the phase.
+    """
+    return np.exp(1j * (np.conj(a) * z + exponent).imag)
+
+
+def translate_sections(a, sections, z, *, _weighted=False) -> np.ndarray:
     """(T_a s)(z) = exp(conj(a) z - |a|^2/2) s(z - a) for each s of sections.
 
     Returns shape (len(sections),) + z.shape.  z may be anywhere; z - a is
@@ -116,7 +129,8 @@ def translate_sections(a, sections, z) -> np.ndarray:
     the factor kept in log space.  The sections share one torus: one
     reduction and one factor serve them all, and they are sampled at the
     reduced points in one stacked pass per derivative order.  A section's
-    values do not depend on the sections translated with it.
+    values do not depend on the sections translated with it.  The private
+    _weighted gives e^{-|z|^2/2} (T_a s)(z), the frame of _project.
     """
     a = _displacement(a)
     sections = [as_section(s) for s in sections]
@@ -125,8 +139,11 @@ def translate_sections(a, sections, z) -> np.ndarray:
     if geometry is None:
         return np.empty((0,) + z.shape, dtype=complex)
     w0, exponent = reduce_to_fundamental(geometry, z - a)
-    factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
-    out = _sample_sections(sections, w0)
+    if _weighted:
+        factor = _weighted_factor(a, z, exponent)
+    else:
+        factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
+    out = _sample_sections(sections, w0, _weighted=_weighted)
     return np.multiply(factor, out, out=out)
 
 
@@ -184,25 +201,27 @@ def translation_matrix(geometry: TorusGeometry, a, level: int = 0,
 
 
 def _roll_factor(quad: Quadrature, a: complex, m1: int, m2: int) -> np.ndarray:
-    """F with (T_a s)(z[j, i]) = F[j, i] s(z[(j - m2) % n, (i - m1) % n]).
+    """F with (T_a u)(z[j, i]) = F[j, i] u(z[(j - m2) % n, (i - m1) % n]) for
+    weighted samples u (levels.Quadrature).
 
-    n is the grid side.  F = exp(conj(a) z - |a|^2/2 + E), where E is the
-    boundary exponent of the integer wraps i - m1 = i0 + n1 n and j - m2 =
-    j0 + n2 n.  It holds for every section with trivial boundary phases, so
-    one F serves a level.
+    n is the grid side.  F is the _weighted_factor of E, the boundary
+    exponent of the integer wraps i - m1 = i0 + n1 n and j - m2 = j0 + n2 n.
+    It holds for every section with trivial boundary phases, so one F serves
+    a level.
     """
     n1, i0 = np.divmod(np.arange(quad.side) - m1, quad.side)
     n2, j0 = np.divmod(np.arange(quad.side) - m2, quad.side)
     exponent = _wrap_exponent(quad.geometry, quad.z[np.ix_(j0, i0)],
                               n1[None, :], n2[:, None])
-    return np.exp(np.conj(a) * quad.z - abs(a) ** 2 / 2 + exponent)
+    return _weighted_factor(a, quad.z, exponent)
 
 
 def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> TranslationMatrix:
-    """translation_matrix on a basis already sampled on quad (vals), a block
-    of quad._block(n) sections at a time: whole sections, at least an eighth
-    of them and lll_basis's block of grid values.  A block's T_a s_nu are its
-    held samples index-rolled times one factor on the grid lattice, else
+    """translation_matrix on a basis already sampled on quad (vals, weighted
+    samples), a block of quad._block(n) sections at a time: whole sections,
+    at least an eighth of them and lll_basis's block of grid values.  A
+    block's T_a s_nu, in the same weighted frame, are its held samples
+    index-rolled times one phase on the grid lattice, else
     translate_sections's; quad.gram gives its entries in one product, and
     quad.norms the defects of the residual, formed in place.
     """
@@ -214,7 +233,7 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     for start in range(0, n, step):
         block = slice(start, start + step)
         if shift is None:
-            shifted = translate_sections(a, basis[block], quad.z)
+            shifted = translate_sections(a, basis[block], quad.z, _weighted=True)
         else:
             shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))
             shifted *= factor

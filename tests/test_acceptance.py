@@ -138,9 +138,9 @@ def count_grid_passes(monkeypatch):
     shapes = []
     grid = lll_basis._fourier_grid
 
-    def counted(psis, z, order):
+    def counted(psis, z, order, weighted):
         shapes.append(z.shape)
-        return grid(psis, z, order)
+        return grid(psis, z, order, weighted)
 
     monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
     return shapes
@@ -304,8 +304,8 @@ def test_criterion_08_detects_an_evaluation_fault(monkeypatch):
     # finite-difference H sees it
     grid = lll_basis._fourier_grid
 
-    def faulty(psis, z, order):
-        out = grid(psis, z, order)
+    def faulty(psis, z, order, weighted):
+        out = grid(psis, z, order, weighted)
         return out * (1 + 1e-6 * np.cos(2 * np.pi * z.real / psis[0].geometry.L1))
 
     monkeypatch.setattr(lll_basis, "_fourier_grid", faulty)

@@ -11,7 +11,7 @@ from toruslandau.cli import main
 from toruslandau.cocycle import (cocycle_constant, total_flux, triangle_identity,
                                  uniform_mesh)
 from toruslandau.geometry import TorusGeometry
-from toruslandau.levels import periodic_grid
+from toruslandau.levels import DensityMap, GridField, density_map, periodic_grid
 from toruslandau.lll_basis import (boundary_residuals, duality_residuals, normalize,
                                    theta_basis)
 
@@ -56,32 +56,33 @@ class TestBasisCommand:
             [psi], periodic_grid(geo, 32, 32))[0]
 
     def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
-        # the 32^2 grid and its L1 and iL2 shifts; normalize samples nothing
+        # the 32^2 grid in psi's frame and in the quadrature's weighted frame
+        # (the density), and its L1 and iL2 shifts; normalize samples nothing
         grids = []
         original = lll_basis._fourier_grid
 
-        def counted(psis, z, order):
+        def counted(psis, z, order, weighted):
             grids.append(z.shape)
-            return original(psis, z, order)
+            return original(psis, z, order, weighted)
 
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         assert run(["basis", "--N", "3", "--nu", "1", "--grid", "32",
                     "--out-dir", str(tmp_path)]) == 0
-        assert grids == [(32, 32)] * 3
+        assert grids == [(32, 32)] * 4
 
     def test_large_n_passes(self, tmp_path, monkeypatch):
-        # at N = 12 too: the default 128^2 grid and its two shifts, and no
-        # normalization grid
+        # at N = 12 too: the default 128^2 grid in both frames and its two
+        # shifts, and no normalization grid
         grids = []
         original = lll_basis._fourier_grid
 
-        def counted(psis, z, order):
+        def counted(psis, z, order, weighted):
             grids.append(z.shape)
-            return original(psis, z, order)
+            return original(psis, z, order, weighted)
 
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         assert run(["basis", "--N", "12", "--nu", "6", "--out-dir", str(tmp_path)]) == 0
-        assert grids == [(128, 128)] * 3
+        assert grids == [(128, 128)] * 4
 
     @pytest.mark.parametrize("n", [16, 20])
     def test_duality_holds_past_criterion_scope(self, tmp_path, n):
@@ -182,14 +183,30 @@ class TestDensityCommand:
         assert capsys.readouterr().err == f"error: expected --N N1,N2,..., got {n_list!r}\n"
         assert not out.exists()
 
-    def test_nonfinite_d_fails(self, tmp_path, capsys):
-        # on this long thin torus the density map overflows to nan; a d(N)
-        # that is not a number fails the run rather than passing as a table
-        with np.errstate(all="ignore"):
-            code = run(["density", "--N", "1", "--L1", "30", "--out-dir", str(tmp_path)])
+    def test_nonfinite_d_fails(self, tmp_path, capsys, monkeypatch):
+        # a d(N) that is not a number fails the run rather than passing as a table
+        def nan_map(geo, level, side):
+            dev = density_map(geo, level, side).deviation
+            nan = GridField(geo, dev.name, np.full(dev.values.shape, np.nan))
+            return DensityMap(nan, nan, math.nan, math.nan)
+
+        monkeypatch.setattr(cli, "density_map", nan_map)
+        code = run(["density", "--N", "1", "--grid", "16", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "d(1)=nan" in capsys.readouterr().out
         assert read_manifest(tmp_path)["checks"] == {"d_decreasing": True, "d_finite": False}
+
+    def test_long_thin_torus_has_finite_d(self, tmp_path, capsys):
+        # at L1 = 30, L2 = pi/30 psi reaches e^{450} where e^{-|z|^2} is
+        # below the smallest double; the weighted samples stay bounded
+        code = run(["density", "--N", "1", "--L1", "30", "--level", "0", "1",
+                    "--out-dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "density_summary.json").read_text())
+        ds = [summary["levels"][level]["table"][0]["d"] for level in ("0", "1")]
+        assert all(math.isfinite(d) and d > 0 for d in ds)
+        assert "nan" not in capsys.readouterr().out
+        assert read_manifest(tmp_path)["checks"] == {"d_decreasing": True, "d_finite": True}
 
     def test_json_grid_format(self, tmp_path):
         code = run(["density", "--N", "2", "--grid", "48", "--format", "json",
@@ -406,14 +423,16 @@ class TestUsageErrors:
         ["translate", "--N", "1", "--L1", "1e-150", "--a", "0,0"],
         ["basis", "--N", "1", "--L2", "1e-170"],
         ["basis", "--N", "1", "--L2", "40"],
-        ["density", "--N", "1", "--L1", "40"]],
+        ["density", "--N", "1", "--L1", "40"],
+        ["translate", "--N", "1", "--L2", "40", "--a-frac", "0.5,0"]],
         ids=["basis-grid", "basis-nu", "density-grid", "translate-grid",
              "translate-displacement", "translate-both-displacements",
              "cocycle-mesh", "basis-infinite-side", "basis-flux-overflow",
              "translate-infinite-side", "basis-infinite-field", "basis-field-underflow",
              "cocycle-area-underflow", "cocycle-area-overflow",
              "basis-cutoff-overflow", "translate-cutoff-overflow",
-             "basis-side-underflow", "basis-cell-overflow", "density-cell-overflow"])
+             "basis-side-underflow", "basis-cell-overflow", "density-cell-overflow",
+             "translate-cell-overflow"])
     def test_no_directory_on_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run(argv + ["--out-dir", str(out)]) == 2

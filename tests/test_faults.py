@@ -18,7 +18,7 @@ def scale_grid_values(monkeypatch, factor):
     """Every sample of the grid path times factor: a uniform-scale fault."""
     grid = lll_basis._fourier_grid
     monkeypatch.setattr(lll_basis, "_fourier_grid",
-                        lambda psis, z, order: grid(psis, z, order) * factor)
+                        lambda psis, z, order, weighted: grid(psis, z, order, weighted) * factor)
 
 
 def drop_gaussian_nu_squared(monkeypatch):
@@ -47,7 +47,8 @@ def shift_fourier_class(monkeypatch):
         return dataclasses.replace(psi, nu=(psi.nu + 1) % psi.geometry.N)
 
     monkeypatch.setattr(lll_basis, "_fourier_grid",
-                        lambda psis, z, order: grid([relabel(p) for p in psis], z, order))
+                        lambda psis, z, order, weighted:
+                        grid([relabel(p) for p in psis], z, order, weighted))
     monkeypatch.setattr(lll_basis, "_fourier_points",
                         lambda psis, arr, order: points([relabel(p) for p in psis], arr, order))
 

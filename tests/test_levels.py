@@ -27,8 +27,8 @@ from toruslandau.levels import (DensityMap, GridField, PolynomialSection,
                                 raise_section, rayleigh_quotient,
                                 rayleigh_quotients)
 from toruslandau.lll_basis import (_BLOCK_POINTS, boundary_factors,
-                                   eval_fourier, eval_gaussian, ground_basis,
-                                   normalized_basis)
+                                   eval_fourier, eval_fourier_stack, eval_gaussian,
+                                   ground_basis, normalized_basis)
 from toruslandau.translations import translation_matrix, translation_report
 
 
@@ -112,7 +112,7 @@ class TestInnerProduct:
     def test_empty_basis_on_a_valid_side(self, side):
         assert gram_matrix([], side).shape == (0, 0)
 
-    @pytest.mark.parametrize("name", ["z", "weight"])
+    @pytest.mark.parametrize("name", ["z"])
     def test_quadrature_arrays_are_read_only(self, geo2, name):
         # every later integral of the quadrature reads them
         quad = Quadrature(geo2)
@@ -198,15 +198,33 @@ class TestGramMatrix:
         assert np.max(np.abs(g - np.eye(n))) < tolerances.get("gram_identity_abs")
 
     def test_gram_one_row_unchanged(self):
-        # inner_product takes one row; it is the whole-stack
-        # formula, bit for bit
+        # inner_product takes one row; it is the whole-stack formula
+        # conj(u) @ v * cell of the weighted samples, bit for bit, and the
+        # Hermitian product of psi itself with a weight of its own
         geo = TorusGeometry.square(3)
         quad = Quadrature(geo)
         vals = quad.sample(ground_basis(geo))
         u = vals[:1]
-        expected = (np.conj(u).reshape(1, -1) * quad.weight.ravel()) \
-            @ vals.reshape(3, -1).T * quad.cell
-        np.testing.assert_array_equal(quad.gram(u, vals), expected)
+        np.testing.assert_array_equal(
+            quad.gram(u, vals), np.conj(u).reshape(1, -1) @ vals.reshape(3, -1).T * quad.cell)
+        psi = eval_fourier_stack(ground_basis(geo), quad.z)
+        weight = np.exp(-np.abs(quad.z) ** 2)
+        expected = (np.conj(psi[:1]).reshape(1, -1) * weight.ravel()) \
+            @ psi.reshape(3, -1).T * quad.cell
+        assert np.max(np.abs(quad.gram(u, vals) - expected)) < 1e-14 * abs(expected[0, 0])
+
+    @pytest.mark.parametrize("side, bound", [(None, 1e-9), (128, 1e-14)])
+    def test_identity_on_a_long_thin_torus(self, side, bound):
+        # L1 = 30, L2 = pi/30: psi reaches e^{450} where e^{-|z|^2} is below
+        # the smallest double, but the weighted samples stay bounded
+        g = gram_matrix(level_basis(TorusGeometry(30.0, math.pi / 30, 1), 0), side)
+        assert np.max(np.abs(g - np.eye(1))) < bound
+
+    def test_identity_past_n_225(self):
+        # (L1^2 + L2^2)/2 = 300 pi is past ln(max double), where psi itself
+        # overflows; the weighted frame integrates it
+        g = gram_matrix(normalized_basis(TorusGeometry.square(300))[:2], 400)
+        assert np.max(np.abs(g - np.eye(2))) < 1e-12
 
 
 class TestCreationOperator:
@@ -338,12 +356,14 @@ class TestDensityMap:
         assert dm.relative_deviation > 0.5   # order-one bumps at N=1
 
     def test_density_sums_the_weighted_samples(self):
-        # rho = sum_i e^{-|z|^2} |v_i|^2; density_map is it on the level, and
-        # the squared norms integrate it one sample at a time
+        # rho = sum_i e^{-|z|^2} |psi_i|^2, here from psi itself and a weight
+        # of its own; density_map is it on the level, and the squared norms
+        # integrate it one sample at a time
         geo = TorusGeometry.square(3)
         quad = Quadrature(geo, 48)
         vals = quad.sample(normalized_basis(geo))
-        rho = sum(np.exp(-np.abs(quad.z) ** 2) * np.abs(v) ** 2 for v in vals)
+        psis = eval_fourier_stack(normalized_basis(geo), quad.z)
+        rho = sum(np.exp(-np.abs(quad.z) ** 2) * np.abs(psi) ** 2 for psi in psis)
         np.testing.assert_allclose(quad.density(vals), rho, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(quad.density(vals), density_map(geo, 0, 48).rho.values)
         assert np.sum(quad.norms(vals) ** 2) == pytest.approx(
@@ -653,22 +673,37 @@ class TestSectionAlgebraValidation:
 
 
 def test_only_quadrature_weights_grid_samples():
-    # gram, norms and density are the one Hermitian product: no other
-    # code of the package reads a quadrature's weight or cell.  Criterion
-    # 8's probe weighs its own points, independently, by a local weight.
-    def reads(node, owner=None):
+    # Quadrature samples in the weighted frame e^{-|z|^2/2} s, so gram, norms
+    # and density, the one Hermitian product, are plain sums: no code of the
+    # package reads a weight attribute, and only Quadrature's methods read
+    # its cell.  Only levels and translations._project ask for the weighted
+    # frame (_weighted=True; other uses of the keyword pass on their own
+    # _weighted).  Criterion 8's probe weighs its own points,
+    # independently, by a local weight.
+    def visit(node, owner=None, function=None):
         if isinstance(node, ast.ClassDef):
             owner = node.name
-        if isinstance(node, ast.Attribute) and node.attr in ("weight", "cell") \
-                and not (owner == "Quadrature" and getattr(node.value, "id", None) == "self"):
-            yield node.lineno
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        yield node, owner, function
         for child in ast.iter_child_nodes(node):
-            yield from reads(child, owner)
+            yield from visit(child, owner, function)
 
     package = Path(levels.__file__).parent
-    found = [(path.name, line) for path in sorted(package.glob("*.py"))
-             for line in reads(ast.parse(path.read_text()))]
-    assert found == []
+    weights, cells, requests = [], [], []
+    for path in sorted(package.glob("*.py")):
+        for node, owner, function in visit(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "weight":
+                weights.append((path.name, node.lineno))
+            if isinstance(node, ast.Attribute) and node.attr == "cell" \
+                    and not (owner == "Quadrature" and getattr(node.value, "id", None) == "self"):
+                cells.append((path.name, node.lineno))
+            if isinstance(node, ast.keyword) and node.arg == "_weighted" \
+                    and getattr(node.value, "id", None) != "_weighted":
+                requests.append((path.name, function))
+    assert weights == [] and cells == []
+    assert {name for name, _ in requests} == {"levels.py", "translations.py"}
+    assert {function for name, function in requests if name != "levels.py"} == {"_project"}
     verify_tree = ast.parse((package / "verify.py").read_text())
     probe = next(node for node in ast.walk(verify_tree)
                  if isinstance(node, ast.FunctionDef) and node.name == "_eigen_residuals")

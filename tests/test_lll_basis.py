@@ -687,6 +687,41 @@ class TestGridPath:
         assert peak < 4 * out.nbytes
 
 
+class TestWeightedFrame:
+    """_weighted gives e^{-|z|^2/2} d^k psi on the grid path, checked against
+    no torus bound; scattered points are refused."""
+
+    @pytest.mark.parametrize("n, ratio", [(1, 1.0), (6, 0.25), (6, 4.0), (12, 1.0)])
+    def test_psi_times_its_weight(self, n, ratio):
+        # on a grid shifted off the cell too, where |z| and |psi| are larger
+        geo = TorusGeometry.with_aspect(n, ratio)
+        psis = [theta_basis(geo, nu) for nu in sample_classes(n)]
+        for z in (periodic_grid(geo, 40, 36), periodic_grid(geo, 40, 36) - 0.5 * geo.L1
+                  + 0.5j * geo.L2):
+            for order in (0, 1, 2):
+                got = eval_fourier_stack(psis, z, order, _weighted=True)
+                ref = np.exp(-np.abs(z) ** 2 / 2) * eval_fourier_stack(psis, z, order)
+                assert np.max(np.abs(got - ref)) <= GRID_BOUND * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("geo", [TorusGeometry(40.0, math.pi / 40, 1),
+                                     TorusGeometry.square(300)], ids=["L1-40", "N-300"])
+    def test_finite_past_the_double_range(self, geo):
+        # psi overflows a double on these cells, and eval_fourier refuses
+        # them; the weighted grid values are finite
+        psis = [theta_basis(geo, nu) for nu in sample_classes(geo.N)]
+        z = periodic_grid(geo, 48, 40)
+        with pytest.raises(ValueError, match="overflow a double"):
+            eval_fourier_stack(psis, z)
+        for order in (0, 1, 2):
+            assert np.all(np.isfinite(eval_fourier_stack(psis, z, order, _weighted=True)))
+
+    def test_scattered_points_refused(self):
+        geo = TorusGeometry.square(3)
+        z = periodic_grid(geo, 8, 6)
+        with pytest.raises(ValueError, match="tensor grids only"):
+            eval_fourier_stack(ground_basis(geo), z.ravel(), _weighted=True)
+
+
 class TestStackedGridPath:
     """A stack of sections on one grid is bit-identical to one section at a time."""
 
@@ -715,7 +750,7 @@ class TestStackedGridPath:
             sections = [raise_section(s) * 0.7 for s in sections]
         vals = quad.sample(sections)
         for s, got in zip(sections, vals):
-            np.testing.assert_array_equal(got, s(quad.z))
+            np.testing.assert_array_equal(got, quad.sample([s])[0])
 
     def test_points_off_a_grid(self):
         geo = TorusGeometry.square(3)

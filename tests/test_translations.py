@@ -432,12 +432,14 @@ class TestBatches:
 
 
 def reference_projection(quad, a, basis, vals):
-    """The projection one section at a time, every T_a s_nu from translate_section."""
+    """The projection one section at a time, every T_a s_nu from translate_section,
+    brought into the quadrature's weighted frame by a weight of its own."""
     n = len(basis)
     entries = np.zeros((n, n), dtype=complex)
     defects = np.zeros(n)
+    weight = np.exp(-np.abs(quad.z) ** 2 / 2)
     for nu in range(n):
-        shifted = translate_section(a, basis[nu], quad.z)[None]
+        shifted = translate_section(a, basis[nu], quad.z)[None] * weight
         entries[nu] = quad.gram(vals, shifted)[:, 0]
         defects[nu] = quad.norms(shifted - np.tensordot(entries[nu], vals, axes=1))[0]
     return entries, defects
@@ -448,12 +450,47 @@ def count_translations(monkeypatch):
     blocks = []
     original = translations.translate_sections
 
-    def counted(a, sections, z):
+    def counted(a, sections, z, **frame):
         blocks.append(len(sections))
-        return original(a, sections, z)
+        return original(a, sections, z, **frame)
 
     monkeypatch.setattr(translations, "translate_sections", counted)
     return blocks
+
+
+class TestWeightedFactors:
+    """In the quadrature's weighted frame both factors of T_a are the phase of
+    the psi-frame factor exp(conj(a) z - |a|^2/2 + E): its modulus
+    e^{(|z|^2 - |w0|^2)/2} cancels against the weights at z and at w0."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("steps", [(1, 0), (0, 1), (-2, 3)])
+    def test_roll_factor(self, n, steps):
+        geo = TorusGeometry.square(n)
+        quad = Quadrature(geo)
+        a = (steps[0] * geo.L1 + 1j * steps[1] * geo.L2) / n
+        m1, m2 = translations._lattice_steps(a, geo, quad.side)
+        n1, i0 = np.divmod(np.arange(quad.side) - m1, quad.side)
+        n2, j0 = np.divmod(np.arange(quad.side) - m2, quad.side)
+        w0 = quad.z[np.ix_(j0, i0)]
+        exponent = lll_basis._wrap_exponent(geo, w0, n1[None, :], n2[:, None])
+        psi_frame = np.exp(np.conj(a) * quad.z - abs(a) ** 2 / 2 + exponent)
+        got = translations._roll_factor(quad, a, m1, m2)
+        assert np.max(np.abs(np.abs(got) - 1)) < 1e-15
+        expected = psi_frame * np.exp((np.abs(w0) ** 2 - np.abs(quad.z) ** 2) / 2)
+        assert np.max(np.abs(got - expected)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_off_lattice_factor(self, n):
+        geo = TorusGeometry.square(n)
+        z = Quadrature(geo).z
+        a = 0.37 + 0.21j
+        w0, exponent = reduce_to_fundamental(geo, z - a)
+        psi_frame = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
+        got = translations._weighted_factor(a, z, exponent)
+        assert np.max(np.abs(np.abs(got) - 1)) < 1e-15
+        expected = psi_frame * np.exp((np.abs(w0) ** 2 - np.abs(z) ** 2) / 2)
+        assert np.max(np.abs(got - expected)) < 1e-13
 
 
 class TestRolledProjection:

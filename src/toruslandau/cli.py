@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__, gridio, lll_basis, tolerances, verify
 from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
-from .lll_basis import (BoundaryPhases, boundary_residuals, duality_residuals,
-                        eval_fourier_stack, normalize, theta_basis)
+from .lll_basis import (boundary_residuals, duality_residuals, eval_fourier_stack,
+                        normalize, theta_basis)
 from .levels import GridField, Quadrature, density_map
 from .cocycle import total_flux, uniform_mesh
 from .translations import translation_report
@@ -291,9 +291,7 @@ def cmd_cocycle(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_seed(args.seed)
-    fault = BoundaryPhases(math.pi, 0.0) if args.debug_flip_x_sign else None
-    results = verify.run_acceptance(n_max=args.n_max, seed=args.seed,
-                                    fault_phases=fault)
+    results = verify.run_acceptance(n_max=args.n_max, seed=args.seed)
     note = verify._cap_note(args.n_max)
     if note:
         print(note)
@@ -360,9 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6,
                    help="largest flux quantum count exercised")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--debug-flip-x-sign", action="store_true",
-                   help="inject a sign fault into the x boundary factor "
-                        "(the suite must then fail)")
     p.set_defaults(func=cmd_verify)
     return parser
 

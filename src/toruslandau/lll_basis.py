@@ -194,8 +194,14 @@ def _fourier_reach(geometry: TorusGeometry) -> int:
     point's peak term n*, the terms n0 + N m, |m| <= M, keep all above e^-40
     of it, since term n0 + N m is at most e^{-L2^2 (m^2 - |m|)} of term n0
     (|n0 - n*| <= N/2; see _fourier_points).  The same in either frame.
+    ValueError naming L2 if its 2M + 1 terms exceed _BLOCK_POINTS (L2 < ~1.9e-4).
     """
-    return int(math.ceil(0.5 + math.sqrt(0.25 + _TAIL_MARGIN / geometry.L2 ** 2))) + 1
+    L2 = geometry.L2
+    half = 0.5 + math.sqrt(0.25 + (_TAIL_MARGIN / L2 ** 2 if L2 ** 2 else math.inf))
+    if not half <= _BLOCK_POINTS // 2 - 2:   # 2M + 1 = 2 ceil(half) + 3; False for inf
+        raise ValueError(f"the Fourier window of the torus with L2={L2!r} exceeds "
+                         f"{_BLOCK_POINTS} terms: L2 is too small")
+    return int(math.ceil(half)) + 1
 
 
 def _peak_class(psi: ThetaBasisFunction, y) -> np.ndarray:

@@ -26,7 +26,6 @@ TOLERANCES = {
     "projection_defect_half": (1e-4, "minimum defect at half-lattice midpoints"),
     "wintner_abs": (1e-12, "determinant consistency phase vs 1 on the lattice"),
     "wintner_witness_abs": (0.1, "minimum |phase - 1| for the half-lattice witness"),
-    "rayleigh_ground_abs": (1e-12, "Rayleigh quotient on level 0"),
     "energy_level1_abs": (1e-8, "Rayleigh quotient vs 2 on level 1, hbar*omega units"),
     "eigen_residual_rel": (1e-8, "||H s - E s||/||s|| on levels 0 and 1, H by finite differences"),
     "lift_closure_abs": (1e-9, "edge wraps of a triangle close its planar lift"),

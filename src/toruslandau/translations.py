@@ -29,11 +29,12 @@ e^{-|z|^2/2} s(z) (levels.Quadrature), in which T_a s_nu on the grid is the
 held samples of s_nu, index-rolled, times one phase exp(i Im(conj(a) z + E))
 shared by the whole level, with E the boundary exponent
 (lll_basis._wrap_exponent) of the integer wrap counts (_weighted_factor); no
-section is evaluated again.  Any other a falls back to translate_sections
-in the same frame, one stacked grid pass per derivative order.  Either way
-the level goes by Quadrature._block: whole sections, at least an eighth of
-the level and lll_basis's block of grid values (all of it on a small grid),
-each block projected by one Quadrature.gram product and Quadrature.norms.
+section is evaluated again.  Any other a samples the level again, in the
+same frame, at the grid reduced into the fundamental domain: one stacked
+grid pass per derivative order.  Either way the level goes by
+Quadrature._block: whole sections, at least an eighth of the level and
+lll_basis's block of grid values (all of it on a small grid), each block
+projected by one Quadrature.gram product and Quadrature.norms.
 translation_matrices projects one sampled level for several displacements,
 and translation_matrix is its one-displacement case.
 commutator_matrix_residual multiplies four such matrices, of a, b, -a and
@@ -121,7 +122,7 @@ def _weighted_factor(a: complex, z, exponent):
     return np.exp(1j * (np.conj(a) * z + exponent).imag)
 
 
-def translate_sections(a, sections, z, *, _weighted=False) -> np.ndarray:
+def translate_sections(a, sections, z) -> np.ndarray:
     """(T_a s)(z) = exp(conj(a) z - |a|^2/2) s(z - a) for each s of sections.
 
     Returns shape (len(sections),) + z.shape.  z may be anywhere; z - a is
@@ -129,8 +130,7 @@ def translate_sections(a, sections, z, *, _weighted=False) -> np.ndarray:
     the factor kept in log space.  The sections share one torus: one
     reduction and one factor serve them all, and they are sampled at the
     reduced points in one stacked pass per derivative order.  A section's
-    values do not depend on the sections translated with it.  The private
-    _weighted gives e^{-|z|^2/2} (T_a s)(z), the frame of _project.
+    values do not depend on the sections translated with it.
     """
     a = _displacement(a)
     sections = [as_section(s) for s in sections]
@@ -139,11 +139,8 @@ def translate_sections(a, sections, z, *, _weighted=False) -> np.ndarray:
     if geometry is None:
         return np.empty((0,) + z.shape, dtype=complex)
     w0, exponent = reduce_to_fundamental(geometry, z - a)
-    if _weighted:
-        factor = _weighted_factor(a, z, exponent)
-    else:
-        factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
-    out = _sample_sections(sections, w0, _weighted=_weighted)
+    factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
+    out = _sample_sections(sections, w0)
     return np.multiply(factor, out, out=out)
 
 
@@ -221,19 +218,24 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     samples), a block of quad._block(n) sections at a time: whole sections,
     at least an eighth of them and lll_basis's block of grid values.  A
     block's T_a s_nu, in the same weighted frame, are its held samples
-    index-rolled times one phase on the grid lattice, else
-    translate_sections's; quad.gram gives its entries in one product, and
-    quad.norms the defects of the residual, formed in place.
+    index-rolled on the grid lattice, else sampled again at the grid reduced
+    once into the fundamental domain, times one phase; quad.gram gives its
+    entries in one product, and quad.norms the defects of the residual.
     """
     n = len(basis)
     shift = _lattice_steps(a, quad.geometry, quad.side)
     entries, defects = np.empty((n, n), dtype=complex), np.empty(n)
-    factor = None if shift is None else _roll_factor(quad, a, *shift)
+    if shift is None:
+        source, exponent = reduce_to_fundamental(quad.geometry, quad.z - a)
+        factor = _weighted_factor(a, quad.z, exponent)
+    else:
+        factor = _roll_factor(quad, a, *shift)
     step = quad._block(n)
     for start in range(0, n, step):
         block = slice(start, start + step)
         if shift is None:
-            shifted = translate_sections(a, basis[block], quad.z, _weighted=True)
+            shifted = _sample_sections(basis[block], source, _weighted=True)
+            np.multiply(factor, shifted, out=shifted)
         else:
             shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))
             shifted *= factor

@@ -317,7 +317,8 @@ def _eigen_residuals(a, sections, energies) -> np.ndarray:
 
 
 def check_energy_ladder(n_max: int = 6) -> CheckResult:
-    tol0 = tolerances.get("rayleigh_ground_abs")
+    """Level 1's Rayleigh quotients and both levels' eigen residuals: level 0's
+    quotient is 0.0 by construction (dbar of a degree-0 section is empty)."""
     tol1 = tolerances.get("energy_level1_abs")
     tol_eig = tolerances.get("eigen_residual_rel")
     problems = []
@@ -326,22 +327,18 @@ def check_energy_ladder(n_max: int = 6) -> CheckResult:
         basis = normalized_basis(geo)
         s0s = [ground_section(psi) for psi in basis]
         s1s = [raise_section(s0) for s0 in s0s]
-        rqs = rayleigh_quotients(s0s + s1s)
+        rqs = rayleigh_quotients(s1s)
         # the half-lattice midpoint: T_a leaves the level's boundary law
         eigs = _eigen_residuals((geo.L1 + 1j * geo.L2) / (2 * n), s0s + s1s,
                                 [0.0] * n + [2.0] * n)
-        for psi, rq0, rq1, r0, r1 in zip(basis, rqs[:n], rqs[n:], eigs[:n], eigs[n:]):
-            # cannot fail: dbar of a degree-0 section is the empty section, so
-            # rq0 is exactly 0.0; the eigen residual r0 tests level 0
-            if abs(rq0) > tol0:
-                problems.append(f"N={n} nu={psi.nu}: level-0 RQ {rq0:.1e}")
+        for psi, rq1, r0, r1 in zip(basis, rqs, eigs[:n], eigs[n:]):
             if abs(rq1 - 2.0) > tol1:
                 problems.append(f"N={n} nu={psi.nu}: level-1 RQ {rq1}")
             for level, r in ((0, r0), (1, r1)):
                 if r > tol_eig:
                     problems.append(f"N={n} nu={psi.nu}: level-{level} eigen residual {r:.1e}")
     detail = "; ".join(problems) if problems else (
-        f"N<={n_max}: E0 = 0 within {tol0:g}, E1 = 2 hbar*omega within {tol1:g}; "
+        f"N<={n_max}: E1 = 2 hbar*omega within {tol1:g}; "
         f"H T_a s = E T_a s within {tol_eig:g} at a = (L1 + i L2)/(2N)")
     return CheckResult("energy ladder", not problems, detail)
 

@@ -393,8 +393,13 @@ class TestVerifyCommand:
         assert capsys.readouterr().out.splitlines()[0] == (
             "N capped: criteria 6 and 8 ran to N<=1 (--n-max 3)")
 
-    def test_fault_injection_fails_boundary(self, capsys):
-        code = run(["verify", "--n-max", "2", "--debug-flip-x-sign"])
+    def test_fault_injection_fails_boundary(self, capsys, monkeypatch):
+        # the x boundary sign fault, passed to the suite the command runs:
+        # one FAIL line, and the exit status says so
+        suite = verify.run_acceptance
+        monkeypatch.setattr(verify, "run_acceptance", lambda **kw: suite(
+            **kw, fault_phases=lll_basis.BoundaryPhases(math.pi, 0.0)))
+        code = run(["verify", "--n-max", "2"])
         out = capsys.readouterr().out
         assert code == 1
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -472,9 +477,10 @@ class TestUsageErrors:
         ["cocycle", "--B", "3"],
         ["cocycle", "--config", "torus.cfg"],
         ["cocycle", "--format", "json"],
-        ["translate", "--N", "3", "--a-frac", "0.5,0", "--format", "json"]],
+        ["translate", "--N", "3", "--a-frac", "0.5,0", "--format", "json"],
+        ["verify", "--n-max", "2", "--debug-flip-x-sign"]],
         ids=["cocycle-N", "cocycle-units", "cocycle-B", "cocycle-config",
-             "cocycle-format", "translate-format"])
+             "cocycle-format", "translate-format", "verify-debug-flip-x-sign"])
     def test_removed_flags_are_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:

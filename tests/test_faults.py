@@ -1,9 +1,10 @@
 """Injected faults and the acceptance criteria that catch them.
 
-Each fault is a named monkeypatch that wraps one function of the package;
-each test runs the acceptance suite under it and asserts the exact set of
-failing criteria, so that a check which stops failing is caught, and so is
-one which starts failing on a fault it should not see.
+Each fault is a named monkeypatch that wraps or replaces one function of
+the package, except the x boundary sign fault, which run_acceptance takes as
+fault_phases; each test runs the acceptance suite under it and asserts the
+exact set of failing criteria, so that a check which stops failing is
+caught, and so is one which starts failing on a fault it should not see.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import math
 
 import pytest
 
-from toruslandau import lll_basis, verify
+from toruslandau import cocycle, levels, lll_basis, translations, verify
 
 
 def scale_grid_values(monkeypatch, factor):
@@ -53,6 +54,50 @@ def shift_fourier_class(monkeypatch):
                         lambda psis, arr, order: points([relabel(p) for p in psis], arr, order))
 
 
+# The x boundary sign fault: criterion 4 expects psi(z + L1) with the
+# opposite sign, as for a bundle of boundary phase delta1 = pi.
+X_SIGN_FAULT = lll_basis.BoundaryPhases(math.pi, 0.0)
+
+
+def flip_creation_zbar_sign(monkeypatch):
+    """The creation operator as d/dz + zbar: each term zbar^p psi^(k) goes to
+    zbar^p psi^(k+1) + zbar^(p+1) psi^(k).  Level bases (levels) and
+    criterion 8 (verify) each look up raise_section in their own module."""
+    def faulty(s):
+        s = levels.as_section(s)
+        return levels.PolynomialSection(s.geometry, tuple(
+            term for p, psi, k, w in s.terms
+            for term in ((p, psi, k + 1, w), (p + 1, psi, k, w))))
+
+    monkeypatch.setattr(levels, "raise_section", faulty)
+    monkeypatch.setattr(verify, "raise_section", faulty)
+
+
+def scale_chi(monkeypatch, factor):
+    """Every transition function of the mesh cocycle times factor."""
+    chi = cocycle.chi
+    monkeypatch.setattr(cocycle, "chi", lambda *args: chi(*args) * factor)
+
+
+def conjugate_commutator_phase(monkeypatch):
+    """The closed-form commutator phase exp(conj(a) b - a conj(b)) conjugated."""
+    phase = translations.commutator_phase
+    monkeypatch.setattr(translations, "commutator_phase",
+                        lambda a, b: phase(a, b).conjugate())
+
+
+def keep_degree_zero_in_dbar(monkeypatch):
+    """dbar_section keeps each degree-0 term as it is, where dbar drops it:
+    the level-0 Rayleigh quotient becomes 2, and each level-1 section's
+    psi^(1) term survives into its dbar."""
+    def faulty(s):
+        s = levels.as_section(s)
+        return levels.PolynomialSection(s.geometry, tuple(
+            (p - 1, psi, k, p * w) if p else (p, psi, k, w) for p, psi, k, w in s.terms))
+
+    monkeypatch.setattr(levels, "dbar_section", faulty)
+
+
 def failing(results):
     return {i for i, r in enumerate(results, 1) if not r.passed}
 
@@ -81,3 +126,38 @@ def test_fourier_residue_class_fault(monkeypatch):
     # compares that series with the pointwise Fourier sum
     shift_fourier_class(monkeypatch)
     assert failing(verify.run_acceptance(n_max=3)) == {3}
+
+
+def test_x_boundary_sign_fault():
+    # run_acceptance passes the phases to criterion 4 alone
+    assert failing(verify.run_acceptance(n_max=2, fault_phases=X_SIGN_FAULT)) == {4}
+
+
+def test_creation_operator_sign_fault(monkeypatch):
+    # d/dz + zbar keeps neither the norm nor the boundary law: the level-1
+    # density maps lose their mean and their lattice invariance, and the
+    # energy ladder fails; criterion 6 projects level 0 only
+    flip_creation_zbar_sign(monkeypatch)
+    assert failing(verify.run_acceptance(n_max=3)) == {5, 8}
+
+
+def test_cocycle_chi_scale_fault(monkeypatch):
+    # only the mesh theorem sums transition functions
+    scale_chi(monkeypatch, 1 + 1e-6)
+    assert failing(verify.run_acceptance(n_max=3)) == {9}
+
+
+def test_commutator_phase_fault(monkeypatch):
+    # the four projected matrices multiply to the true phase, so the
+    # conjugate misses it where exp(2 pi i/N) is not real (N = 3)
+    conjugate_commutator_phase(monkeypatch)
+    assert failing(verify.run_acceptance(n_max=3)) == {6}
+
+
+def test_dbar_degree_zero_fault(monkeypatch):
+    # every level-1 section has a degree-0 term, so its Rayleigh quotient
+    # sees the fault without the level-0 quotient that is 0 by construction
+    keep_degree_zero_in_dbar(monkeypatch)
+    results = verify.run_acceptance(n_max=3)
+    assert failing(results) == {8}
+    assert "level-1 RQ" in results[7].detail

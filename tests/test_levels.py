@@ -226,6 +226,26 @@ class TestGramMatrix:
         g = gram_matrix(normalized_basis(TorusGeometry.square(300))[:2], 400)
         assert np.max(np.abs(g - np.eye(2))) < 1e-12
 
+    def test_identity_at_l1_40(self):
+        # L2 = pi/40 keeps the Fourier window far inside _BLOCK_POINTS terms
+        g = gram_matrix(normalized_basis(TorusGeometry(40.0, math.pi / 40, 1)), 128)
+        assert np.max(np.abs(g - np.eye(1))) < 1e-14
+
+    @pytest.mark.parametrize("l2", [1e-170, 1e-160, 1e-100, 1e-8])
+    def test_fourier_window_is_sized_before_allocating(self, l2):
+        # L2^2 underflows at 1e-170 and the window M is infinite at 1e-160;
+        # at 1e-8 it is 632455534 terms: each is a ValueError naming L2,
+        # raised before any window array exists
+        basis = normalized_basis(TorusGeometry(math.pi / l2, l2, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"L2={l2!r}"):
+                gram_matrix(basis, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 class TestCreationOperator:
     def test_definition_unrolled(self, basis2):

@@ -446,15 +446,16 @@ def reference_projection(quad, a, basis, vals):
 
 
 def count_translations(monkeypatch):
-    """Record the number of sections of each translate_sections call."""
+    """Record the number of sections of each _sample_sections call that
+    _project looks up in translations: one per block it samples again."""
     blocks = []
-    original = translations.translate_sections
+    original = translations._sample_sections
 
-    def counted(a, sections, z, **frame):
+    def counted(sections, z, *args, **frame):
         blocks.append(len(sections))
-        return original(a, sections, z, **frame)
+        return original(sections, z, *args, **frame)
 
-    monkeypatch.setattr(translations, "translate_sections", counted)
+    monkeypatch.setattr(translations, "_sample_sections", counted)
     return blocks
 
 
@@ -530,10 +531,11 @@ class TestRolledProjection:
             assert np.max(np.abs(tm.projection_defects - defects)) <= 1e-13
 
     @pytest.mark.parametrize("a", [0.37 + 0.21j, "lattice_off_grid"])
-    def test_off_grid_uses_translate_section(self, monkeypatch, geo3, a):
+    def test_off_grid_samples_the_level_again(self, monkeypatch, geo3, a):
         # L1/3 is a lattice point, but not a node of a 64-wide grid; the
         # 64^2 grid holds fewer than _BLOCK_POINTS points per section, so
-        # the whole level is translated in one block
+        # the whole level is sampled again, at the reduced points, in one
+        # block
         a = geo3.L1 / 3 if a == "lattice_off_grid" else a
         quad = Quadrature(geo3, 64)
         basis, vals = _sampled_level(quad, 0)

@@ -26,6 +26,14 @@ on which d/dz, dbar and the creation operator act term by term:
 Hamiltonian in units of hbar*omega (zero-point term dropped) is
 H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
 
+One routine samples a list of sections, _sample_sections(sections, z,
+stack), from stack(psis, k): the k-th derivatives of the ground states
+psis at z, one stacked pass, in the caller's frame (psi's own, or the
+quadrature's weighted one).  Sections that are each one unit term
+(0, psi, k, 1) of one order, with no psi twice, such as a level-0 basis,
+are that stack itself; any other list takes one stack per derivative order
+and adds it into the sections.
+
 A level basis is normalized by the ground states' closed-form unit-norm
 constant (lll_basis.normalize), which the creation operator preserves; the
 quadrature reproduces that norm to about 1e-14.  The basis is sampled on the
@@ -36,11 +44,11 @@ rayleigh_quotients likewise samples a list of sections and their dbar images
 in one pass per order, and rayleigh_quotient is its one-section case.
 
 Inside a _sharing_stacks block (verify.run_acceptance holds one for the
-length of a run) every stack sampled on a default quadrature grid, side =
-default_resolution, is kept, keyed by (sections, derivative order, geometry,
-side): the ground-state stacks of Quadrature.sample and the per-order
-stacks of _term_stacks.  A later sample of the same key reads the kept stack
-instead of taking another grid pass.  Kept stacks are weighted samples,
+length of a run) every stack that Quadrature._stack samples on a default
+grid, side = default_resolution, is kept, keyed by (ground states,
+derivative order, geometry, side).  A later sample of the same key reads
+the kept stack instead of taking another grid pass, whether a level-0 basis
+or its ground states asked for it.  Kept stacks are weighted samples,
 read-only; other grids and scattered points are never kept, the store stops
 taking stacks once they would exceed _STACK_BUDGET bytes, and it is dropped
 when the block exits.  Outside a block nothing is kept.
@@ -76,26 +84,6 @@ def _sharing_stacks():
         _STACKS.reset(token)
 
 
-def _kept(grid, psis, order: int, take) -> np.ndarray:
-    """take(), the stack of psis's order-th derivatives on a quadrature grid.
-
-    Inside a _sharing_stacks block, on a default grid (grid its (geometry,
-    side), else None), the stack is read back if kept, and kept read-only if
-    it fits _STACK_BUDGET.
-    """
-    store = _STACKS.get()
-    if store is None or grid is None:
-        return take()
-    key = (tuple(psis), order) + grid
-    stack = store.get(key)
-    if stack is None:
-        stack = take()
-        if sum(s.nbytes for s in store.values()) + stack.nbytes <= _STACK_BUDGET:
-            stack.flags.writeable = False
-            store[key] = stack
-    return stack
-
-
 def default_resolution(geometry: TorusGeometry) -> int:
     """Default grid side: max(64, 16 N) rounded up to a multiple of 2N, so
     that every lattice point and half-lattice midpoint is a grid node."""
@@ -126,10 +114,12 @@ class Quadrature:
     (n, side, side), so the Hermitian weight e^{-|z|^2} is the product of
     two samples' and no weight array is held: gram, norms and density are
     plain sums times the cell.  The samples are bounded on every torus,
-    thin ones and N > 225 included.  On the default grid inside a
-    _sharing_stacks block they may be kept, read-only, stacks.  gram and the
-    translation projection take a level of n samples _block(n) at a time:
-    whole samples, at least n // 8 and at least _BLOCK_POINTS grid values.
+    thin ones and N > 225 included.  _stack takes every grid pass of
+    sample, and on the default grid inside a _sharing_stacks block keeps
+    its stacks, read-only (module docstring), so a level-0 sample may be a
+    kept stack itself.  gram and the translation projection take a level of
+    n samples _block(n) at a time: whole samples, at least n // 8 and at
+    least _BLOCK_POINTS grid values.
     """
 
     def __init__(self, geometry: TorusGeometry, side: int | None = None):
@@ -137,8 +127,8 @@ class Quadrature:
         default = default_resolution(geometry)
         side = default if side is None else side
         self.geometry, self.side = geometry, side
-        # the store key of this grid's stacks; only default grids are kept
-        self._grid = (geometry, side) if side == default else None
+        # only a default grid's stacks are kept (_stack)
+        self._default = side == default
         self.z = periodic_grid(geometry, side, side)
         self.z.flags.writeable = False
         self.cell = (geometry.L1 / side) * (geometry.L2 / side)
@@ -148,19 +138,31 @@ class Quadrature:
         return max(n // 8, -(-_BLOCK_POINTS // self.side**2), 1)
 
     def sample(self, sections) -> np.ndarray:
-        """Weighted values e^{-|z|^2/2} s(z) of each section at the grid points.
-
-        Ground states alone (ThetaBasisFunction) are one stacked grid pass,
-        and the stack is the result.  Otherwise the distinct (psi, k) of all
-        the sections are sampled once, one stacked grid pass per derivative
-        order, and each stack is added into the sections before the next is
-        taken.  GeometryMismatch unless every section is on this torus.
+        """Weighted values e^{-|z|^2/2} s(z) of each section at the grid points:
+        _sample_sections in the frame of _stack.  GeometryMismatch unless
+        every section is on this torus.
         """
         _one_torus(sections, self.geometry)
-        if all(isinstance(s, ThetaBasisFunction) for s in sections):
-            return _kept(self._grid, sections, 0,
-                         lambda: eval_fourier_stack(sections, self.z, _weighted=True))
-        return _sample_sections(sections, self.z, self._grid, _weighted=True)
+        return _sample_sections(sections, self.z, self._stack)
+
+    def _stack(self, psis, k: int) -> np.ndarray:
+        """Weighted samples e^{-|z|^2/2} psi^(k)(z) of the ground states psis,
+        one stacked grid pass.
+
+        Inside a _sharing_stacks block, on the default grid, the stack keyed
+        (psis, k, geometry, side) is read back if kept, and kept read-only if
+        it fits _STACK_BUDGET.
+        """
+        store = _STACKS.get() if self._default else None
+        key = (tuple(psis), k, self.geometry, self.side)
+        stack = None if store is None else store.get(key)
+        if stack is None:
+            stack = eval_fourier_stack(psis, self.z, k, _weighted=True)
+            if store is not None and \
+                    sum(s.nbytes for s in store.values()) + stack.nbytes <= _STACK_BUDGET:
+                stack.flags.writeable = False
+                store[key] = stack
+        return stack
 
     def gram(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Matrix of inner products <u_i|v_j> of two weighted sample stacks,
@@ -224,15 +226,8 @@ class PolynomialSection:
 
     def __call__(self, z):
         """Values at z; each distinct (psi, k) is evaluated once."""
-        return _sample_sections([self], np.asarray(z, dtype=complex))[0]
-
-    def _add_terms(self, z, samples, acc):
-        """Add into acc, in term order, the terms whose psi^(k) at z is in samples."""
-        for p, psi, k, w in self.terms:
-            if (psi, k) in samples:
-                term = w * samples[psi, k]
-                np.add(acc, term * np.conj(z) ** p if p else term, out=acc)
-        return acc
+        z = np.asarray(z, dtype=complex)
+        return _sample_sections([self], z, lambda psis, k: eval_fourier_stack(psis, z, k))[0]
 
     def __add__(self, other: "PolynomialSection") -> "PolynomialSection":
         return PolynomialSection(_one_torus((self, other)), self.terms + other.terms)
@@ -248,43 +243,40 @@ class PolynomialSection:
         return self + other * (-1.0)
 
 
-def _sample_sections(sections, z, grid=None, *, _weighted=False) -> np.ndarray:
+def _sample_sections(sections, z, stack) -> np.ndarray:
     """Values of each section at the points z, shape (len(sections),) + z.shape,
-    times e^{-|z|^2/2} if _weighted (the frame of Quadrature.sample).
+    in the frame of stack(psis, k): the stack of the k-th derivatives of the
+    ground states psis at z.
 
-    The distinct (psi, k) of the sections, all on one torus, are sampled
-    once, one stacked pass per derivative order, and each stack is added
-    into the sections before the next is taken, so a section's values do
-    not depend on the sections sampled with it.  grid is the (geometry, side)
-    of a default quadrature grid z, whose weighted stacks may be kept
-    (_kept), or None.
+    Sections that are each one unit term (0, psi, k, 1) of one order k, with
+    no psi twice, are stack(psis, k) itself.  Otherwise the distinct (psi, k)
+    of the sections, all on one torus, are taken one stack per derivative
+    order, the highest first (the term order of a raised section), and each
+    stack is added into the sections before the next is taken, so a
+    section's values do not depend on the sections sampled with it.
     """
     sections = [as_section(s) for s in sections]
+    units = [s.terms[0] for s in sections if len(s.terms) == 1]
+    psis = list(dict.fromkeys(psi for _, psi, _, _ in units))
+    forms = {(p, k, w) for p, _, k, w in units}
+    if len(psis) == len(sections) and len(forms) == 1:
+        p, k, w = forms.pop()
+        if p == 0 and w == 1:
+            return stack(psis, k)
     out = np.zeros((len(sections),) + z.shape, dtype=complex)
-    keys = ((psi, k) for s in sections for _, psi, k, _ in s.terms)
-    for samples in _term_stacks(keys, z, grid, _weighted=_weighted):
-        for i, s in enumerate(sections):
-            s._add_terms(z, samples, out[i, ...])
-        del samples  # free this stack before the next one is taken
-    return out
-
-
-def _term_stacks(keys, z, grid=None, *, _weighted=False):
-    """Yield {(psi, k): psi^(k)(z)} for the distinct (psi, k) of keys, each
-    times e^{-|z|^2/2} if _weighted.
-
-    One dict per derivative order, the highest first (the term order of a
-    raised section), so the order in which a section's terms are added does
-    not depend on the other keys.  Its ground states are evaluated as one
-    stack, on a tensor grid one grid pass; on a default grid (grid not
-    None) the stack may be kept or read back (_kept).
-    """
     groups = {}
-    for psi, k in dict.fromkeys(keys):
-        groups.setdefault(k, []).append(psi)
-    for k, psis in sorted(groups.items(), key=lambda group: -group[0]):
-        yield dict(zip(((psi, k) for psi in psis), _kept(
-            grid, psis, k, lambda: eval_fourier_stack(psis, z, k, _weighted=_weighted))))
+    for s in sections:
+        for _, psi, k, _ in s.terms:
+            groups.setdefault(k, {})[psi] = None
+    for k in sorted(groups, reverse=True):
+        samples = dict(zip(groups[k], stack(list(groups[k]), k)))
+        for i, s in enumerate(sections):
+            for p, psi, order, w in s.terms:
+                if order == k:
+                    term = w * samples[psi]
+                    np.add(out[i, ...], term * np.conj(z) ** p if p else term, out=out[i, ...])
+        del samples, term  # free this stack before the next one is taken
+    return out
 
 
 def ground_section(psi: ThetaBasisFunction) -> PolynomialSection:
@@ -434,10 +426,9 @@ def level_basis(geometry: TorusGeometry, level: int) -> list[PolynomialSection]:
 
 def _sampled_level(quad: Quadrature, level: int):
     """level_basis and its samples on quad, shape (N, side, side), taken once for
-    the density map and the translation matrices.  Level 0 is sampled as its
-    ground states, one stacked grid pass."""
+    the density map and the translation matrices."""
     basis = level_basis(quad.geometry, level)
-    return basis, quad.sample(normalized_basis(quad.geometry) if level == 0 else basis)
+    return basis, quad.sample(basis)
 
 
 def density_map(geometry: TorusGeometry, level: int = 0,

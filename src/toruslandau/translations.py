@@ -61,7 +61,7 @@ from .errors import NotAPeriod
 from .geometry import TorusGeometry, _one_torus
 from .levels import (Quadrature, as_section, default_resolution, _sampled_level,
                      _sample_sections)
-from .lll_basis import _wrap_exponent
+from .lll_basis import _wrap_exponent, eval_fourier_stack
 
 
 def _displacement(a) -> complex:
@@ -140,7 +140,7 @@ def translate_sections(a, sections, z) -> np.ndarray:
         return np.empty((0,) + z.shape, dtype=complex)
     w0, exponent = reduce_to_fundamental(geometry, z - a)
     factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
-    out = _sample_sections(sections, w0)
+    out = _sample_sections(sections, w0, lambda psis, k: eval_fourier_stack(psis, w0, k))
     return np.multiply(factor, out, out=out)
 
 
@@ -218,9 +218,11 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     samples), a block of quad._block(n) sections at a time: whole sections,
     at least an eighth of them and lll_basis's block of grid values.  A
     block's T_a s_nu, in the same weighted frame, are its held samples
-    index-rolled on the grid lattice, else sampled again at the grid reduced
-    once into the fundamental domain, times one phase; quad.gram gives its
-    entries in one product, and quad.norms the defects of the residual.
+    index-rolled on the grid lattice, else sampled again by
+    levels._sample_sections at the grid reduced once into the fundamental
+    domain, from weighted stacks there that are never kept, times one phase;
+    quad.gram gives its entries in one product, and quad.norms the defects
+    of the residual.
     """
     n = len(basis)
     shift = _lattice_steps(a, quad.geometry, quad.side)
@@ -234,7 +236,8 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     for start in range(0, n, step):
         block = slice(start, start + step)
         if shift is None:
-            shifted = _sample_sections(basis[block], source, _weighted=True)
+            shifted = _sample_sections(basis[block], source, lambda psis, k:
+                                       eval_fourier_stack(psis, source, k, _weighted=True))
             np.multiply(factor, shifted, out=shifted)
         else:
             shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))

@@ -66,6 +66,17 @@ class CheckResult:
 # --------------------------------------------------------------------------
 # criterion 1: flux quantization gate
 
+def _straddling_sides(L1: float, L2: float, n: int) -> tuple[float, float]:
+    """L2 stepped down, and up, one ulp at a time until L1 L2/pi is strictly
+    below, and above, n: a gate that rounds down or up misreads one of them."""
+    below = above = L2
+    while L1 * below / math.pi >= n:
+        below = math.nextafter(below, 0.0)
+    while L1 * above / math.pi <= n:
+        above = math.nextafter(above, math.inf)
+    return below, above
+
+
 def check_flux_gate(n_max: int = 10) -> CheckResult:
     bump_rel = 1e-6   # perturbation size, an input: far outside the integrality gate
     failures = []
@@ -73,21 +84,24 @@ def check_flux_gate(n_max: int = 10) -> CheckResult:
         for r in (0.5, 1.0, 2.0):
             L1 = math.sqrt(n * math.pi * r)
             L2 = n * math.pi / L1
-            try:
-                got = dirac_quantize(L1, L2)
-            except NonIntegralFlux:
-                failures.append(f"rejected exact N={n} r={r}")
-                continue
-            if got != n:
-                failures.append(f"N={n} r={r} -> {got}")
+            sides = (L2, *_straddling_sides(L1, L2, n))
+            for kind, side in zip(("exact", "just below", "just above"), sides):
+                try:
+                    got = dirac_quantize(L1, side)
+                except NonIntegralFlux:
+                    failures.append(f"rejected {kind} N={n} r={r}")
+                    continue
+                if got != n:
+                    failures.append(f"{kind} N={n} r={r} -> {got}")
             for bump in (1 + bump_rel, 1 - bump_rel):
                 try:
                     dirac_quantize(L1 * bump, L2)
                     failures.append(f"accepted perturbed N={n} r={r}")
                 except NonIntegralFlux:
                     pass
-    detail = "; ".join(failures) if failures else \
-        f"N=1..{n_max}, r in {{1/2,1,2}} accepted; 1e-6 perturbations rejected"
+    detail = "; ".join(failures) if failures else (
+        f"N=1..{n_max}, r in {{1/2,1,2}} accepted exactly and a few ulps below and "
+        f"above N; 1e-6 perturbations rejected")
     return CheckResult("flux quantization gate", not failures, detail)
 
 
@@ -237,6 +251,7 @@ def check_translation_algebra(n_max: int = 6) -> CheckResult:
     tol_phase = tolerances.get("commutator_phase_abs")
     problems = []
     half_defects = {}
+    worst_closed = 0.0
     for n in range(1, n_max + 1):
         geo = TorusGeometry.square(n)
         # the lattice point, the half-lattice midpoints (x-edge, y-edge and
@@ -253,6 +268,15 @@ def check_translation_algebra(n_max: int = 6) -> CheckResult:
             problems.append(f"N={n}: unitarity {tm.unitarity_defect:.1e}")
         if tm.max_projection_defect > tol_proj:
             problems.append(f"N={n}: lattice defect {tm.max_projection_defect:.1e}")
+        # T_a and T_b are the Z_N clock and shift: s_nu -> e^{-2 pi i nu/N} s_nu
+        # and s_nu -> s_{nu-1}, written from nu and N alone
+        nus = np.arange(n)
+        clock, shift = np.diag(np.exp(-2j * np.pi * nus / n)), np.eye(n)[(nus - 1) % n]
+        closed = max(float(np.max(np.abs(commutator[0].entries - clock))),
+                     float(np.max(np.abs(commutator[1].entries - shift))))
+        worst_closed = max(worst_closed, closed)
+        if closed > tol_proj:
+            problems.append(f"N={n}: clock/shift error {closed:.1e}")
         phase, resid = commutator_matrix_residual(*commutator)
         if resid > tol_comm:
             problems.append(f"N={n}: commutator residual {resid:.1e}")
@@ -265,10 +289,11 @@ def check_translation_algebra(n_max: int = 6) -> CheckResult:
                 problems.append(f"N={n}: half-lattice defect {mins[-1]:.1e}")
         half_defects[n] = mins   # shrinks with N; recorded, no rate asserted
     detail = "; ".join(problems) if problems else (
-        f"N<={n_max}: unitary lattice matrices, commutator exp(2 pi i/N), "
+        f"N<={n_max}: unitary lattice matrices, L1/N and iL2/N the Z_N clock and "
+        f"shift within {worst_closed:.1e} (tol {tol_proj:g}), commutator exp(2 pi i/N), "
         f"half-lattice defects > {tol_half:g}")
     return CheckResult("translation algebra", not problems, detail,
-                       {"half_lattice_defects": half_defects})
+                       {"half_lattice_defects": half_defects, "clock_shift_error": worst_closed})
 
 
 # --------------------------------------------------------------------------

@@ -6,12 +6,13 @@ at its tolerance from the central table.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from toruslandau import levels, lll_basis, tolerances, verify
-from toruslandau.geometry import TorusGeometry
+from toruslandau.geometry import TorusGeometry, _flux_ratio
 from toruslandau.levels import (Quadrature, ground_section, raise_section,
                                 rayleigh_quotient)
 from toruslandau.lll_basis import normalized_basis
@@ -27,6 +28,17 @@ def test_criterion_01_flux_quantization_gate():
     # exact (sqrt(N pi r), sqrt(N pi / r)) accepted for N<=10, r in {1/2,1,2};
     # relative perturbations of 1e-6 rejected
     report(verify.check_flux_gate(n_max=10))
+
+
+def test_criterion_01_feeds_ratios_on_both_sides_of_n():
+    # each exact torus has L1 L2/pi == N in double, where a gate that rounds
+    # down or up still answers N; its nudged sides put the ratio the gate
+    # sees strictly below and strictly above N
+    for n in range(1, 11):
+        for r in (0.5, 1.0, 2.0):
+            L1 = math.sqrt(n * math.pi * r)
+            below, above = verify._straddling_sides(L1, n * math.pi / L1, n)
+            assert _flux_ratio(L1, below) < n < _flux_ratio(L1, above)
 
 
 def test_criterion_02_ground_state_dimension():
@@ -58,10 +70,12 @@ def test_criterion_05_symmetry_breaking_structure():
 
 
 def test_criterion_06_translation_algebra():
-    # N<=6: lattice matrices unitary with defect < 1e-10, four-factor
-    # commutator equals exp(2 pi i/N) I within 1e-9, half-lattice projection
-    # defects > 1e-4
-    report(verify.check_translation_algebra(n_max=6))
+    # N<=6: lattice matrices unitary with defect < 1e-10, T_{L1/N} and
+    # T_{iL2/N} the Z_N clock and shift within 1e-10, four-factor commutator
+    # equals exp(2 pi i/N) I within 1e-9, half-lattice projection defects > 1e-4
+    result = verify.check_translation_algebra(n_max=6)
+    report(result)
+    assert 0 < result.data["clock_shift_error"] < tolerances.get("projection_defect_lattice")
 
 
 def test_criterion_07_wintner_obstruction():

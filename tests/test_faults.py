@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from toruslandau import cocycle, levels, lll_basis, translations, verify
+from toruslandau import cocycle, geometry, levels, lll_basis, translations, verify
 
 
 def scale_grid_values(monkeypatch, factor):
@@ -98,6 +98,42 @@ def keep_degree_zero_in_dbar(monkeypatch):
     monkeypatch.setattr(levels, "dbar_section", faulty)
 
 
+def scale_dbar_coefficient(monkeypatch, factor):
+    """dbar_section's coefficient p times factor: each term zbar^p psi^(k)
+    goes to factor p zbar^(p-1) psi^(k)."""
+    def faulty(s):
+        s = levels.as_section(s)
+        return levels.PolynomialSection(s.geometry, tuple(
+            (p - 1, psi, k, p * w * factor) for p, psi, k, w in s.terms if p))
+
+    monkeypatch.setattr(levels, "dbar_section", faulty)
+
+
+def drop_wrap_crossing_term(monkeypatch):
+    """lll_basis._wrap_exponent without its n1 n2 N pi term, where the
+    boundary factors (lll_basis) and the translations (translations) look
+    it up."""
+    wrap = lll_basis._wrap_exponent
+
+    def faulty(geometry, w0, n1, n2):
+        return wrap(geometry, w0, n1, n2) - 1j * (n1 * n2 * geometry.N) * math.pi
+
+    monkeypatch.setattr(lll_basis, "_wrap_exponent", faulty)
+    monkeypatch.setattr(translations, "_wrap_exponent", faulty)
+
+
+def wintner_with_one_more_quantum(monkeypatch):
+    """Criterion 7's determinant phase taken with N + 1 in place of N."""
+    check = translations.wintner_check
+    monkeypatch.setattr(verify, "wintner_check", lambda n_dim, a, b: check(n_dim + 1, a, b))
+
+
+def quantize_by(monkeypatch, rounding):
+    """dirac_quantize takes rounding(L1 L2/pi), math.floor or math.ceil, in
+    place of round."""
+    monkeypatch.setattr(geometry, "round", rounding, raising=False)
+
+
 def failing(results):
     return {i for i, r in enumerate(results, 1) if not r.passed}
 
@@ -120,12 +156,12 @@ def test_gaussian_poisson_constant_fault(monkeypatch):
 
 
 def test_fourier_residue_class_fault(monkeypatch):
-    # a relabelled basis is still orthonormal and periodic, its density is
-    # the same sum, and its translation matrices are only permuted, so only
-    # the Gaussian series, which keeps its own nu, sees it: criterion 3
-    # compares that series with the pointwise Fourier sum
+    # a relabelled basis is still orthonormal and periodic, and its density
+    # is the same sum; the Gaussian series, which keeps its own nu, sees it
+    # (criterion 3), and so does criterion 6, whose clock T_{L1/N} has the
+    # phase of nu + 1 on the diagonal of row nu
     shift_fourier_class(monkeypatch)
-    assert failing(verify.run_acceptance(n_max=3)) == {3}
+    assert failing(verify.run_acceptance(n_max=3)) == {3, 6}
 
 
 def test_x_boundary_sign_fault():
@@ -161,3 +197,36 @@ def test_dbar_degree_zero_fault(monkeypatch):
     results = verify.run_acceptance(n_max=3)
     assert failing(results) == {8}
     assert "level-1 RQ" in results[7].detail
+
+
+def test_dbar_coefficient_fault(monkeypatch):
+    # only the Rayleigh quotients take dbar_section: level 1's read 2.004
+    scale_dbar_coefficient(monkeypatch, 1.001)
+    results = verify.run_acceptance(n_max=3)
+    assert failing(results) == {8}
+    assert "level-1 RQ" in results[7].detail
+
+
+def test_wrap_crossing_term_fault(monkeypatch):
+    # the dropped term is a multiple of i pi: it flips the sign of odd-N
+    # wraps, which the projection's wrapped samples (criterion 6) and the
+    # translated probe sections (criterion 8) both see; criterion 4's
+    # boundary factors step one period, where the term is 0
+    drop_wrap_crossing_term(monkeypatch)
+    assert failing(verify.run_acceptance(n_max=3)) == {6, 8}
+
+
+def test_wintner_phase_fault(monkeypatch):
+    # criterion 7 alone calls wintner_check through verify
+    wintner_with_one_more_quantum(monkeypatch)
+    assert failing(verify.run_acceptance(n_max=3)) == {7}
+
+
+@pytest.mark.parametrize("rounding", [math.floor, math.ceil], ids=["floor", "ceil"])
+def test_flux_gate_rounding_fault(monkeypatch, rounding):
+    # criterion 1 alone calls dirac_quantize; its tori a few ulps below and
+    # above N quantize to N - 1 or N + 1 under the fault
+    quantize_by(monkeypatch, rounding)
+    results = verify.run_acceptance(n_max=3)
+    assert failing(results) == {1}
+    assert ("just below" if rounding is math.floor else "just above") in results[0].detail

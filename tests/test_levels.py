@@ -692,14 +692,59 @@ class TestSectionAlgebraValidation:
         assert z[1, 0] == pytest.approx(1j * geo2.L2 / 6)
 
 
+class TestSectionSampler:
+    """_sample_sections: a list of distinct unit ground-state terms of one
+    order is that order's stack itself; any other list goes through the
+    accumulator, one stack per order."""
+
+    def recorded(self, quad):
+        stacks = []
+
+        def stack(psis, k):
+            stacks.append(quad._stack(psis, k))
+            return stacks[-1]
+
+        return stack, stacks
+
+    def test_ground_level_is_one_kept_stack(self, geo2):
+        with levels._sharing_stacks():
+            kept = Quadrature(geo2).sample(normalized_basis(geo2))
+            assert Quadrature(geo2).sample(level_basis(geo2, 0)) is kept
+            assert not kept.flags.writeable
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_unit_terms_of_one_order_are_the_stack(self, geo2, k):
+        quad = Quadrature(geo2, 16)
+        stack, stacks = self.recorded(quad)
+        units = [PolynomialSection(geo2, ((0, psi, k, 1.0),)) for psi in normalized_basis(geo2)]
+        got = levels._sample_sections(units, quad.z, stack)
+        assert len(stacks) == 1 and got is stacks[0]
+
+    @pytest.mark.parametrize("case", ["psi-twice", "weight-not-one", "zbar-power"])
+    def test_other_lists_take_the_accumulator(self, geo2, case):
+        psi0, psi1 = normalized_basis(geo2)
+        sections = {
+            "psi-twice": [ground_section(psi0), ground_section(psi1), ground_section(psi0)],
+            "weight-not-one": [ground_section(psi0), 2j * ground_section(psi1)],
+            "zbar-power": [ground_section(psi0), PolynomialSection(geo2, ((1, psi1, 0, 1.0),))],
+        }[case]
+        quad = Quadrature(geo2, 16)
+        stack, stacks = self.recorded(quad)
+        got = levels._sample_sections(sections, quad.z, stack)
+        assert stacks and all(got is not s for s in stacks)
+        for value, s in zip(got, sections):
+            assert value.tobytes() == quad.sample([s])[0].tobytes()
+
+
 def test_only_quadrature_weights_grid_samples():
     # Quadrature samples in the weighted frame e^{-|z|^2/2} s, so gram, norms
     # and density, the one Hermitian product, are plain sums: no code of the
     # package reads a weight attribute, and only Quadrature's methods read
-    # its cell.  Only levels and translations._project ask for the weighted
-    # frame (_weighted=True; other uses of the keyword pass on their own
-    # _weighted).  Criterion 8's probe weighs its own points,
-    # independently, by a local weight.
+    # its cell.  The weighted frame is asked for (_weighted=True) in two
+    # places only, Quadrature._stack and translations._project, and no
+    # function outside lll_basis, which defines the keyword, takes a
+    # _weighted or grid parameter to pass on.  Criterion
+    # 8's probe weighs its own points, independently, by a local weight.
     def visit(node, owner=None, function=None):
         if isinstance(node, ast.ClassDef):
             owner = node.name
@@ -710,7 +755,7 @@ def test_only_quadrature_weights_grid_samples():
             yield from visit(child, owner, function)
 
     package = Path(levels.__file__).parent
-    weights, cells, requests = [], [], []
+    weights, cells, requests, passed_on = [], [], [], []
     for path in sorted(package.glob("*.py")):
         for node, owner, function in visit(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr == "weight":
@@ -718,12 +763,15 @@ def test_only_quadrature_weights_grid_samples():
             if isinstance(node, ast.Attribute) and node.attr == "cell" \
                     and not (owner == "Quadrature" and getattr(node.value, "id", None) == "self"):
                 cells.append((path.name, node.lineno))
-            if isinstance(node, ast.keyword) and node.arg == "_weighted" \
-                    and getattr(node.value, "id", None) != "_weighted":
-                requests.append((path.name, function))
-    assert weights == [] and cells == []
-    assert {name for name, _ in requests} == {"levels.py", "translations.py"}
-    assert {function for name, function in requests if name != "levels.py"} == {"_project"}
+            if isinstance(node, ast.keyword) and node.arg == "_weighted":
+                assert isinstance(node.value, ast.Constant) and node.value.value is True
+                requests.append((path.name, owner, function))
+            if isinstance(node, ast.arg) and node.arg in ("_weighted", "grid") \
+                    and path.name != "lll_basis.py":
+                passed_on.append((path.name, function, node.arg))
+    assert weights == [] and cells == [] and passed_on == []
+    assert sorted(requests) == [("levels.py", "Quadrature", "_stack"),
+                                ("translations.py", None, "_project")]
     verify_tree = ast.parse((package / "verify.py").read_text())
     probe = next(node for node in ast.walk(verify_tree)
                  if isinstance(node, ast.FunctionDef) and node.name == "_eigen_residuals")

@@ -18,17 +18,18 @@ periodicity (with boundary phases delta1 = delta2 = 0)
   psi(z + L1)   = psi(z) * exp{L1 z + L1^2/2 + i delta1}
   psi(z + i L2) = psi(z) * exp{-i L2 z + L2^2/2 + i delta2}.
 
-Exponents are assembled in extended precision and phases are reduced mod
-2pi.  This avoids overflow of e^{z^2/2} against the theta tail and keeps
-relative rounding near machine level even where exponent pieces reach
-several hundred.  Both series reject a torus whose sections overflow a
-double on its cell (_check_torus).  The Fourier series factors out its peak
-term before it sums in double; both of its paths keep the same terms about
-each point's peak (_fourier_reach), and each takes a stack of sections of
-one torus in one pass, bit for bit the one-section calls.  The grid path
-can instead return the weighted values e^{-|z|^2/2} psi^(k)(z), the frame in
-which levels.Quadrature integrates: they are bounded, with a doubly periodic
-modulus, on every torus, so that frame checks no torus.
+Exponents and phases are assembled in long double, which avoids overflow
+of e^{z^2/2} against the theta tail and keeps relative rounding near
+machine level where exponent pieces reach several hundred; the Fourier
+series casts them to double at _exp_ld and _cis_ld only, the latter
+reducing mod _TWO_PI, the package's one 2pi.  Both series reject a torus
+whose sections overflow a double on its cell (_check_torus).  The Fourier
+series factors out its peak term before it sums in double; both of its
+paths keep the same terms about each point's peak (_fourier_reach), and
+each takes a stack of sections of one torus in one pass, bit for bit the
+one-section calls.  The grid path can instead return the weighted values
+e^{-|z|^2/2} psi^(k)(z), the frame in which levels.Quadrature integrates:
+bounded, with a doubly periodic modulus, so that frame checks no torus.
 
   grid       z[j, i] = x[i] + i y[j] (any 2-D array whose real part is the
              same down each column and imaginary part the same along each
@@ -81,8 +82,6 @@ from .geometry import TorusGeometry, _is_integer, _one_torus
 
 _LD = np.longdouble
 _TWO_PI = 2 * np.pi
-# 2pi to long-double precision; the double _TWO_PI is 2.45e-16 short of it
-_TWO_PI_LD = _LD("6.283185307179586476925286766559005768")
 
 # Tail threshold: dropped terms are smaller than e^-40 ~ 4e-18 relative to
 # the largest kept term at the same point.
@@ -238,9 +237,9 @@ def _fourier_grid(psis, z, order: int, weighted: bool):
     phase.  The weight e^{-|z|^2/2} drops the column's e^{x^2/2} and turns
     the row's e^{-y^2/2} into e^{-y^2}, so that no factor grows with |z|:
     each row is scaled by exp(peak - y^2) in place of exp(peak - y^2/2).
-    Exponents are assembled in long double; each row's peak is factored
-    out of the row factor, and phases are reduced mod 2pi, before the cast
-    to double.  A derivative carries the factor q(z + b_n) with
+    Exponents and phases are assembled in long double, each row's peak
+    factored out of its row factor, and cast by _exp_ld and _cis_ld.  A
+    derivative carries the factor q(z + b_n) with
     b_n = 2 pi i n/L1 (see _taylor_rows); expanding it as
     sum_j q^(j)(z)/j! b_n^j costs one more product per power of b_n.
 
@@ -262,10 +261,9 @@ def _fourier_grid(psis, z, order: int, weighted: bool):
     L1l, L2l, pil, two_pi = _LD(L1), _LD(L2), _LD(np.pi), _LD(_TWO_PI)
 
     x = z[0].real.astype(_LD)
-    col_phase = np.mod(two_pi * nl[:, None] * x / L1l, two_pi)
-    col = np.exp(1j * np.asarray(col_phase, dtype=float))
+    col = _cis_ld(two_pi * nl[:, None] * x / L1l)
     if not weighted:
-        col = np.asarray(np.exp(x * x / 2), dtype=float) * col
+        col = _exp_ld(x * x / 2) * col
     col = col.view(float)            # (K, 2 nx): real and imaginary parts
     cols = [col[pick] for pick in picks]
     quad = -pil * nl * nl * L2l / (n_flux * L1l)
@@ -282,12 +280,12 @@ def _fourier_grid(psis, z, order: int, weighted: bool):
         row_y2 = y * y if weighted else y * y / 2
         weights = [(coeffs[0] if len(coeffs) == 1 else _eval_poly(coeffs, z[rows])) * 1j**j
                    for j, coeffs in enumerate(taylor)]
-        gauge = np.exp(1j * np.asarray(np.mod(x * y, two_pi), dtype=float))
+        gauge = _cis_ld(x * y)
         sums, term = np.empty((2, len(y), nx), dtype=complex)
         for i, (psi, pick, col_i) in enumerate(zip(psis, picks, cols)):
             re_i = re[:, pick]
             peak = re_i.max(axis=1, keepdims=True)
-            row = np.exp(np.asarray(re_i - peak, dtype=float))
+            row = _exp_ld(re_i - peak)
             # sums = 0 + sum_j weight_j * product_j, in place but in that
             # operand order: with fused multiply-adds, complex products do
             # not commute bit for bit
@@ -296,7 +294,7 @@ def _fourier_grid(psis, z, order: int, weighted: bool):
                 np.matmul(row * b[pick]**j, col_i, out=product.view(float))
                 np.multiply(weight, product, out=product)
                 np.add(sums if j else 0, product, out=sums)
-            scale = psi.norm_const * np.asarray(np.exp(peak - row_y2), dtype=float)
+            scale = psi.norm_const * _exp_ld(peak - row_y2)
             np.multiply(scale, gauge, out=out[i, rows])
             out[i, rows] *= sums
     return out
@@ -329,15 +327,14 @@ def _by_points(arr, n_terms: int, evaluate, count: int = 1) -> np.ndarray:
 
 def _exp_ld(re):
     """e^re in double from long-double re, as e^hi (1 + (re - hi)) with hi the
-    double nearest re, so that its rounding does not grow with |re|."""
+    double nearest re, so that its rounding, about an ulp, does not grow with |re|."""
     hi = np.asarray(re, dtype=float)
     return np.exp(hi) * (1 + np.asarray(re - hi, dtype=float))
 
 
 def _cis_ld(ph):
-    """e^{i ph} in double from long-double ph, reduced by 2pi before the cast."""
-    turns = np.rint(ph / _TWO_PI_LD)
-    return np.exp(1j * np.asarray(ph - turns * _TWO_PI_LD, dtype=float))
+    """e^{i ph} in double from long-double ph, reduced mod _LD(_TWO_PI) first."""
+    return np.exp(1j * np.asarray(np.mod(ph, _LD(_TWO_PI)), dtype=float))
 
 
 def _fourier_points(psis, arr, order: int):
@@ -374,7 +371,7 @@ def _fourier_points(psis, arr, order: int):
     a, k1 = _LD(np.pi) * _LD(geo.L2) / (nf * L1l), _LD(_TWO_PI) / L1l
     ms = np.arange(-big_m, big_m + 1).astype(_LD)
     # coef[j, m]: c_m (2 pi N m/L1)^j; the factor i^j goes into the weights
-    coef = np.exp(-a * nf * nf * ms * ms) * (k1 * nf * ms) ** np.arange(order + 1)[:, None]
+    coef = _exp_ld(-a * nf * nf * ms * ms) * (k1 * nf * ms) ** np.arange(order + 1)[:, None]
     coef = np.asarray(coef, dtype=float)
     taylor = _taylor_rows(order, 1.0)
 
@@ -620,14 +617,14 @@ def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,
     """Relative residual of the twisted periodicity conditions at z, one per
     ground state of psis (one torus).
 
-    For each condition, max |s(z+P) - s(z) F| over the points, divided by the
-    largest of |s(z+P)| and |s(z) F| there (P = L1 or i L2, F from
-    boundary_factors); each entry is the larger of the two.  It is at
-    rounding level for the constructed basis with trivial phases.  The stack
-    is one eval_fourier_stack pass at each of z, z + L1 and z + i L2, so
-    each entry is bit-identical to a call on its section alone.
-    `base` takes the stack's samples at z already held, so that they are not
-    evaluated again.
+    Each law is read at its period's preimage: for P = L1 and P = i L2,
+    max |s(z) - s(z-P) F_P(z-P)| over the points, divided by the largest of
+    |s(z)| and |s(z-P) F_P(z-P)| there (F_P as in boundary_factors); each
+    entry is the larger of the two.  On the cell no sampled w has |w|^2 above
+    L1^2 + L2^2, the bound of _check_torus.  The stack is one
+    eval_fourier_stack pass at each of z, z - L1 and z - i L2, so each entry
+    is bit-identical to a call on its section alone.  `base` takes the
+    stack's samples at z already held, so that they are not evaluated again.
     """
     z = np.asarray(z, dtype=complex)
     geo = _one_torus(psis)
@@ -636,12 +633,14 @@ def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,
     if base is None:
         base = eval_fourier_stack(psis, z)
     points = tuple(range(1, base.ndim))
-    worst = np.zeros(len(psis))
-    for shift, factor in zip((geo.L1, 1j * geo.L2), boundary_factors(geo, z, phases)):
-        shifted, expected = eval_fourier_stack(psis, z + shift), base * factor
-        scale = np.maximum(np.max(np.abs(shifted), axis=points),
-                           np.max(np.abs(expected), axis=points))
-        worst = np.maximum(worst, np.max(np.abs(shifted - expected), axis=points) / scale)
+    worst, held = np.zeros(len(psis)), np.max(np.abs(base), axis=points)
+    for n1, n2, delta in ((1, 0, phases.delta1), (0, 1, phases.delta2)):
+        source = z - (n1 * geo.L1 + 1j * n2 * geo.L2)
+        # this period's factor alone: the other one can overflow here
+        factor = np.exp(_wrap_exponent(geo, source, n1, n2) + 1j * delta)
+        expected = eval_fourier_stack(psis, source) * factor
+        scale = np.maximum(held, np.max(np.abs(expected), axis=points))
+        worst = np.maximum(worst, np.max(np.abs(base - expected), axis=points) / scale)
     return worst.tolist()
 
 

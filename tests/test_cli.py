@@ -57,7 +57,7 @@ class TestBasisCommand:
 
     def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
         # the 32^2 grid in psi's frame and in the quadrature's weighted frame
-        # (the density), and its L1 and iL2 shifts; normalize samples nothing
+        # (the density), and its -L1 and -iL2 shifts; normalize samples nothing
         grids = []
         original = lll_basis._fourier_grid
 
@@ -83,6 +83,14 @@ class TestBasisCommand:
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         assert run(["basis", "--N", "12", "--nu", "6", "--out-dir", str(tmp_path)]) == 0
         assert grids == [(128, 128)] * 4
+
+    def test_boundary_finite_on_a_large_square_torus(self, tmp_path):
+        # each law is read at its period's preimage: at N = 92 the shift by
+        # L1 took psi past the largest double and the residual read nan
+        assert run(["basis", "--N", "92", "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "basis_N92_nu0_report.json").read_text())
+        assert math.isfinite(report["boundary_residual_rel"])
+        assert report["boundary_ok"] is True
 
     @pytest.mark.parametrize("n", [16, 20])
     def test_duality_holds_past_criterion_scope(self, tmp_path, n):

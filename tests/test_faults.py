@@ -54,8 +54,9 @@ def shift_fourier_class(monkeypatch):
                         lambda psis, arr, order: points([relabel(p) for p in psis], arr, order))
 
 
-# The x boundary sign fault: criterion 4 expects psi(z + L1) with the
-# opposite sign, as for a bundle of boundary phase delta1 = pi.
+# The x boundary sign fault: criterion 4 expects psi(z) to be
+# psi(z - L1) F1(z - L1) with the opposite sign, as for a bundle of
+# boundary phase delta1 = pi.
 X_SIGN_FAULT = lll_basis.BoundaryPhases(math.pi, 0.0)
 
 

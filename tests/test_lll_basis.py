@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,15 +359,29 @@ class TestBoundaryConditions:
         geo = TorusGeometry.square(3)
         psi = normalize(theta_basis(geo, 1))
         z = periodic_grid(geo, 16, 16)
-        f1, f2 = boundary_factors(geo, z)
-        direct = 0.0
-        for shifted, expected in ((psi(z + geo.L1), psi(z) * f1),
-                                  (psi(z + 1j * geo.L2), psi(z) * f2)):
-            scale = np.max(np.maximum(np.abs(shifted), np.abs(expected)))
-            direct = max(direct, float(np.max(np.abs(shifted - expected))) / scale)
+        # each law read at its period's preimage: s(z) against s(z - P) F_P(z - P)
+        f1 = boundary_factors(geo, z - geo.L1)[0]
+        f2 = boundary_factors(geo, z - 1j * geo.L2)[1]
+        direct, held = 0.0, psi(z)
+        for expected in (psi(z - geo.L1) * f1, psi(z - 1j * geo.L2) * f2):
+            scale = np.max(np.maximum(np.abs(held), np.abs(expected)))
+            direct = max(direct, float(np.max(np.abs(held - expected))) / scale)
         assert boundary_residuals([psi], z) == [direct]
         # held samples stand in for s(z) and give the same number
         assert boundary_residuals([psi], z, base=psi(z)[None]) == [direct]
+
+    @pytest.mark.parametrize("n", [92, 225])
+    def test_residuals_finite_on_large_tori(self, n):
+        # read at each period's preimage, no sampled point leaves
+        # |w|^2 <= L1^2 + L2^2, where psi and its factor stay inside a double
+        # (at N = 92, psi(z + L1) overflowed and the residual read nan)
+        geo = TorusGeometry.square(n)
+        z = periodic_grid(geo, 128, 128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (resid,) = boundary_residuals([normalize(theta_basis(geo, 0))], z)
+        assert math.isfinite(resid)
+        assert resid < tolerances.get("boundary_residual_rel")
 
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("z", [periodic_grid(TorusGeometry.square(4), 12, 10),
@@ -407,6 +424,28 @@ class TestBoundaryConditions:
             s2 = np.max(np.abs(lhs2))
             assert np.max(np.abs(lhs1 - base * f1)) < 1e-12 * s1
             assert np.max(np.abs(lhs2 - base * f2)) < 1e-12 * s2
+
+
+def test_fourier_series_leaves_long_double_through_two_helpers():
+    # inside the Fourier series' two paths every exponential and every
+    # reduction mod 2pi is a call of _exp_ld or _cis_ld, and the one 2pi of
+    # the package is the double _TWO_PI
+    package = Path(lll_basis.__file__).parent
+    for path in package.glob("*.py"):
+        names = {node.id for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Name)}
+        assert "_TWO_PI_LD" not in names, path.name
+    tree = ast.parse(Path(lll_basis.__file__).read_text())
+    for name in ("_fourier_grid", "_fourier_points"):
+        function = next(node for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef) and node.name == name)
+        numpy_calls = {node.attr for node in ast.walk(function)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name) and node.value.id == "np"}
+        assert not numpy_calls & {"exp", "mod", "rint"}, name
+        helpers = {node.func.id for node in ast.walk(function)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert {"_exp_ld", "_cis_ld"} <= helpers, name
 
 
 class TestNormalize:

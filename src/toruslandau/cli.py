@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__, gridio, lll_basis, tolerances, verify
 from .errors import TorusLandauError
 from .geometry import parse_config, resolve_geometry
-from .lll_basis import (boundary_residuals, duality_residuals, eval_fourier_stack,
-                        normalize, theta_basis)
+from .lll_basis import boundary_residuals, duality_residuals, normalize, theta_basis
 from .levels import GridField, Quadrature, density_map
 from .cocycle import total_flux, uniform_mesh
 from .translations import translation_report
@@ -103,7 +102,8 @@ def _parse_flux(text: str) -> float:
     """Flux value, plain or '<x>pi'; ValueError naming --flux unless finite."""
     head, scale = text.strip().lower(), 1.0
     if head.endswith("pi"):
-        head, scale = head[:-2].strip("*") or "1", math.pi
+        head, scale = head[:-2].strip("*"), math.pi
+        head += "1" if head in "+-" else ""   # "pi", "+pi" and "-pi"
     try:
         value = float(head) * scale
     except ValueError:
@@ -126,15 +126,15 @@ def cmd_basis(args) -> int:
     geo = _torus(args)
     psi = normalize(theta_basis(geo, args.nu))
     quad = Quadrature(geo, args.grid)
-    # psi itself for its re and im files and the boundary check; the
-    # quadrature's weighted samples for its density
-    vals = eval_fourier_stack([psi], quad.z)
+    # one grid pass: weighted for the density, then psi in place for the rest
+    weighted = quad.sample([psi])
+    density = quad.density(weighted)
+    vals = lll_basis._psi_frame(geo, quad.z, lambda: weighted)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     stem = f"basis_N{geo.N}_nu{args.nu}"
-    fields = {"re": vals[0].real, "im": vals[0].imag,
-              "density": quad.density(quad.sample([psi]))}
+    fields = {"re": vals[0].real, "im": vals[0].imag, "density": density}
     outputs = [_write_field(GridField(geo, f"{stem}_{key}", values), out / f"{stem}_{key}",
                             args.format) for key, values in fields.items()]
 

@@ -6,13 +6,13 @@ pair of sections obeying the twisted periodicity, so the inner product
 <s1|s2> = integral of h over the fundamental domain is computed with the
 equal-weight periodic trapezoid rule, which converges spectrally here.  A
 Quadrature holds that rule on one square grid of side x side points: the
-points and the cell area.  It samples sections in the weighted frame
+points and the cell area.  Sections are sampled in one frame only,
 e^{-|z|^2/2} s(z), bounded with a doubly periodic modulus on every torus
-(where s itself grows like e^{|z|^2/2}), so h(s1, s2) is the plain product
-conj(u1) u2 of weighted samples.  Its gram, norms and density integrate
-every inner product, norm and density of the package as plain sums times
-the cell, and its _block is the one rule for taking a level's samples in
-blocks.
+(where s grows like e^{|z|^2/2}; lll_basis._psi_frame alone undoes it), so
+h(s1, s2) is the plain product conj(u1) u2 of samples.  Quadrature's gram,
+norms and density integrate every inner product, norm and density of the
+package as plain sums times the cell, and its _block is the one rule for
+taking a level's samples in blocks.
 
 Higher levels are built from the ground states with the covariant creation
 operator (d/dz - zbar).  A section is a flat sum of terms
@@ -27,12 +27,11 @@ Hamiltonian in units of hbar*omega (zero-point term dropped) is
 H = -2 (d/dz - zbar) dbar, so level k has energy 2k.
 
 One routine samples a list of sections, _sample_sections(sections, z,
-stack), from stack(psis, k): the k-th derivatives of the ground states
-psis at z, one stacked pass, in the caller's frame (psi's own, or the
-quadrature's weighted one).  Sections that are each one unit term
-(0, psi, k, 1) of one order, with no psi twice, such as a level-0 basis,
-are that stack itself; any other list takes one stack per derivative order
-and adds it into the sections.
+stack), from stack(psis, k): the weighted k-th derivatives of the ground
+states psis at z, one stacked pass, which Quadrature._stack may keep.
+Sections that are each one unit term (0, psi, k, 1) of one order, with no
+psi twice, such as a level-0 basis, are that stack itself; any other list
+takes one stack per derivative order and adds it into the sections.
 
 A level basis is normalized by the ground states' closed-form unit-norm
 constant (lll_basis.normalize), which the creation operator preserves; the
@@ -64,7 +63,8 @@ import numpy as np
 
 from .errors import ZeroNorm
 from .geometry import TorusGeometry, _is_integer, _one_torus
-from .lll_basis import _BLOCK_POINTS, ThetaBasisFunction, eval_fourier_stack, normalized_basis
+from .lll_basis import (_BLOCK_POINTS, ThetaBasisFunction, _psi_frame, _weighted_stack,
+                        normalized_basis)
 
 
 # bytes of default-grid sample stacks that one _sharing_stacks block keeps
@@ -138,10 +138,9 @@ class Quadrature:
         return max(n // 8, -(-_BLOCK_POINTS // self.side**2), 1)
 
     def sample(self, sections) -> np.ndarray:
-        """Weighted values e^{-|z|^2/2} s(z) of each section at the grid points:
-        _sample_sections in the frame of _stack.  GeometryMismatch unless
-        every section is on this torus.
-        """
+        """Weighted values e^{-|z|^2/2} s(z) of each section at the grid points,
+        from the stacks of _stack.  GeometryMismatch unless every section is
+        on this torus."""
         _one_torus(sections, self.geometry)
         return _sample_sections(sections, self.z, self._stack)
 
@@ -157,7 +156,7 @@ class Quadrature:
         key = (tuple(psis), k, self.geometry, self.side)
         stack = None if store is None else store.get(key)
         if stack is None:
-            stack = eval_fourier_stack(psis, self.z, k, _weighted=True)
+            stack = _weighted_stack(psis, self.z, k)
             if store is not None and \
                     sum(s.nbytes for s in store.values()) + stack.nbytes <= _STACK_BUDGET:
                 stack.flags.writeable = False
@@ -225,9 +224,9 @@ class PolynomialSection:
         return max((p for p, _, _, _ in self.terms), default=0)
 
     def __call__(self, z):
-        """Values at z; each distinct (psi, k) is evaluated once."""
+        """Values at z: each distinct (psi, k) sampled once, weighted, then _psi_frame."""
         z = np.asarray(z, dtype=complex)
-        return _sample_sections([self], z, lambda psis, k: eval_fourier_stack(psis, z, k))[0]
+        return _psi_frame(self.geometry, z, lambda: _sample_sections([self], z))[0]
 
     def __add__(self, other: "PolynomialSection") -> "PolynomialSection":
         return PolynomialSection(_one_torus((self, other)), self.terms + other.terms)
@@ -243,10 +242,10 @@ class PolynomialSection:
         return self + other * (-1.0)
 
 
-def _sample_sections(sections, z, stack) -> np.ndarray:
-    """Values of each section at the points z, shape (len(sections),) + z.shape,
-    in the frame of stack(psis, k): the stack of the k-th derivatives of the
-    ground states psis at z.
+def _sample_sections(sections, z, stack=None) -> np.ndarray:
+    """Weighted values e^{-|z|^2/2} s(z) of each section at the points z,
+    shape (len(sections),) + z.shape, from stack(psis, k), by default
+    lll_basis._weighted_stack: the weighted k-th derivatives of psis at z.
 
     Sections that are each one unit term (0, psi, k, 1) of one order k, with
     no psi twice, are stack(psis, k) itself.  Otherwise the distinct (psi, k)
@@ -256,6 +255,7 @@ def _sample_sections(sections, z, stack) -> np.ndarray:
     section's values do not depend on the sections sampled with it.
     """
     sections = [as_section(s) for s in sections]
+    stack = stack or (lambda psis, k: _weighted_stack(psis, z, k))
     units = [s.terms[0] for s in sections if len(s.terms) == 1]
     psis = list(dict.fromkeys(psi for _, psi, _, _ in units))
     forms = {(p, k, w) for p, _, k, w in units}

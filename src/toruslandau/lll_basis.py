@@ -22,21 +22,21 @@ Exponents and phases are assembled in long double, which avoids overflow
 of e^{z^2/2} against the theta tail and keeps relative rounding near
 machine level where exponent pieces reach several hundred; the Fourier
 series casts them to double at _exp_ld and _cis_ld only, the latter
-reducing mod _TWO_PI, the package's one 2pi.  Both series reject a torus
-whose sections overflow a double on its cell (_check_torus).  The Fourier
-series factors out its peak term before it sums in double; both of its
-paths keep the same terms about each point's peak (_fourier_reach), and
-each takes a stack of sections of one torus in one pass, bit for bit the
-one-section calls.  The grid path can instead return the weighted values
-e^{-|z|^2/2} psi^(k)(z), the frame in which levels.Quadrature integrates:
-bounded, with a doubly periodic modulus, so that frame checks no torus.
+reducing mod _TWO_PI, the package's one 2pi.  The Fourier series factors
+out its peak term before it sums in double; both of its paths keep the
+same terms about each point's peak (_fourier_reach), take a stack of
+sections of one torus in one pass, bit for bit the one-section calls, and
+return e^{-|z|^2/2} psi^(k)(z) only: bounded, with a doubly periodic
+modulus, on every torus.  psi itself is formed in _psi_frame alone, which,
+as the Gaussian series does, first rejects a torus whose sections overflow
+a double on its cell (_check_torus).
 
   grid       z[j, i] = x[i] + i y[j] (any 2-D array whose real part is the
              same down each column and imaginary part the same along each
              row).  Term n splits into a factor of (y, n), a factor of
-             (n, x) and the phase e^{i x y} of e^{z^2/2}, so a section is
-             one (rows x K) @ (K x columns) matrix product times that
-             phase, formed a block of rows at a time, with each row's peak
+             (n, x) and the phase e^{i x y}, so a section is one
+             (rows x K) @ (K x columns) matrix product times that phase,
+             formed a block of rows at a time, with each row's peak
              factored out.
   pointwise  any other z: per point, a Laurent polynomial in
              w = e^{2 pi i N z/L1} times e^{-2 a N n0} (a = pi L2/(N L1)),
@@ -45,9 +45,9 @@ bounded, with a doubly periodic modulus, so that frame checks no torus.
              double (see _fourier_points).  It shares no loop with the
              Gaussian comb, which checks it.
 
-eval_fourier_stack is the one evaluator of the package, and eval_fourier
-its one-section case: every section of the levels module, and every
-z-derivative (the `order` argument), is sampled through it.
+_weighted_stack is the one evaluator of the package: every section, and
+every z-derivative (the `order` argument), is sampled through it.
+eval_fourier_stack is it in psi's frame, eval_fourier its one-section case.
 eval_gaussian_stack, with eval_gaussian its one-section case, is the
 independent reference that the tests and the Poisson-duality check compare
 it with.  It sums every section of one torus in one pointwise pass: per
@@ -192,7 +192,7 @@ def _fourier_reach(geometry: TorusGeometry) -> int:
     """M of the Fourier window: about the index n0 = nu (mod N) nearest a
     point's peak term n*, the terms n0 + N m, |m| <= M, keep all above e^-40
     of it, since term n0 + N m is at most e^{-L2^2 (m^2 - |m|)} of term n0
-    (|n0 - n*| <= N/2; see _fourier_points).  The same in either frame.
+    (|n0 - n*| <= N/2; see _fourier_points).
     ValueError naming L2 if its 2M + 1 terms exceed _BLOCK_POINTS (L2 < ~1.9e-4).
     """
     L2 = geometry.L2
@@ -224,22 +224,20 @@ def _is_grid(arr) -> bool:
             and np.array_equal(arr.imag, np.broadcast_to(arr.imag[:, :1], arr.shape)))
 
 
-def _fourier_grid(psis, z, order: int, weighted: bool):
-    """d^order psi on a tensor grid z[j, i] = x[i] + 1j*y[j], for each psi of psis,
-    times e^{-|z|^2/2} if weighted.
+def _fourier_grid(psis, z, order: int):
+    """e^{-|z|^2/2} d^order psi on a tensor grid z[j, i] = x[i] + 1j*y[j], for
+    each psi of psis.
 
-    The sections share one geometry.  With e^{z^2/2} = e^{x^2/2} e^{-y^2/2}
+    The sections share one geometry.  With e^{-|z|^2/2} e^{z^2/2} = e^{-y^2}
     e^{i x y}, the term for index n is
-        [exp{-pi n^2 L2/(N L1) - 2 pi n y/L1 - y^2/2}]     row (y, n)
-      * [exp{x^2/2 + 2 pi i n x/L1}]                       column (n, x)
+        [exp{-pi n^2 L2/(N L1) - 2 pi n y/L1 - y^2}]       row (y, n)
+      * [exp{2 pi i n x/L1}]                               column (n, x)
       * exp{i x y},
     so each sum over n is a (rows x K) @ (K x nx) product times a pointwise
-    phase.  The weight e^{-|z|^2/2} drops the column's e^{x^2/2} and turns
-    the row's e^{-y^2/2} into e^{-y^2}, so that no factor grows with |z|:
-    each row is scaled by exp(peak - y^2) in place of exp(peak - y^2/2).
-    Exponents and phases are assembled in long double, each row's peak
-    factored out of its row factor, and cast by _exp_ld and _cis_ld.  A
-    derivative carries the factor q(z + b_n) with
+    phase, and no factor grows with |z|.  Exponents and phases are
+    assembled in long double, each row's peak factored out of its row
+    factor and its row scaled by exp(peak - y^2), and cast by _exp_ld and
+    _cis_ld.  A derivative carries the factor q(z + b_n) with
     b_n = 2 pi i n/L1 (see _taylor_rows); expanding it as
     sum_j q^(j)(z)/j! b_n^j costs one more product per power of b_n.
 
@@ -261,10 +259,7 @@ def _fourier_grid(psis, z, order: int, weighted: bool):
     L1l, L2l, pil, two_pi = _LD(L1), _LD(L2), _LD(np.pi), _LD(_TWO_PI)
 
     x = z[0].real.astype(_LD)
-    col = _cis_ld(two_pi * nl[:, None] * x / L1l)
-    if not weighted:
-        col = _exp_ld(x * x / 2) * col
-    col = col.view(float)            # (K, 2 nx): real and imaginary parts
+    col = _cis_ld(two_pi * nl[:, None] * x / L1l).view(float)   # (K, 2 nx): re and im
     cols = [col[pick] for pick in picks]
     quad = -pil * nl * nl * L2l / (n_flux * L1l)
 
@@ -277,7 +272,6 @@ def _fourier_grid(psis, z, order: int, weighted: bool):
         rows = slice(start, start + step)
         y = ys[rows].astype(_LD)[:, None]
         re = quad - two_pi * nl * y / L1l
-        row_y2 = y * y if weighted else y * y / 2
         weights = [(coeffs[0] if len(coeffs) == 1 else _eval_poly(coeffs, z[rows])) * 1j**j
                    for j, coeffs in enumerate(taylor)]
         gauge = _cis_ld(x * y)
@@ -294,7 +288,7 @@ def _fourier_grid(psis, z, order: int, weighted: bool):
                 np.matmul(row * b[pick]**j, col_i, out=product.view(float))
                 np.multiply(weight, product, out=product)
                 np.add(sums if j else 0, product, out=sums)
-            scale = psi.norm_const * _exp_ld(peak - row_y2)
+            scale = psi.norm_const * _exp_ld(peak - y * y)
             np.multiply(scale, gauge, out=out[i, rows])
             out[i, rows] *= sums
     return out
@@ -338,16 +332,16 @@ def _cis_ld(ph):
 
 
 def _fourier_points(psis, arr, order: int):
-    """eval_fourier_stack at arbitrary points: a Horner sum per point about
-    its peak term, for each section of psis (one torus).
+    """_weighted_stack at arbitrary points: a Horner sum per point about its
+    peak term, for each section of psis (one torus).
 
     With a = pi L2/(N L1), the real exponent of term n peaks at
     n* = -N y/L2.  About the index n0 = nu (mod N) nearest n*, n = n0 + N m
     gives
 
-        psi(z) = C e^{E_0(z)} sum_{|m| <= M} c_m w^m,
-        E_0(z) = z^2/2 - a n0^2 + 2 pi i n0 z/L1,  c_m = e^{-a N^2 m^2},
-        w = e^{-2 a N n0 + 2 pi i N z/L1},
+        e^{-|z|^2/2} psi(z) = C e^{E_0(z)} sum_{|m| <= M} c_m w^m,
+        E_0(z) = z^2/2 - |z|^2/2 - a n0^2 + 2 pi i n0 z/L1,
+        c_m = e^{-a N^2 m^2},  w = e^{-2 a N n0 + 2 pi i N z/L1},
 
     where a N^2 = L2^2 and |w| = e^{-2 L2^2 (n0 - n*)/N} with
     |n0 - n*| <= N/2, so no term exceeds the m = 0 term; M is
@@ -396,11 +390,11 @@ def _fourier_points(psis, arr, order: int):
             n0 = psi.nu + geo.N * _peak_class(psi, points.imag)
             n0l = n0.astype(_LD)
             # with b = a n0 + 2 pi y/L1,
-            # E_0 = (x^2 - y^2)/2 - n0 b + i x (y + 2 pi n0/L1) and
+            # E_0 = -y^2 - n0 b + i x (y + 2 pi n0/L1) and
             # log w = -N (b + a n0) + 2 pi i N x/L1
             a_n0 = a * n0l
             b = a_n0 + k1 * y
-            pre_abs = _exp_ld((x * x - y * y) / 2 - n0l * b)
+            pre_abs = _exp_ld(-y * y - n0l * b)
             pre_turn = _cis_ld(x * (y + k1 * n0l))
             w_abs = _exp_ld(-nf * (b + a_n0))
             w, w_inv = w_abs * w_turn, w_turn.conj() / w_abs
@@ -418,27 +412,37 @@ def _fourier_points(psis, arr, order: int):
     return _by_points(arr, len(ms), block, len(psis))
 
 
-def eval_fourier_stack(psis, z, order: int = 0, *, _weighted: bool = False) -> np.ndarray:
-    """d^order/dz^order of each section of psis at z, shape (len(psis),) + z.shape.
-
-    The sections must share one geometry (GeometryMismatch otherwise).  The
-    whole stack is one pass: of _fourier_grid on a 2-D tensor grid, of
-    _fourier_points at any other z.  ValueError for a non-finite point or a
-    torus that _check_torus rejects.  The private _weighted returns the
-    weighted frame e^{-|z|^2/2} d^order psi instead, on any torus; it is
-    sampled on tensor grids only (ValueError at other points).
-    """
+def _weighted_stack(psis, z, order: int = 0) -> np.ndarray:
+    """e^{-|z|^2/2} d^order/dz^order of each section of psis (one torus) at z,
+    shape (len(psis),) + z.shape, checking no torus: one pass of _fourier_grid
+    on a tensor grid, of _fourier_points elsewhere.  ValueError for a non-finite z."""
     arr = _points(z)
-    geo = _one_torus(psis)
-    if geo is None:
+    if _one_torus(psis) is None:
         return np.empty((0,) + np.shape(z), dtype=complex)
-    grid = _is_grid(arr)
-    if _weighted and not grid:
-        raise ValueError("the weighted frame is sampled on tensor grids only")
-    if not _weighted:
-        _check_torus(geo)
-    out = _fourier_grid(psis, arr, order, _weighted) if grid else _fourier_points(psis, arr, order)
+    out = _fourier_grid(psis, arr, order) if _is_grid(arr) else _fourier_points(psis, arr, order)
     return out.reshape((len(psis),) + np.shape(z))
+
+
+def _psi_frame(geometry, z, sample) -> np.ndarray:
+    """e^{|z|^2/2} u, in place, for u = sample(), a fresh array (n,) + z.shape of
+    weighted values e^{-|z|^2/2} s(z) of sections on geometry (None if n = 0):
+    the one way to psi's frame.  ValueError first if _check_torus rejects it."""
+    if geometry is not None:
+        _check_torus(geometry)
+    out, z = sample(), np.ravel(z)
+    flat = out.reshape(len(out), z.size)
+    for start in range(0, z.size, _BLOCK_POINTS):
+        x, y = (part[start:start + _BLOCK_POINTS] for part in (z.real, z.imag))
+        flat[:, start:start + _BLOCK_POINTS] *= _exp_ld(
+            (np.square(x, dtype=_LD) + np.square(y, dtype=_LD)) / 2)
+    return flat.reshape(out.shape)
+
+
+def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
+    """d^order/dz^order of each section of psis at z, shape (len(psis),) + z.shape:
+    _weighted_stack brought to psi's own frame by _psi_frame.  GeometryMismatch
+    unless the sections share one geometry."""
+    return _psi_frame(_one_torus(psis), z, lambda: _weighted_stack(psis, z, order))
 
 
 def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):

@@ -24,14 +24,13 @@ for a grid of n x n points, z - a is again a grid point up to whole periods.
 That lattice is the Z_N lattice with n in place of N, and one test
 (_lattice_steps) classifies a on either.  Every lattice and half-lattice
 point is a grid node when n is a multiple of 2N, as the default side is
-(default_resolution).  The level is held in the quadrature's weighted frame
-e^{-|z|^2/2} s(z) (levels.Quadrature), in which T_a s_nu on the grid is the
-held samples of s_nu, index-rolled, times one phase exp(i Im(conj(a) z + E))
-shared by the whole level, with E the boundary exponent
-(lll_basis._wrap_exponent) of the integer wrap counts (_weighted_factor); no
-section is evaluated again.  Any other a samples the level again, in the
-same frame, at the grid reduced into the fundamental domain: one stacked
-grid pass per derivative order.  Either way the level goes by
+(default_resolution).  On samples e^{-|z|^2/2} s(z), the package's frame,
+T_a is the phase exp(i Im(conj(a) z + E)), E the boundary exponent
+(lll_basis._wrap_exponent) of the integer wraps (_weighted_factor).  On the
+grid lattice T_a s_nu is the held samples of s_nu, index-rolled, times it;
+at any other a, and in translate_sections, it is the samples at the points
+reduced into the fundamental domain times it (_translated), which
+translate_sections then takes to psi's frame.  A projected level goes by
 Quadrature._block: whole sections, at least an eighth of the level and
 lll_basis's block of grid values (all of it on a small grid), each block
 projected by one Quadrature.gram product and Quadrature.norms.
@@ -61,7 +60,7 @@ from .errors import NotAPeriod
 from .geometry import TorusGeometry, _one_torus
 from .levels import (Quadrature, as_section, default_resolution, _sampled_level,
                      _sample_sections)
-from .lll_basis import _wrap_exponent, eval_fourier_stack
+from .lll_basis import _psi_frame, _wrap_exponent
 
 
 def _displacement(a) -> complex:
@@ -122,15 +121,22 @@ def _weighted_factor(a: complex, z, exponent):
     return np.exp(1j * (np.conj(a) * z + exponent).imag)
 
 
+def _translated(a: complex, sections, z, geometry: TorusGeometry) -> np.ndarray:
+    """Weighted values of T_a s at z for each s of sections on geometry: their
+    weighted samples at z - a reduced into the fundamental domain, one
+    stacked pass per derivative order, times the _weighted_factor."""
+    source, exponent = reduce_to_fundamental(geometry, z - a)
+    out = _sample_sections(sections, source)
+    return np.multiply(_weighted_factor(a, z, exponent), out, out=out)
+
+
 def translate_sections(a, sections, z) -> np.ndarray:
     """(T_a s)(z) = exp(conj(a) z - |a|^2/2) s(z - a) for each s of sections.
 
     Returns shape (len(sections),) + z.shape.  z may be anywhere; z - a is
-    brought back into the fundamental domain by the boundary conditions with
-    the factor kept in log space.  The sections share one torus: one
-    reduction and one factor serve them all, and they are sampled at the
-    reduced points in one stacked pass per derivative order.  A section's
-    values do not depend on the sections translated with it.
+    brought back into the fundamental domain by the boundary conditions.
+    The sections share one torus and one _translated call, taken to their
+    own frame by _psi_frame; each one's values do not depend on the others.
     """
     a = _displacement(a)
     sections = [as_section(s) for s in sections]
@@ -138,10 +144,7 @@ def translate_sections(a, sections, z) -> np.ndarray:
     geometry = _one_torus(sections)
     if geometry is None:
         return np.empty((0,) + z.shape, dtype=complex)
-    w0, exponent = reduce_to_fundamental(geometry, z - a)
-    factor = np.exp(np.conj(a) * z - abs(a) ** 2 / 2 + exponent)
-    out = _sample_sections(sections, w0, lambda psis, k: eval_fourier_stack(psis, w0, k))
-    return np.multiply(factor, out, out=out)
+    return _psi_frame(geometry, z, lambda: _translated(a, sections, z, geometry))
 
 
 def translate_section(a, s, z):
@@ -218,27 +221,20 @@ def _project(quad: Quadrature, a: complex, level: int, basis, vals) -> Translati
     samples), a block of quad._block(n) sections at a time: whole sections,
     at least an eighth of them and lll_basis's block of grid values.  A
     block's T_a s_nu, in the same weighted frame, are its held samples
-    index-rolled on the grid lattice, else sampled again by
-    levels._sample_sections at the grid reduced once into the fundamental
-    domain, from weighted stacks there that are never kept, times one phase;
-    quad.gram gives its entries in one product, and quad.norms the defects
-    of the residual.
+    index-rolled on the grid lattice, else _translated, from weighted stacks
+    that are never kept; quad.gram gives its entries in one product, and
+    quad.norms the defects of the residual.
     """
     n = len(basis)
     shift = _lattice_steps(a, quad.geometry, quad.side)
     entries, defects = np.empty((n, n), dtype=complex), np.empty(n)
-    if shift is None:
-        source, exponent = reduce_to_fundamental(quad.geometry, quad.z - a)
-        factor = _weighted_factor(a, quad.z, exponent)
-    else:
+    if shift is not None:
         factor = _roll_factor(quad, a, *shift)
     step = quad._block(n)
     for start in range(0, n, step):
         block = slice(start, start + step)
         if shift is None:
-            shifted = _sample_sections(basis[block], source, lambda psis, k:
-                                       eval_fourier_stack(psis, source, k, _weighted=True))
-            np.multiply(factor, shifted, out=shifted)
+            shifted = _translated(a, basis[block], quad.z, quad.geometry)
         else:
             shifted = np.roll(vals[block], (shift[1], shift[0]), axis=(1, 2))
             shifted *= factor

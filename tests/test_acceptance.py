@@ -152,9 +152,9 @@ def count_grid_passes(monkeypatch):
     shapes = []
     grid = lll_basis._fourier_grid
 
-    def counted(psis, z, order, weighted):
+    def counted(psis, z, order):
         shapes.append(z.shape)
-        return grid(psis, z, order, weighted)
+        return grid(psis, z, order)
 
     monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
     return shapes
@@ -315,8 +315,8 @@ def test_criterion_08_detects_an_evaluation_fault(monkeypatch):
     # finite-difference H sees it
     grid = lll_basis._fourier_grid
 
-    def faulty(psis, z, order, weighted):
-        out = grid(psis, z, order, weighted)
+    def faulty(psis, z, order):
+        out = grid(psis, z, order)
         return out * (1 + 1e-6 * np.cos(2 * np.pi * z.real / psis[0].geometry.L1))
 
     monkeypatch.setattr(lll_basis, "_fourier_grid", faulty)

@@ -56,33 +56,33 @@ class TestBasisCommand:
             [psi], periodic_grid(geo, 32, 32))[0]
 
     def test_section_sampled_once_per_grid(self, tmp_path, monkeypatch):
-        # the 32^2 grid in psi's frame and in the quadrature's weighted frame
-        # (the density), and its -L1 and -iL2 shifts; normalize samples nothing
+        # the 32^2 grid once, weighted for the density and then taken to psi's
+        # frame, and its -L1 and -iL2 shifts; normalize samples nothing
         grids = []
         original = lll_basis._fourier_grid
 
-        def counted(psis, z, order, weighted):
+        def counted(psis, z, order):
             grids.append(z.shape)
-            return original(psis, z, order, weighted)
+            return original(psis, z, order)
 
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         assert run(["basis", "--N", "3", "--nu", "1", "--grid", "32",
                     "--out-dir", str(tmp_path)]) == 0
-        assert grids == [(32, 32)] * 4
+        assert grids == [(32, 32)] * 3
 
     def test_large_n_passes(self, tmp_path, monkeypatch):
-        # at N = 12 too: the default 128^2 grid in both frames and its two
-        # shifts, and no normalization grid
+        # at N = 12 too: the default 128^2 grid once and its two shifts, and
+        # no normalization grid
         grids = []
         original = lll_basis._fourier_grid
 
-        def counted(psis, z, order, weighted):
+        def counted(psis, z, order):
             grids.append(z.shape)
-            return original(psis, z, order, weighted)
+            return original(psis, z, order)
 
         monkeypatch.setattr(lll_basis, "_fourier_grid", counted)
         assert run(["basis", "--N", "12", "--nu", "6", "--out-dir", str(tmp_path)]) == 0
-        assert grids == [(128, 128)] * 4
+        assert grids == [(128, 128)] * 3
 
     def test_boundary_finite_on_a_large_square_torus(self, tmp_path):
         # each law is read at its period's preimage: at N = 92 the shift by
@@ -362,6 +362,16 @@ class TestCocycleCommand:
         code = run(["cocycle", "--mesh-n", "4", "--flux", "6.283185307179586",
                     "--out-dir", str(tmp_path)])
         assert code == 0
+
+    @pytest.mark.parametrize("flux, value", [
+        ("-pi", -math.pi), ("+pi", math.pi), ("pi", math.pi), ("-1pi", -math.pi),
+        ("+2*pi", 2 * math.pi)])
+    def test_signed_pi_flux(self, tmp_path, flux, value):
+        # a bare sign before pi reads as one pi, as no sign does
+        code = run(["cocycle", "--mesh-n", "4", f"--flux={flux}", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "run_manifest.json").read_text())[
+            "parameters"]["flux"] == value
 
 
 class TestVerifyCommand:

@@ -10,16 +10,25 @@ caught, and so is one which starts failing on a fault it should not see.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from toruslandau import cocycle, geometry, levels, lll_basis, translations, verify
 
 
 def scale_grid_values(monkeypatch, factor):
-    """Every sample of the grid path times factor: a uniform-scale fault."""
+    """Every sample of the grid path times factor(z, L1), an array over the
+    grid z or a number: a fault of the evaluator's scale."""
     grid = lll_basis._fourier_grid
-    monkeypatch.setattr(lll_basis, "_fourier_grid",
-                        lambda psis, z, order, weighted: grid(psis, z, order, weighted) * factor)
+    monkeypatch.setattr(lll_basis, "_fourier_grid", lambda psis, z, order: grid(
+        psis, z, order) * factor(z, psis[0].geometry.L1))
+
+
+def scale_point_values(monkeypatch, factor):
+    """Every sample of the scattered-point path times factor."""
+    points = lll_basis._fourier_points
+    monkeypatch.setattr(lll_basis, "_fourier_points",
+                        lambda psis, arr, order: points(psis, arr, order) * factor)
 
 
 def drop_gaussian_nu_squared(monkeypatch):
@@ -48,8 +57,7 @@ def shift_fourier_class(monkeypatch):
         return dataclasses.replace(psi, nu=(psi.nu + 1) % psi.geometry.N)
 
     monkeypatch.setattr(lll_basis, "_fourier_grid",
-                        lambda psis, z, order, weighted:
-                        grid([relabel(p) for p in psis], z, order, weighted))
+                        lambda psis, z, order: grid([relabel(p) for p in psis], z, order))
     monkeypatch.setattr(lll_basis, "_fourier_points",
                         lambda psis, arr, order: points([relabel(p) for p in psis], arr, order))
 
@@ -143,10 +151,32 @@ def test_uniform_grid_scale_fault(monkeypatch):
     # a quadrature normalization would absorb a uniform scale; the
     # closed-form norm does not, so the Gram diagonal, the density mean and
     # the translation matrices' unitarity all read |1 + 1e-9|^2 - 1
-    scale_grid_values(monkeypatch, 1 + 1e-9)
+    scale_grid_values(monkeypatch, lambda z, L1: 1 + 1e-9)
     results = verify.run_acceptance(n_max=3)
     assert failing(results) == {2, 5, 6}
     assert results[1].data["worst"] == pytest.approx(2e-9, rel=1e-3)
+
+
+def test_periodic_grid_scale_fault(monkeypatch):
+    # 1 + 1e-9 cos(2 pi x/L1) is periodic, so the boundary law (4) and the
+    # eigen residual (8) hold; the norms, the density and the projected
+    # translations read it, as for a uniform scale
+    scale_grid_values(monkeypatch, lambda z, L1: 1 + 1e-9 * np.cos(2 * np.pi * z.real / L1))
+    assert failing(verify.run_acceptance(n_max=3)) == {2, 5, 6}
+
+
+def test_aperiodic_grid_scale_fault(monkeypatch):
+    # 1 + 1e-9 x/L1 differs by 1e-9 across one period along x: the boundary
+    # law (4), the eigen residual of its translated probes (8) and the
+    # doubled-grid Gram (10) see it besides the norms and the density
+    scale_grid_values(monkeypatch, lambda z, L1: 1 + 1e-9 * z.real / L1)
+    assert failing(verify.run_acceptance(n_max=3)) == {2, 4, 5, 6, 8, 10}
+
+
+def test_scattered_point_scale_fault(monkeypatch):
+    # the scattered-point path serves only the duality check's random points
+    scale_point_values(monkeypatch, 1 + 1e-9)
+    assert failing(verify.run_acceptance(n_max=3)) == {3}
 
 
 def test_gaussian_poisson_constant_fault(monkeypatch):

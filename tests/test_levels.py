@@ -736,26 +736,31 @@ class TestSectionSampler:
             assert value.tobytes() == quad.sample([s])[0].tobytes()
 
 
-def test_only_quadrature_weights_grid_samples():
-    # Quadrature samples in the weighted frame e^{-|z|^2/2} s, so gram, norms
-    # and density, the one Hermitian product, are plain sums: no code of the
-    # package reads a weight attribute, and only Quadrature's methods read
-    # its cell.  The weighted frame is asked for (_weighted=True) in two
-    # places only, Quadrature._stack and translations._project, and no
-    # function outside lll_basis, which defines the keyword, takes a
-    # _weighted or grid parameter to pass on.  Criterion
+def test_one_frame_and_one_way_out_of_it():
+    # every section is sampled in the weighted frame e^{-|z|^2/2} s, so gram,
+    # norms and density, the one Hermitian product, are plain sums: no code
+    # of the package reads a weight attribute, and only Quadrature's methods
+    # read its cell.  No function takes a frame switch (a weighted or
+    # _weighted parameter), and e^{|z|^2/2} is applied in one function,
+    # lll_basis._psi_frame: outside the two Fourier kernels it alone calls
+    # _exp_ld, and no exponential of the package grows with |z|^2.  Criterion
     # 8's probe weighs its own points, independently, by a local weight.
     def visit(node, owner=None, function=None):
         if isinstance(node, ast.ClassDef):
             owner = node.name
-        if isinstance(node, ast.FunctionDef):
-            function = node.name
+        if isinstance(node, ast.FunctionDef) and function is None:
+            function = node.name   # the outermost: a nested helper is its function's
         yield node, owner, function
         for child in ast.iter_child_nodes(node):
             yield from visit(child, owner, function)
 
+    def is_abs_squared(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+            and isinstance(node.left, ast.Call) \
+            and getattr(node.left.func, "id", getattr(node.left.func, "attr", None)) == "abs"
+
     package = Path(levels.__file__).parent
-    weights, cells, requests, passed_on = [], [], [], []
+    weights, cells, switches, unweights, growing = [], [], [], set(), []
     for path in sorted(package.glob("*.py")):
         for node, owner, function in visit(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr == "weight":
@@ -763,15 +768,19 @@ def test_only_quadrature_weights_grid_samples():
             if isinstance(node, ast.Attribute) and node.attr == "cell" \
                     and not (owner == "Quadrature" and getattr(node.value, "id", None) == "self"):
                 cells.append((path.name, node.lineno))
-            if isinstance(node, ast.keyword) and node.arg == "_weighted":
-                assert isinstance(node.value, ast.Constant) and node.value.value is True
-                requests.append((path.name, owner, function))
-            if isinstance(node, ast.arg) and node.arg in ("_weighted", "grid") \
-                    and path.name != "lll_basis.py":
-                passed_on.append((path.name, function, node.arg))
-    assert weights == [] and cells == [] and passed_on == []
-    assert sorted(requests) == [("levels.py", "Quadrature", "_stack"),
-                                ("translations.py", None, "_project")]
+            if isinstance(node, (ast.arg, ast.keyword)) and node.arg in ("weighted", "_weighted"):
+                switches.append((path.name, function, node.arg))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_exp_ld":
+                unweights.add((path.name, function))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp":
+                # |z|^2 or |a|^2 inside an exponential only under a minus sign
+                negated = {id(n.operand) for n in ast.walk(node)
+                           if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)}
+                growing += [(path.name, n.lineno) for n in ast.walk(node)
+                            if is_abs_squared(n) and id(n) not in negated]
+    assert weights == [] and cells == [] and switches == [] and growing == []
+    assert unweights == {("lll_basis.py", "_fourier_grid"), ("lll_basis.py", "_fourier_points"),
+                         ("lll_basis.py", "_psi_frame")}
     verify_tree = ast.parse((package / "verify.py").read_text())
     probe = next(node for node in ast.walk(verify_tree)
                  if isinstance(node, ast.FunctionDef) and node.name == "_eigen_residuals")

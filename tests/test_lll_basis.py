@@ -727,38 +727,60 @@ class TestGridPath:
 
 
 class TestWeightedFrame:
-    """_weighted gives e^{-|z|^2/2} d^k psi on the grid path, checked against
-    no torus bound; scattered points are refused."""
+    """_weighted_stack gives e^{-|z|^2/2} d^k psi on both paths, checked
+    against no torus bound; _psi_frame alone takes it to psi's frame."""
 
     @pytest.mark.parametrize("n, ratio", [(1, 1.0), (6, 0.25), (6, 4.0), (12, 1.0)])
     def test_psi_times_its_weight(self, n, ratio):
-        # on a grid shifted off the cell too, where |z| and |psi| are larger
+        # on a grid shifted off the cell too, where |z| and |psi| are larger;
+        # the reference is the Gaussian comb, summed independently
         geo = TorusGeometry.with_aspect(n, ratio)
         psis = [theta_basis(geo, nu) for nu in sample_classes(n)]
         for z in (periodic_grid(geo, 40, 36), periodic_grid(geo, 40, 36) - 0.5 * geo.L1
                   + 0.5j * geo.L2):
             for order in (0, 1, 2):
-                got = eval_fourier_stack(psis, z, order, _weighted=True)
-                ref = np.exp(-np.abs(z) ** 2 / 2) * eval_fourier_stack(psis, z, order)
+                got = lll_basis._weighted_stack(psis, z, order)
+                ref = np.exp(-np.abs(z) ** 2 / 2) * eval_gaussian_stack(psis, z, order)
                 assert np.max(np.abs(got - ref)) <= GRID_BOUND * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, ratio", [(1, 1.0), (6, 0.25), (12, 1.0)])
+    def test_scattered_points_are_weighted(self, n, ratio):
+        # the pointwise path returns the same frame: psi e^{-|z|^2/2} at
+        # random points, on the cell and off it, for each derivative order
+        geo = TorusGeometry.with_aspect(n, ratio)
+        psis = [theta_basis(geo, nu) for nu in sample_classes(n)]
+        rng = np.random.default_rng(3)
+        z = (rng.random(200) - 0.25) * 1.5 * geo.L1 + 1j * (rng.random(200) - 0.25) * 1.5 * geo.L2
+        weight = np.exp(-np.abs(z) ** 2 / 2)
+        for order in (0, 1, 2):
+            got = lll_basis._weighted_stack(psis, z, order)
+            for ref in (eval_fourier_stack(psis, z, order), eval_gaussian_stack(psis, z, order)):
+                assert np.max(np.abs(got - weight * ref)) <= GRID_BOUND * np.max(np.abs(got))
 
     @pytest.mark.parametrize("geo", [TorusGeometry(40.0, math.pi / 40, 1),
                                      TorusGeometry.square(300)], ids=["L1-40", "N-300"])
-    def test_finite_past_the_double_range(self, geo):
+    def test_finite_past_the_double_range(self, geo, monkeypatch):
         # psi overflows a double on these cells, and eval_fourier refuses
-        # them; the weighted grid values are finite
+        # them before any pass; the weighted grid values are finite
         psis = [theta_basis(geo, nu) for nu in sample_classes(geo.N)]
         z = periodic_grid(geo, 48, 40)
-        with pytest.raises(ValueError, match="overflow a double"):
-            eval_fourier_stack(psis, z)
+        with monkeypatch.context() as patched:
+            patched.setattr(lll_basis, "_weighted_stack", None)   # not reached
+            with pytest.raises(ValueError, match="overflow a double"):
+                eval_fourier_stack(psis, z)
         for order in (0, 1, 2):
-            assert np.all(np.isfinite(eval_fourier_stack(psis, z, order, _weighted=True)))
+            assert np.all(np.isfinite(lll_basis._weighted_stack(psis, z, order)))
 
-    def test_scattered_points_refused(self):
+    def test_psi_frame_scales_in_blocks(self):
+        # more points than one block: every block gets its own e^{|z|^2/2},
+        # within an ulp or two of a long-double reference
         geo = TorusGeometry.square(3)
-        z = periodic_grid(geo, 8, 6)
-        with pytest.raises(ValueError, match="tensor grids only"):
-            eval_fourier_stack(ground_basis(geo), z.ravel(), _weighted=True)
+        z = periodic_grid(geo, 300, 300)
+        got = lll_basis._psi_frame(geo, z, np.ones((2,) + z.shape, dtype=complex).copy)
+        x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+        ref = np.exp((x * x + y * y) / 2)
+        assert z.size > lll_basis._BLOCK_POINTS and got.shape == (2,) + z.shape
+        assert float(np.max(np.abs(got - ref) / ref)) < 1e-15
 
 
 class TestStackedGridPath:

@@ -129,7 +129,7 @@ def cmd_basis(args) -> int:
     # one grid pass: weighted for the density, then psi in place for the rest
     weighted = quad.sample([psi])
     density = quad.density(weighted)
-    vals = lll_basis._psi_frame(geo, quad.z, lambda: weighted)
+    vals = lll_basis._psi_frame(geo, quad.z, lambda: weighted, grid=True)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -63,8 +63,8 @@ import numpy as np
 
 from .errors import ZeroNorm
 from .geometry import TorusGeometry, _is_integer, _one_torus
-from .lll_basis import (_BLOCK_POINTS, ThetaBasisFunction, _psi_frame, _weighted_stack,
-                        normalized_basis)
+from .lll_basis import (_BLOCK_POINTS, ThetaBasisFunction, _is_grid, _psi_frame,
+                        _weighted_stack, normalized_basis)
 
 
 # bytes of default-grid sample stacks that one _sharing_stacks block keeps
@@ -156,7 +156,7 @@ class Quadrature:
         key = (tuple(psis), k, self.geometry, self.side)
         stack = None if store is None else store.get(key)
         if stack is None:
-            stack = _weighted_stack(psis, self.z, k)
+            stack = _weighted_stack(psis, self.z, k, grid=True)
             if store is not None and \
                     sum(s.nbytes for s in store.values()) + stack.nbytes <= _STACK_BUDGET:
                 stack.flags.writeable = False
@@ -226,7 +226,9 @@ class PolynomialSection:
     def __call__(self, z):
         """Values at z: each distinct (psi, k) sampled once, weighted, then _psi_frame."""
         z = np.asarray(z, dtype=complex)
-        return _psi_frame(self.geometry, z, lambda: _sample_sections([self], z))[0]
+        grid = _is_grid(z)
+        return _psi_frame(self.geometry, z, lambda: _sample_sections(
+            [self], z, lambda psis, k: _weighted_stack(psis, z, k, grid)), grid)[0]
 
     def __add__(self, other: "PolynomialSection") -> "PolynomialSection":
         return PolynomialSection(_one_torus((self, other)), self.terms + other.terms)

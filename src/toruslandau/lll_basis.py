@@ -22,7 +22,10 @@ Exponents and phases are assembled in long double, which avoids overflow
 of e^{z^2/2} against the theta tail and keeps relative rounding near
 machine level where exponent pieces reach several hundred; the Fourier
 series casts them to double at _exp_ld and _cis_ld only, the latter
-reducing mod _TWO_PI, the package's one 2pi.  The Fourier series factors
+reducing mod _TWO_PI, the package's one 2pi.  The grid path's gauge
+e^{i x y} never enters long double: _cis_xy reduces x y mod the same
+_TWO_PI exactly in float64, from Dekker splits, and reads a table of
+e^{2 pi i k/1024} times a Taylor polynomial.  The Fourier series factors
 out its peak term before it sums in double; both of its paths keep the
 same terms about each point's peak (_fourier_reach), take a stack of
 sections of one torus in one pass, bit for bit the one-section calls, and
@@ -37,7 +40,9 @@ a double on its cell (_check_torus).
              (n, x) and the phase e^{i x y}, so a section is one
              (rows x K) @ (K x columns) matrix product times that phase,
              formed a block of rows at a time, with each row's peak
-             factored out.
+             factored out.  _psi_frame's e^{|z|^2/2} and the boundary
+             factors of boundary_residuals split into a row and a column
+             part there too.
   pointwise  any other z: per point, a Laurent polynomial in
              w = e^{2 pi i N z/L1} times e^{-2 a N n0} (a = pi L2/(N L1)),
              with coefficients e^{-L2^2 m^2} shared by every point and no
@@ -234,12 +239,13 @@ def _fourier_grid(psis, z, order: int):
       * [exp{2 pi i n x/L1}]                               column (n, x)
       * exp{i x y},
     so each sum over n is a (rows x K) @ (K x nx) product times a pointwise
-    phase, and no factor grows with |z|.  Exponents and phases are
-    assembled in long double, each row's peak factored out of its row
+    phase, and no factor grows with |z|.  Exponents and the column phases
+    are assembled in long double, each row's peak factored out of its row
     factor and its row scaled by exp(peak - y^2), and cast by _exp_ld and
-    _cis_ld.  A derivative carries the factor q(z + b_n) with
-    b_n = 2 pi i n/L1 (see _taylor_rows); expanding it as
-    sum_j q^(j)(z)/j! b_n^j costs one more product per power of b_n.
+    _cis_ld; the phase e^{i x y} is _cis_xy's, in float64.  A derivative
+    carries the factor q(z + b_n) with b_n = 2 pi i n/L1 (see _taylor_rows);
+    expanding it as sum_j q^(j)(z)/j! b_n^j costs one more product per power
+    of b_n.
 
     The column factors of every index in the sections' windows are built
     once, and the phase e^{i x y} and the Taylor weights q^(j)(z)/j! once
@@ -258,8 +264,8 @@ def _fourier_grid(psis, z, order: int):
     nl = every.astype(_LD)
     L1l, L2l, pil, two_pi = _LD(L1), _LD(L2), _LD(np.pi), _LD(_TWO_PI)
 
-    x = z[0].real.astype(_LD)
-    col = _cis_ld(two_pi * nl[:, None] * x / L1l).view(float)   # (K, 2 nx): re and im
+    x = z[0].real
+    col = _cis_ld(two_pi * nl[:, None] * x.astype(_LD) / L1l).view(float)   # (K, 2 nx): re and im
     cols = [col[pick] for pick in picks]
     quad = -pil * nl * nl * L2l / (n_flux * L1l)
 
@@ -274,7 +280,7 @@ def _fourier_grid(psis, z, order: int):
         re = quad - two_pi * nl * y / L1l
         weights = [(coeffs[0] if len(coeffs) == 1 else _eval_poly(coeffs, z[rows])) * 1j**j
                    for j, coeffs in enumerate(taylor)]
-        gauge = _cis_ld(x * y)
+        gauge = _cis_xy(x, ys[rows])
         sums, term = np.empty((2, len(y), nx), dtype=complex)
         for i, (psi, pick, col_i) in enumerate(zip(psis, picks, cols)):
             re_i = re[:, pick]
@@ -329,6 +335,110 @@ def _exp_ld(re):
 def _cis_ld(ph):
     """e^{i ph} in double from long-double ph, reduced mod _LD(_TWO_PI) first."""
     return np.exp(1j * np.asarray(np.mod(ph, _LD(_TWO_PI)), dtype=float))
+
+
+# _cis_xy reduces x y by the step _TWO_PI/_GAUGE_SIZE, exact in binary, held
+# as _STEP_HI + _STEP_LO: _STEP_HI has 21 significant bits, so k _STEP_HI is
+# exact for |k| < 2^32, and _STEP_LO is the rest of the step, exactly.
+_GAUGE_SIZE = 1024
+_STEP = _TWO_PI / _GAUGE_SIZE
+_STEP_HI = round(_STEP * 2.0 ** 28) / 2.0 ** 28
+_STEP_LO = _STEP - _STEP_HI
+# points per block of _cis_xy: its double temporaries, 64 KiB each, stay in cache
+_GAUGE_BLOCK = 1 << 13
+
+
+@functools.cache
+def _gauge_table() -> np.ndarray:
+    """e^{i k _STEP}, k = 0.._GAUGE_SIZE - 1, each rounded once from 40 digits:
+    the Taylor series of e^{i _STEP} in decimal, then its powers."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        step = decimal.Decimal(_STEP)       # the double step, exactly
+        re, im, term = decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(1)
+        for n in range(1, 16):              # step^16/16! < 1e-48
+            term = term * step / n
+            if n % 2:
+                im += term if n % 4 == 1 else -term
+            else:
+                re += term if n % 4 == 0 else -term
+        table, c, s = [], decimal.Decimal(1), decimal.Decimal(0)
+        for _ in range(_GAUGE_SIZE):
+            table.append(complex(float(c), float(s)))
+            c, s = c * re - s * im, c * im + s * re
+    table = np.array(table)
+    table.flags.writeable = False
+    return table
+
+
+def _split(v):
+    """(hi, lo) with v = hi + lo exactly and hi of at most 26 significant bits,
+    so that the product of two his, or of a hi and a lo, is exact (Dekker 1971)."""
+    c = 134217729.0 * v                     # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _cis_xy(x, y):
+    """e^{i (x y mod _TWO_PI)} on the grid of columns x and rows y (1-D doubles),
+    shape (len(y), len(x)), in float64 alone.
+
+    x y = p + lo exactly, p the double product and lo its error, from
+    Dekker splits of x and y.  With k = floor(p/_STEP), t = p - k _STEP + lo
+    is exact to about 1e-18 while |x y| < 2^20 _STEP (about 6400; on a
+    cell |x y| < L1 L2 < 710), and
+    e^{i x y} = e^{i (k mod _GAUGE_SIZE) _STEP} e^{i t}: an entry of
+    _gauge_table times (1 + cos t - 1) + i sin t, with 0 <= t < _STEP
+    (< 0.0062), where Taylor terms of degree 7 leave 1e-22.  The complex
+    product is formed from real products and sums.  Rows are taken about
+    _GAUGE_BLOCK points at a time, each block into its rows of the output,
+    with four double temporaries of its size reused in place.
+    """
+    table = _gauge_table()
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    out = np.empty((len(y), len(x)), dtype=complex)
+    step = max(1, _GAUGE_BLOCK // len(x))
+    for start in range(0, len(y), step):
+        rows = slice(start, start + step)
+        y_r, yh_r, yl_r = (part[rows, None] for part in (y, yh, yl))
+        p = y_r * x
+        lo = yh_r * xh
+        lo -= p
+        tmp = yh_r * xl
+        lo += tmp
+        lo += np.multiply(yl_r, xh, out=tmp)
+        lo += np.multiply(yl_r, xl, out=tmp)
+        k = np.floor(np.multiply(p, 1 / _STEP, out=tmp), out=tmp)
+        q = k * _STEP_HI
+        p -= q
+        p -= np.multiply(k, _STEP_LO, out=q)
+        t = np.add(p, lo, out=p)
+        index = lo.view(np.intp)            # lo is spent: its bytes hold k mod _GAUGE_SIZE
+        index[...] = k
+        index &= _GAUGE_SIZE - 1
+        c, s = out[rows].real, out[rows].imag
+        table.take(index, out=out[rows])
+        # cos t - 1 and sin t by Horner's rule in t^2
+        t2 = np.multiply(t, t, out=lo)
+        sn = np.multiply(t2, -1 / 5040, out=k)
+        sn += 1 / 120
+        sn *= t2
+        sn -= 1 / 6
+        sn *= t2
+        sn *= t
+        sn += t
+        cm = np.multiply(t2, -1 / 720, out=q)
+        cm += 1 / 24
+        cm *= t2
+        cm -= 1 / 2
+        cm *= t2
+        re = np.multiply(c, cm, out=t)
+        re -= np.multiply(s, sn, out=t2)
+        im = np.multiply(s, cm, out=cm)
+        im += np.multiply(c, sn, out=t2)
+        c += re
+        s += im
+    return out
 
 
 def _fourier_points(psis, arr, order: int):
@@ -412,24 +522,47 @@ def _fourier_points(psis, arr, order: int):
     return _by_points(arr, len(ms), block, len(psis))
 
 
-def _weighted_stack(psis, z, order: int = 0) -> np.ndarray:
+def _weighted_stack(psis, z, order: int = 0, grid: bool | None = None) -> np.ndarray:
     """e^{-|z|^2/2} d^order/dz^order of each section of psis (one torus) at z,
     shape (len(psis),) + z.shape, checking no torus: one pass of _fourier_grid
-    on a tensor grid, of _fourier_points elsewhere.  ValueError for a non-finite z."""
+    on a tensor grid, of _fourier_points elsewhere.  grid is _is_grid(z) when
+    the caller holds it, and is tested here when None.  ValueError for a
+    non-finite z."""
     arr = _points(z)
     if _one_torus(psis) is None:
         return np.empty((0,) + np.shape(z), dtype=complex)
-    out = _fourier_grid(psis, arr, order) if _is_grid(arr) else _fourier_points(psis, arr, order)
+    if grid is None:
+        grid = _is_grid(arr)
+    out = _fourier_grid(psis, arr, order) if grid else _fourier_points(psis, arr, order)
     return out.reshape((len(psis),) + np.shape(z))
 
 
-def _psi_frame(geometry, z, sample) -> np.ndarray:
+def _psi_frame(geometry, z, sample, grid: bool) -> np.ndarray:
     """e^{|z|^2/2} u, in place, for u = sample(), a fresh array (n,) + z.shape of
     weighted values e^{-|z|^2/2} s(z) of sections on geometry (None if n = 0):
-    the one way to psi's frame.  ValueError first if _check_torus rejects it."""
+    the one way to psi's frame.  ValueError first if _check_torus rejects it.
+
+    grid is _is_grid(z).  On a tensor grid z[j, i] = x[i] + i y[j] the factor
+    is e^{y_j^2/2} e^{x_i^2/2}, their product formed a block of rows at a
+    time from one long-double exp per row and one per column, each rounded
+    once to double.  That keeps it within 3 ulp of the pointwise factor; a
+    product of two _exp_ld values, each up to 2 ulp off, read 5.  Elsewhere
+    the factor is one _exp_ld per point of |z|^2/2, assembled in long
+    double, _BLOCK_POINTS points at a time.
+    """
     if geometry is not None:
         _check_torus(geometry)
-    out, z = sample(), np.ravel(z)
+    out = sample()
+    if grid:
+        cols, rows = (np.exp(np.square(v, dtype=_LD) / 2).astype(float)
+                      for v in (z[0].real, z[:, 0].imag))
+        step = max(1, _BLOCK_POINTS // len(cols))
+        for start in range(0, len(rows), step):
+            factor = np.multiply.outer(rows[start:start + step], cols)
+            for part in (out.real, out.imag):
+                part[:, start:start + step] *= factor
+        return out
+    z = np.ravel(z)
     flat = out.reshape(len(out), z.size)
     for start in range(0, z.size, _BLOCK_POINTS):
         x, y = (part[start:start + _BLOCK_POINTS] for part in (z.real, z.imag))
@@ -440,9 +573,11 @@ def _psi_frame(geometry, z, sample) -> np.ndarray:
 
 def eval_fourier_stack(psis, z, order: int = 0) -> np.ndarray:
     """d^order/dz^order of each section of psis at z, shape (len(psis),) + z.shape:
-    _weighted_stack brought to psi's own frame by _psi_frame.  GeometryMismatch
-    unless the sections share one geometry."""
-    return _psi_frame(_one_torus(psis), z, lambda: _weighted_stack(psis, z, order))
+    _weighted_stack brought to psi's own frame by _psi_frame, with z tested
+    for a tensor grid once for both.  GeometryMismatch unless the sections
+    share one geometry."""
+    grid = _is_grid(np.asarray(z))
+    return _psi_frame(_one_torus(psis), z, lambda: _weighted_stack(psis, z, order, grid), grid)
 
 
 def eval_fourier(psi: ThetaBasisFunction, z, order: int = 0):
@@ -626,23 +761,37 @@ def boundary_residuals(psis, z, phases: BoundaryPhases = TRIVIAL_PHASES,
     |s(z)| and |s(z-P) F_P(z-P)| there (F_P as in boundary_factors); each
     entry is the larger of the two.  On the cell no sampled w has |w|^2 above
     L1^2 + L2^2, the bound of _check_torus.  The stack is one
-    eval_fourier_stack pass at each of z, z - L1 and z - i L2, so each entry
-    is bit-identical to a call on its section alone.  `base` takes the
-    stack's samples at z already held, so that they are not evaluated again.
+    eval_fourier_stack pass at each of z, z - L1 and z - i L2, with z tested
+    for a tensor grid once for all three, so each entry is bit-identical to a
+    call on its section alone.  `base` takes the stack's samples at z already
+    held, so that they are not evaluated again.
+
+    _wrap_exponent is conj(P) w + E(0), linear in w = x + i y, so F_P(w) is
+    e^{E(x) + i delta} e^{i conj(P) y}: on a grid one complex exp per column
+    and one per row.
     """
     z = np.asarray(z, dtype=complex)
     geo = _one_torus(psis)
     if geo is None:
         return []
+    grid = _is_grid(z)
+
+    def psi_stack(w):
+        return _psi_frame(geo, w, lambda: _weighted_stack(psis, w, 0, grid), grid)
+
     if base is None:
-        base = eval_fourier_stack(psis, z)
+        base = psi_stack(z)
     points = tuple(range(1, base.ndim))
     worst, held = np.zeros(len(psis)), np.max(np.abs(base), axis=points)
     for n1, n2, delta in ((1, 0, phases.delta1), (0, 1, phases.delta2)):
-        source = z - (n1 * geo.L1 + 1j * n2 * geo.L2)
-        # this period's factor alone: the other one can overflow here
-        factor = np.exp(_wrap_exponent(geo, source, n1, n2) + 1j * delta)
-        expected = eval_fourier_stack(psis, source) * factor
+        period = n1 * geo.L1 + 1j * n2 * geo.L2
+        source = z - period
+        x, y = (source[:1].real, source[:, :1].imag) if grid else (source.real, source.imag)
+        # this period's factor alone: the other one can overflow here, and
+        # so can the samples times its column part alone
+        expected = psi_stack(source)
+        expected *= np.exp(_wrap_exponent(geo, x, n1, n2) + 1j * delta) \
+            * np.exp(1j * period.conjugate() * y)
         scale = np.maximum(held, np.max(np.abs(expected), axis=points))
         worst = np.maximum(worst, np.max(np.abs(base - expected), axis=points) / scale)
     return worst.tolist()

@@ -60,7 +60,7 @@ from .errors import NotAPeriod
 from .geometry import TorusGeometry, _one_torus
 from .levels import (Quadrature, as_section, default_resolution, _sampled_level,
                      _sample_sections)
-from .lll_basis import _psi_frame, _wrap_exponent
+from .lll_basis import _is_grid, _psi_frame, _wrap_exponent
 
 
 def _displacement(a) -> complex:
@@ -144,7 +144,7 @@ def translate_sections(a, sections, z) -> np.ndarray:
     geometry = _one_torus(sections)
     if geometry is None:
         return np.empty((0,) + z.shape, dtype=complex)
-    return _psi_frame(geometry, z, lambda: _translated(a, sections, z, geometry))
+    return _psi_frame(geometry, z, lambda: _translated(a, sections, z, geometry), _is_grid(z))
 
 
 def translate_section(a, s, z):

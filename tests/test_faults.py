@@ -24,6 +24,22 @@ def scale_grid_values(monkeypatch, factor):
         psis, z, order) * factor(z, psis[0].geometry.L1))
 
 
+def scale_grid_frame(monkeypatch, factor):
+    """Every psi-frame value on a tensor grid times factor(z, L1): a fault of
+    _psi_frame's row and column factors.  levels and translations look
+    _psi_frame up in their own modules."""
+    frame = lll_basis._psi_frame
+
+    def faulty(geometry, z, sample, grid):
+        out = frame(geometry, z, sample, grid)
+        if grid and geometry is not None:
+            out *= factor(z, geometry.L1)
+        return out
+
+    for module in (lll_basis, levels, translations):
+        monkeypatch.setattr(module, "_psi_frame", faulty)
+
+
 def scale_point_values(monkeypatch, factor):
     """Every sample of the scattered-point path times factor."""
     points = lll_basis._fourier_points
@@ -171,6 +187,14 @@ def test_aperiodic_grid_scale_fault(monkeypatch):
     # doubled-grid Gram (10) see it besides the norms and the density
     scale_grid_values(monkeypatch, lambda z, L1: 1 + 1e-9 * z.real / L1)
     assert failing(verify.run_acceptance(n_max=3)) == {2, 4, 5, 6, 8, 10}
+
+
+def test_aperiodic_grid_frame_fault(monkeypatch):
+    # every quadrature sums weighted samples, which never pass through the
+    # frame; the boundary law (4) compares psi-frame values at z and at its
+    # preimages, 1e-9 apart under the fault
+    scale_grid_frame(monkeypatch, lambda z, L1: 1 + 1e-9 * z.real / L1)
+    assert failing(verify.run_acceptance(n_max=3)) == {4}
 
 
 def test_scattered_point_scale_fault(monkeypatch):

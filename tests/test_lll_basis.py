@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -359,11 +361,18 @@ class TestBoundaryConditions:
         geo = TorusGeometry.square(3)
         psi = normalize(theta_basis(geo, 1))
         z = periodic_grid(geo, 16, 16)
-        # each law read at its period's preimage: s(z) against s(z - P) F_P(z - P)
-        f1 = boundary_factors(geo, z - geo.L1)[0]
-        f2 = boundary_factors(geo, z - 1j * geo.L2)[1]
+        # each law read at its period's preimage: s(z) against s(z - P) F_P(z - P),
+        # F_P(x + i y) taken as e^{E(x)} e^{i conj(P) y} (E the wrap exponent),
+        # one factor per column and one per row, which is boundary_factors' F_P
         direct, held = 0.0, psi(z)
-        for expected in (psi(z - geo.L1) * f1, psi(z - 1j * geo.L2) * f2):
+        for index, (n1, n2) in enumerate(((1, 0), (0, 1))):
+            period = n1 * geo.L1 + 1j * n2 * geo.L2
+            w = z - period
+            col = np.exp(lll_basis._wrap_exponent(geo, w[:1].real, n1, n2))
+            row = np.exp(1j * period.conjugate() * w[:, :1].imag)
+            factor = boundary_factors(geo, w)[index]
+            assert np.max(np.abs(col * row - factor) / np.abs(factor)) < 1e-15
+            expected = psi(w) * (col * row)
             scale = np.max(np.maximum(np.abs(held), np.abs(expected)))
             direct = max(direct, float(np.max(np.abs(held - expected))) / scale)
         assert boundary_residuals([psi], z) == [direct]
@@ -428,8 +437,9 @@ class TestBoundaryConditions:
 
 def test_fourier_series_leaves_long_double_through_two_helpers():
     # inside the Fourier series' two paths every exponential and every
-    # reduction mod 2pi is a call of _exp_ld or _cis_ld, and the one 2pi of
-    # the package is the double _TWO_PI
+    # reduction mod 2pi is a call of _exp_ld or _cis_ld, or, for the grid's
+    # gauge e^{i x y}, of _cis_xy, which works in float64 alone; the one 2pi
+    # of the package is the double _TWO_PI
     package = Path(lll_basis.__file__).parent
     for path in package.glob("*.py"):
         names = {node.id for node in ast.walk(ast.parse(path.read_text()))
@@ -446,6 +456,13 @@ def test_fourier_series_leaves_long_double_through_two_helpers():
         helpers = {node.func.id for node in ast.walk(function)
                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert {"_exp_ld", "_cis_ld"} <= helpers, name
+    grid = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_fourier_grid")
+    assert "_cis_xy" in {node.func.id for node in ast.walk(grid)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    gauge = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_cis_xy")
+    assert "_LD" not in {node.id for node in ast.walk(gauge) if isinstance(node, ast.Name)}
 
 
 class TestNormalize:
@@ -773,14 +790,108 @@ class TestWeightedFrame:
 
     def test_psi_frame_scales_in_blocks(self):
         # more points than one block: every block gets its own e^{|z|^2/2},
-        # within an ulp or two of a long-double reference
+        # within a few ulps of a long-double reference, by rows and columns
+        # on the grid and point by point on the same points
         geo = TorusGeometry.square(3)
         z = periodic_grid(geo, 300, 300)
-        got = lll_basis._psi_frame(geo, z, np.ones((2,) + z.shape, dtype=complex).copy)
         x, y = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
         ref = np.exp((x * x + y * y) / 2)
-        assert z.size > lll_basis._BLOCK_POINTS and got.shape == (2,) + z.shape
-        assert float(np.max(np.abs(got - ref) / ref)) < 1e-15
+        assert z.size > lll_basis._BLOCK_POINTS
+        for grid in (True, False):
+            got = lll_basis._psi_frame(geo, z, np.ones((2,) + z.shape, dtype=complex).copy, grid)
+            assert got.shape == (2,) + z.shape
+            assert float(np.max(np.abs(got - ref) / ref)) < 1e-15
+
+
+class TestRowColumnFactors:
+    """On a tensor grid the psi frame, the gauge e^{i x y} and the boundary
+    factors are taken from one row vector and one column vector."""
+
+    @pytest.mark.parametrize("n, ratio", [(12, 1.0), (6, 4.0), (6, 0.25)])
+    @pytest.mark.parametrize("shift", ["none", "L1", "iL2"])
+    def test_frame_within_three_ulp_of_the_pointwise_frame(self, n, ratio, shift):
+        # e^{y^2/2} e^{x^2/2}, one long-double exp per row and per column,
+        # against e^{|z|^2/2} per point with |z|^2/2 assembled in long double,
+        # on the cell and on its preimages under each period
+        geo = TorusGeometry.with_aspect(n, ratio)
+        z = periodic_grid(geo, 72, 64) - {"none": 0, "L1": geo.L1, "iL2": 1j * geo.L2}[shift]
+        ones = np.ones((1,) + z.shape, dtype=complex).copy
+        by_rows = lll_basis._psi_frame(geo, z, ones, True).real
+        by_points = lll_basis._psi_frame(geo, z, ones, False).real
+        assert np.max(np.abs(by_rows - by_points) / np.spacing(by_points)) <= 3
+
+    def test_gauge_within_a_rounding_of_a_200_bit_value(self):
+        # e^{i (x y mod 2 pi)}, with 2 pi the double 2 * np.pi, on coordinates
+        # of both signs, up to |x y| next to the largest (L1^2 + L2^2)/2
+        # that _check_torus admits
+        mpmath = pytest.importorskip("mpmath")
+        edge = math.sqrt(lll_basis._LN_MAX_DOUBLE) * (1 - 1e-12)
+        rng = np.random.default_rng(7)
+        x = np.concatenate([[-edge, edge, 0.0, 1e-300], (rng.random(26) * 2 - 1) * edge])
+        y = np.concatenate([[edge, -edge, -0.0, 2.5], (rng.random(21) * 2 - 1) * edge])
+        got = lll_basis._cis_xy(x, y)
+        assert got.shape == (len(y), len(x))
+        worst = 0.0
+        with mpmath.workprec(200):
+            two_pi = mpmath.mpf(2 * np.pi)
+            for j, yj in enumerate(y):
+                for i, xi in enumerate(x):
+                    phase = mpmath.mpf(xi) * mpmath.mpf(yj)
+                    phase -= mpmath.floor(phase / two_pi) * two_pi
+                    ref = complex(mpmath.cos(phase), mpmath.sin(phase))
+                    worst = max(worst, abs(got[j, i] - ref))
+        assert abs(x[0] * y[0]) > 0.99 * lll_basis._LN_MAX_DOUBLE
+        assert worst <= 2.5e-16
+
+    def test_gauge_table_built_on_first_use(self):
+        # importing the package builds no table: the grid path builds it
+        code = ("import toruslandau, toruslandau.cli\n"
+                "from toruslandau import lll_basis\n"
+                "print(lll_basis._gauge_table.cache_info().currsize)\n")
+        src = str(Path(lll_basis.__file__).parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
+
+    def test_grid_tested_once_per_pass(self, monkeypatch):
+        # the grid/point choice is made once for the sampler and the frame of
+        # a pass, and once for all three passes of boundary_residuals
+        calls = []
+        is_grid = lll_basis._is_grid
+        monkeypatch.setattr(lll_basis, "_is_grid", lambda arr: calls.append(1) or is_grid(arr))
+        geo = TorusGeometry.square(3)
+        z = periodic_grid(geo, 16, 12)
+        psis = normalized_basis(geo)
+        eval_fourier_stack(psis, z)
+        assert len(calls) == 1
+        boundary_residuals(psis, z)
+        assert len(calls) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_grid_equals_flat_points(self, data):
+        # accepted tori with N <= 12 and log2(L1/L2) in [-4, 4]; non-uniform
+        # tensor grids with coordinates of both signs, |Re z| <= L1 and
+        # |Im z| <= L2, where |z|^2 <= L1^2 + L2^2 keeps psi inside a double
+        n = data.draw(st.integers(1, 12), label="N")
+        geo = TorusGeometry.with_aspect(n, 2.0 ** data.draw(st.floats(-4.0, 4.0), label="log2"))
+        lll_basis._check_torus(geo)
+        order = data.draw(st.integers(0, 2), label="order")
+        nus = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+                        label="nus")
+        # 8 coordinates spread over [-1, 1) join the drawn ones, so that a
+        # grid never lies only next to zeros of a section
+        unit = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10)
+        spread = np.arange(-4, 4) / 4
+        xs = np.concatenate([data.draw(unit, label="x / L1"), spread]) * geo.L1
+        ys = np.concatenate([data.draw(unit, label="y / L2"), spread]) * geo.L2
+        z = xs[None, :] + 1j * ys[:, None]
+        assert _is_grid(z)
+        psis = [theta_basis(geo, nu) for nu in nus]
+        got = eval_fourier_stack(psis, z, order)
+        flat = eval_fourier_stack(psis, z.ravel(), order).reshape(got.shape)
+        for section, ref in zip(got, flat):
+            assert np.max(np.abs(section - ref)) <= GRID_BOUND * np.max(np.abs(ref))
 
 
 class TestStackedGridPath:
